@@ -16,10 +16,10 @@ import numpy as np
 from .linalg import fro_norm, mat_exp
 from .manifold import (
     AmbientPair,
-    BiorthPoint,
     BiorthogonalManifold,
     EuclideanManifold,
-    TangentPair,
+    _random_point,
+    _random_tangent,
     identity_point,
     pair_inverse,
     pair_product,
@@ -80,7 +80,7 @@ def projection_oracle_suite(tol_scale=1.0, sizes=range(2, 9), trials=100):
     for n in sizes:
         for trial in range(trials):
             rng = make_rng(90_000 + 101 * n + trial)
-            p = _rng_point(rng, n, 0.4)
+            p = _random_point(rng, n, 0.4)
             a = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
             t = project_tangent(p, a)
             u_ref, v_ref = min_norm_tangent_oracle(p, a)
@@ -102,7 +102,7 @@ def tangency_suite(tol_scale=1.0, sizes=range(2, 21), trials=20):
     for n in sizes:
         for trial in range(trials):
             rng = make_rng(91_000 + 97 * n + trial)
-            p = _rng_point(rng, n, 0.4)
+            p = _random_point(rng, n, 0.4)
             a = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
             a_norm = a.norm()
             t = project_tangent(p, a)
@@ -115,7 +115,7 @@ def tangency_suite(tol_scale=1.0, sizes=range(2, 21), trials=20):
             ru = a.phi - t.u
             rv = a.psi - t.v
             for j in range(20):
-                w = _rng_tangent(rng, p, 1.0)
+                w = _random_tangent(rng, p, 1.0)
                 ip = abs(float(np.vdot(ru, w.u) + np.vdot(rv, w.v)))
                 worst_orth = max(worst_orth, ip / a_norm)
     return SuiteResult(
@@ -135,9 +135,9 @@ def retraction_suite(tol_scale=1.0, trials=50):
     for trial in range(trials):
         rng = make_rng(92_000 + trial)
         n = int(rng.integers(2, 21))
-        p = _rng_point(rng, n, 0.3)
+        p = _random_point(rng, n, 0.3)
         scale = float(rng.uniform(0.1, 5.0))
-        t = _rng_tangent(rng, p, scale)
+        t = _random_tangent(rng, p, scale)
         q = retract(p, t)
         worst_feas = max(worst_feas, q.feasibility_error() / n)
 
@@ -191,7 +191,7 @@ def gradient_fd_suite(tol_scale=1.0, instances=20):
         rng = make_rng(94_000 + trial)
         phi = rng.standard_normal((n, n))
         psi = rng.standard_normal((n, n))
-        p = _rng_point(rng, n, 0.4)
+        p = _random_point(rng, n, 0.4)
         nearest = NearestPairProblem(phi, psi)
         worst_nearest = max(
             worst_nearest,
@@ -229,8 +229,8 @@ def lie_closure_suite(tol_scale=1.0, trials=100):
     for trial in range(trials):
         rng = make_rng(96_000 + trial)
         n = int(rng.integers(2, 21))
-        p = _rng_point(rng, n, 0.4)
-        q = _rng_point(rng, n, 0.4)
+        p = _random_point(rng, n, 0.4)
+        q = _random_point(rng, n, 0.4)
         prod = pair_product(p, q)
         worst_closure = max(worst_closure, prod.feasibility_error())
         inv_p = pair_inverse(p)
@@ -253,20 +253,6 @@ def lie_closure_suite(tol_scale=1.0, trials=100):
             Check("worst identity-product err", worst_identity, bound),
         ],
     )
-
-
-def _rng_point(rng, n, scale):
-    g = scale * rng.standard_normal((n, n))
-    return BiorthPoint(mat_exp(g), mat_exp(-g))
-
-
-def _rng_tangent(rng, p, scale):
-    n = p.n
-    u = rng.standard_normal((n, n))
-    v = -(p.y @ u @ p.y)
-    nrm = np.sqrt(np.sum(u * u) + np.sum(v * v))
-    s = scale / nrm
-    return TangentPair(s * u, s * v, p)
 
 
 SUITES = {

@@ -1,9 +1,10 @@
 """The manifold of biorthogonal matrix pairs (x, y) with x @ y = I.
 
 Provides the point and tangent types, the tangent-space projection (a
-generalized Sylvester solve decoupled by two SVDs), an exponential-map
-retraction that is feasible by construction, and the flat product space
-used by the penalty baseline. All values are immutable once constructed.
+Sylvester-type solve diagonalized by one SVD of y, cached on the point), an
+exponential-map retraction that is feasible by construction, and the flat
+product space used by the penalty baseline. All values are immutable once
+constructed.
 """
 
 from __future__ import annotations
@@ -49,10 +50,12 @@ def is_on_manifold(x, y, tol) -> tuple[bool, float]:
 class BiorthPoint:
     """A pair (x, y) of square matrices with x @ y = I within `feas_tol`.
 
-    Arrays are copied and marked read-only; points are safe to share.
+    Arrays are copied and marked read-only; points are safe to share. The
+    SVD of y is computed on first use and kept, so every projection at the
+    point shares one factorization.
     """
 
-    __slots__ = ("x", "y", "feas_tol")
+    __slots__ = ("x", "y", "feas_tol", "_y_svd")
 
     def __init__(self, x, y, feas_tol=None):
         x = require_square(as_matrix(x, "x"), "x")
@@ -70,6 +73,7 @@ class BiorthPoint:
         object.__setattr__(self, "x", _frozen(x))
         object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "feas_tol", float(feas_tol))
+        object.__setattr__(self, "_y_svd", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BiorthPoint is immutable")
@@ -77,6 +81,12 @@ class BiorthPoint:
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    def y_svd(self):
+        """SvdResult of y, computed on the first call and cached on the point."""
+        if self._y_svd is None:
+            object.__setattr__(self, "_y_svd", svd(self.y))
+        return self._y_svd
 
     def feasibility_error(self) -> float:
         return fro_norm(self.x @ self.y - np.eye(self.n))
@@ -252,22 +262,23 @@ def pair_inverse(p: BiorthPoint) -> BiorthPoint:
 def project_tangent(p: BiorthPoint, a: AmbientPair, tan_tol=None) -> TangentPair:
     """Orthogonal projection of an ambient pair onto the tangent space at `p`.
 
-    Returns the minimizer (X, Y) of ``|X - phi|_F^2 + |Y - psi|_F^2`` subject
-    to ``x0 @ Y + X @ y0 = 0``. Shifting by (phi, psi) turns the constraint
-    into a generalized Sylvester equation
+    Returns the minimizer (u, v) of ``|u - phi|_F^2 + |v - psi|_F^2`` over
+    the tangent space. Since x0 = y0^-1, the tangents are exactly the pairs
+    (u, -y0 @ u @ y0), so setting the gradient in u to zero gives
 
-        x0 @ Yt + Xt @ y0 = C,      C = -(x0 @ psi) - (phi @ y0),
+        u + A @ u @ B = R,   A = y0^T y0,  B = y0 y0^T,  R = phi - y0^T psi y0^T.
 
-    which two SVDs ``x0 = Ux Sx Vx^T`` and ``y0 = Uy Sy Vy^T`` decouple into
-    independent scalar problems: with alpha = diag(Sx), beta = diag(Sy) and
-    Ch = Ux^T C Vy, the minimum-norm solution of
+    One SVD ``y0 = U S V^T`` diagonalizes both sides: A = V S^2 V^T and
+    B = U S^2 U^T. With sigma = diag(S), phih = V^T phi U and
+    psih = U^T psi V, the equation decouples entrywise into
 
-        alpha_i * Yh_ij + Xh_ij * beta_j = Ch_ij
+        uh_ij = (phih_ij - sigma_i sigma_j psih_ij) / (1 + sigma_i^2 sigma_j^2),
 
-    is Xh_ij = Ch_ij * beta_j / (alpha_i^2 + beta_j^2) and
-    Yh_ij = Ch_ij * alpha_i / (alpha_i^2 + beta_j^2). Rotating back and
-    undoing the shift gives the projection. The result is invariant to the
-    ordering/sign conventions of the SVD factors.
+    whose denominator is at least 1. Rotating back gives u = V uh U^T and
+    v = -y0 u y0 = -U (sigma_i sigma_j uh_ij) V^T; forming v in the rotated
+    basis keeps its rounding at the size of v rather than of |y0|^2 |u|.
+    The SVD is the one cached on `p`, and the result does not depend on the
+    sign/ordering conventions of its factors.
     """
     if not isinstance(a, AmbientPair):
         a = AmbientPair(*a)
@@ -275,38 +286,37 @@ def project_tangent(p: BiorthPoint, a: AmbientPair, tan_tol=None) -> TangentPair
         raise DimensionError(
             f"ambient pair shape {a.phi.shape} does not match point n={p.n}"
         )
-    dx = svd(p.x)
-    dy = svd(p.y)
-    # Singular values are strictly positive for any invertible base pair.
-    denom = dx.s[:, None] ** 2 + dy.s[None, :] ** 2
-    if denom.min() < 1e-300:
-        raise NumericalError(
-            "singular base pair: a squared singular value sum underflowed"
-        )
-    c = -(p.x @ a.psi) - (a.phi @ p.y)
-    ch = dx.u.T @ c @ dy.v
-    xh = ch * dy.s[None, :] / denom
-    yh = ch * dx.s[:, None] / denom
-    xt = dx.u @ xh @ dy.u.T
-    yt = dx.v @ yh @ dy.v.T
-    return TangentPair(a.phi + xt, a.psi + yt, p, tan_tol=tan_tol)
+    f = p.y_svd()
+    ss = f.s[:, None] * f.s[None, :]
+    phih = f.v.T @ a.phi @ f.u
+    psih = f.u.T @ a.psi @ f.v
+    uh = (phih - ss * psih) / (1.0 + ss * ss)
+    u = f.v @ uh @ f.u.T
+    v = -(f.u @ (ss * uh) @ f.v.T)
+    return TangentPair(u, v, p, tan_tol=tan_tol)
 
 
 def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
     """Exponential-map retraction of tangent `t` at `p`.
 
     Translates the tangent to the identity, exponentiates, and translates
-    back: with W = y0 @ u the new point is (x0 @ e^W, e^-W @ y0). The
-    product of the two legs is x0 @ y0 up to rounding, so feasibility is
-    preserved by construction, and the map agrees with (x0 + u, y0 + v) to
-    first order.
+    back: with W = y0 @ u and E = e^W the new point is (x0 @ E, E^-1 @ y0),
+    the second leg from one LU solve against E. The product of the two legs
+    is x0 @ y0 up to rounding, so feasibility is preserved by construction
+    (and re-checked by the point constructor), and the map agrees with
+    (x0 + u, y0 + v) to first order. A step so large that E is numerically
+    singular raises NumericalError.
     """
     if not _same_point(t.base, p):
         raise InvalidTangentError("tangent is based at a different point")
-    w = p.y @ t.u
-    e = mat_exp(w)
-    e_inv = mat_exp(-w)
-    return BiorthPoint(p.x @ e, e_inv @ p.y, feas_tol=p.feas_tol)
+    e = mat_exp(p.y @ t.u)
+    try:
+        y = np.linalg.solve(e, p.y)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"retraction step too large: e^W is numerically singular ({exc})"
+        ) from exc
+    return BiorthPoint(p.x @ e, y, feas_tol=p.feas_tol)
 
 
 def metric(p, t1, t2) -> float:

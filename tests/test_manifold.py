@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from biorth.errors import DimensionError, InvalidTangentError, OffManifoldError
-from biorth.linalg import fro_inner, fro_norm, mat_exp
+import biorth.manifold
+from biorth.checks import min_norm_tangent_oracle
+from biorth.errors import BiorthError, DimensionError, InvalidTangentError, OffManifoldError
+from biorth.linalg import fro_inner, fro_norm, mat_exp, svd
 from biorth.manifold import (
     AmbientPair,
     BiorthPoint,
@@ -22,8 +26,26 @@ from biorth.manifold import (
 from biorth.rng import make_rng
 
 
+# Base-point scales for the projection tests: random_point(scale=1.5) at
+# n = 20 has a condition number near 7e5.
+BASE_SCALES = (0.4, 1.0, 1.5)
+
+
 def seeded_point(seed, n, scale=0.4):
     return random_point(seed, n, scale)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record every matrix that the manifold module factorizes."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return svd(m)
+
+    monkeypatch.setattr(biorth.manifold, "svd", counted)
+    return calls
 
 
 class TestBiorthPoint:
@@ -157,8 +179,8 @@ class TestProjectTangent:
 
     def test_diagonal_worked_example(self):
         # base (diag(2, 1/2), diag(1/2, 2)), input (diag(1, 0), 0): the only
-        # active entry solves the scalar minimum-norm problem with
-        # c = -1/2, alpha = 2, beta = 1/2.
+        # active entry has sigma = 1/2, so u = 1 / (1 + sigma^4) = 16/17 and
+        # v = -sigma^2 u = -4/17.
         p = BiorthPoint(np.diag([2.0, 0.5]), np.diag([0.5, 2.0]))
         a = AmbientPair(np.diag([1.0, 0.0]), np.zeros((2, 2)))
         t = project_tangent(p, a)
@@ -167,38 +189,83 @@ class TestProjectTangent:
         assert fro_norm(p.x @ t.v + t.u @ p.y) <= 1e-15
 
     def test_tangent_input_unchanged(self):
-        p = seeded_point(71, 7)
-        t = random_tangent(72, p, 2.0)
-        back = project_tangent(p, t.as_ambient())
-        assert fro_norm(back.u - t.u) + fro_norm(back.v - t.v) <= 1e-12
+        for scale in BASE_SCALES:
+            p = seeded_point(71, 7, scale)
+            t = random_tangent(72, p, 2.0)
+            back = project_tangent(p, t.as_ambient())
+            assert fro_norm(back.u - t.u) + fro_norm(back.v - t.v) <= 1e-12
 
     def test_idempotent(self):
-        for seed in range(10):
-            rng = make_rng(80 + seed)
-            n = int(rng.integers(2, 21))
-            p = seeded_point(90 + seed, n)
-            a = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-            t1 = project_tangent(p, a)
-            t2 = project_tangent(p, t1.as_ambient())
-            err = fro_norm(t2.u - t1.u) + fro_norm(t2.v - t1.v)
-            assert err <= 1e-10 * a.norm()
+        # Each projection also passes the default tangency check of TangentPair.
+        for scale in BASE_SCALES:
+            for seed in range(10):
+                rng = make_rng(80 + seed)
+                n = int(rng.integers(2, 21))
+                p = seeded_point(90 + seed, n, scale)
+                a = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+                t1 = project_tangent(p, a)
+                t2 = project_tangent(p, t1.as_ambient())
+                err = fro_norm(t2.u - t1.u) + fro_norm(t2.v - t1.v)
+                assert err <= 1e-10 * a.norm()
 
     def test_residual_orthogonal_to_tangents(self):
-        p = seeded_point(100, 8)
-        rng = make_rng(101)
-        a = AmbientPair(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
-        t = project_tangent(p, a)
-        ru = a.phi - t.u
-        rv = a.psi - t.v
-        for seed in range(20):
-            w = random_tangent(110 + seed, p, 1.0)
-            ip = abs(fro_inner(ru, w.u) + fro_inner(rv, w.v))
-            assert ip <= 1e-8 * a.norm()
+        for scale in BASE_SCALES:
+            p = seeded_point(100, 8, scale)
+            rng = make_rng(101)
+            a = AmbientPair(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
+            t = project_tangent(p, a)
+            u_ref, v_ref = min_norm_tangent_oracle(p, a)
+            rel = (fro_norm(t.u - u_ref) + fro_norm(t.v - v_ref)) / (
+                fro_norm(u_ref) + fro_norm(v_ref)
+            )
+            assert rel <= 1e-8
+            ru = a.phi - t.u
+            rv = a.psi - t.v
+            for seed in range(20):
+                w = random_tangent(110 + seed, p, 1.0)
+                ip = abs(fro_inner(ru, w.u) + fro_inner(rv, w.v))
+                assert ip <= 1e-8 * a.norm()
 
     def test_dimension_mismatch(self):
         p = identity_point(3)
         with pytest.raises(DimensionError):
             project_tangent(p, AmbientPair(np.eye(4), np.eye(4)))
+
+
+class TestSvdCache:
+    def test_projections_at_one_point_share_one_svd(self, svd_calls):
+        p = seeded_point(250, 6)
+        rng = make_rng(251)
+        for _ in range(3):
+            project_tangent(p, AmbientPair(*rng.standard_normal((2, 6, 6))))
+        assert len(svd_calls) == 1
+        assert np.array_equal(svd_calls[0], p.y)
+
+    def test_retract_runs_no_svd(self, svd_calls):
+        p = seeded_point(252, 6)
+        retract(p, random_tangent(253, p, 0.5))
+        assert svd_calls == []
+
+    def test_new_points_factor_their_own_y(self, svd_calls):
+        p = seeded_point(254, 6)
+        a = AmbientPair(*make_rng(255).standard_normal((2, 6, 6)))
+        t = project_tangent(p, a)
+        for q in (retract(p, 0.1 * t), pair_inverse(p)):
+            before = len(svd_calls)
+            tq = project_tangent(q, a)
+            assert len(svd_calls) == before + 1
+            assert np.array_equal(svd_calls[-1], q.y)
+            fresh = project_tangent(BiorthPoint(q.x, q.y), a)
+            assert np.array_equal(tq.u, fresh.u)
+            assert np.array_equal(tq.v, fresh.v)
+
+    def test_cached_point_stays_immutable(self):
+        p = seeded_point(256, 4)
+        p.y_svd()
+        with pytest.raises(AttributeError):
+            p._y_svd = None
+        with pytest.raises(AttributeError):
+            p.y = np.eye(4)
 
 
 class TestRetract:
@@ -241,6 +308,23 @@ class TestRetract:
 
             ratio = lin_err(0.1) / lin_err(0.05)
             assert 3.5 <= ratio <= 4.5
+
+    def test_oversized_step_raises_typed_error_without_warning(self):
+        # diag(700, -750): e^W is finite but its second entry underflows to
+        # zero, so e^W is exactly singular. The random steps are far too long
+        # for the exponential or for the feasibility check.
+        steps = []
+        p0 = identity_point(2)
+        u = np.diag([700.0, -750.0])
+        steps.append((p0, TangentPair(u, -u, p0)))
+        for seed in range(3):
+            p = seeded_point(185 + seed, 6)
+            steps.append((p, random_tangent(188 + seed, p, 1e3)))
+        for p, t in steps:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(BiorthError):
+                    retract(p, t)
 
     def test_foreign_base_rejected(self):
         p = seeded_point(180, 5)
