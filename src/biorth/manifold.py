@@ -83,9 +83,12 @@ class BiorthPoint:
         return self.x.shape[0]
 
     def y_svd(self):
-        """SvdResult of y, computed on the first call and cached on the point."""
+        """Read-only SvdResult of y, computed on the first call and cached."""
         if self._y_svd is None:
-            object.__setattr__(self, "_y_svd", svd(self.y))
+            f = svd(self.y)
+            for a in (f.u, f.s, f.v):
+                a.setflags(write=False)
+            object.__setattr__(self, "_y_svd", f)
         return self._y_svd
 
     def feasibility_error(self) -> float:
@@ -274,9 +277,19 @@ def project_tangent(p: BiorthPoint, a: AmbientPair, tan_tol=None) -> TangentPair
 
         uh_ij = (phih_ij - sigma_i sigma_j psih_ij) / (1 + sigma_i^2 sigma_j^2),
 
-    whose denominator is at least 1. Rotating back gives u = V uh U^T and
-    v = -y0 u y0 = -U (sigma_i sigma_j uh_ij) V^T; forming v in the rotated
-    basis keeps its rounding at the size of v rather than of |y0|^2 |u|.
+    whose denominator is at least 1, and v = -y0 u y0 has vh_ij =
+    -sigma_i sigma_j uh_ij; u = V uh U^T and v = U vh V^T. Forming v in the
+    rotated basis keeps its rounding at the size of v rather than of
+    |y0|^2 |u|.
+
+    A stored point has x0 y0 = I only within its feasibility tolerance, so
+    the pair is then corrected once for tangency against the stored x0. Its
+    residual is rh = V^T (x0 v + u y0) V = (V^T x0 U) vh + uh S, and the
+    minimum-norm correction along the normal directions (L y0^T, x0^T L),
+    with x0 approximated by y0^-1, is w_ij = -sigma_i rh_ij / (1 + sigma_i^2
+    sigma_j^2) added to vh and sigma_i sigma_j w_ij added to uh. It leaves a
+    residual second order in the drift x0 y0 - I, and since it lies in the
+    kernel of the solve above, projecting the result again reproduces it.
     The SVD is the one cached on `p`, and the result does not depend on the
     sign/ordering conventions of its factors.
     """
@@ -287,13 +300,18 @@ def project_tangent(p: BiorthPoint, a: AmbientPair, tan_tol=None) -> TangentPair
             f"ambient pair shape {a.phi.shape} does not match point n={p.n}"
         )
     f = p.y_svd()
-    ss = f.s[:, None] * f.s[None, :]
+    s = f.s
+    ss = s[:, None] * s[None, :]
+    den = 1.0 + ss * ss
     phih = f.v.T @ a.phi @ f.u
     psih = f.u.T @ a.psi @ f.v
-    uh = (phih - ss * psih) / (1.0 + ss * ss)
-    u = f.v @ uh @ f.u.T
-    v = -(f.u @ (ss * uh) @ f.v.T)
-    return TangentPair(u, v, p, tan_tol=tan_tol)
+    uh = (phih - ss * psih) / den
+    vh = -ss * uh
+    rh = (f.v.T @ p.x @ f.u) @ vh + uh * s
+    w = -(s[:, None] * rh) / den
+    uh = uh + ss * w
+    vh = vh + w
+    return TangentPair(f.v @ uh @ f.u.T, f.u @ vh @ f.v.T, p, tan_tol=tan_tol)
 
 
 def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:

@@ -226,6 +226,20 @@ class TestProjectTangent:
                 ip = abs(fro_inner(ru, w.u) + fro_inner(rv, w.v))
                 assert ip <= 1e-8 * a.norm()
 
+    def test_drifted_base_point_projects_to_a_tangent(self):
+        # x0 @ y0 - I = diag(1.8e-9, 0) is inside the n = 2 feasibility
+        # tolerance of 2e-9, but u11 = 5 makes the uncorrected -y0 u y0
+        # miss tangency against the stored x0 by about 9e-9.
+        # The correction must also keep the projection idempotent.
+        p = BiorthPoint(np.eye(2), np.diag([1.0 + 1.8e-9, 1.0]))
+        assert 1e-9 < p.feasibility_error() <= p.feas_tol
+        a = AmbientPair(np.diag([10.0, 0.0]), np.zeros((2, 2)))
+        t = project_tangent(p, a)
+        assert t.u[0, 0] == pytest.approx(5.0, rel=1e-8)
+        assert fro_norm(p.x @ t.v + t.u @ p.y) <= 1e-15
+        back = project_tangent(p, t.as_ambient())
+        assert fro_norm(back.u - t.u) + fro_norm(back.v - t.v) <= 1e-10 * a.norm()
+
     def test_dimension_mismatch(self):
         p = identity_point(3)
         with pytest.raises(DimensionError):
@@ -261,7 +275,10 @@ class TestSvdCache:
 
     def test_cached_point_stays_immutable(self):
         p = seeded_point(256, 4)
-        p.y_svd()
+        f = p.y_svd()
+        for a in (f.u, f.s, f.v):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
         with pytest.raises(AttributeError):
             p._y_svd = None
         with pytest.raises(AttributeError):
