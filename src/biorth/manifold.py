@@ -51,11 +51,12 @@ class BiorthPoint:
     """A pair (x, y) of square matrices with x @ y = I within `feas_tol`.
 
     Arrays are copied and marked read-only; points are safe to share. The
-    SVD of y is computed on first use and kept, so every projection at the
-    point shares one factorization.
+    feasibility error measured by the constructor is kept, and the SVD of y
+    is computed on first use and kept, so every projection at the point
+    shares one factorization.
     """
 
-    __slots__ = ("x", "y", "feas_tol", "_y_svd")
+    __slots__ = ("x", "y", "feas_tol", "_feas_err", "_y_svd")
 
     def __init__(self, x, y, feas_tol=None):
         x = require_square(as_matrix(x, "x"), "x")
@@ -64,8 +65,8 @@ class BiorthPoint:
         n = x.shape[0]
         if feas_tol is None:
             feas_tol = default_feas_tol(n)
-        ok, err = is_on_manifold(x, y, feas_tol)
-        if not ok:
+        err = fro_norm(x @ y - np.eye(n))
+        if not err <= feas_tol:
             raise OffManifoldError(
                 f"pair is not biorthogonal: fro_norm(x @ y - I) = {err:.3e} "
                 f"exceeds tolerance {feas_tol:.3e}"
@@ -73,6 +74,7 @@ class BiorthPoint:
         object.__setattr__(self, "x", _frozen(x))
         object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "feas_tol", float(feas_tol))
+        object.__setattr__(self, "_feas_err", err)
         object.__setattr__(self, "_y_svd", None)
 
     def __setattr__(self, name, value):
@@ -92,7 +94,8 @@ class BiorthPoint:
         return self._y_svd
 
     def feasibility_error(self) -> float:
-        return fro_norm(self.x @ self.y - np.eye(self.n))
+        """fro_norm(x @ y - I), as measured by the constructor."""
+        return self._feas_err
 
     def __repr__(self):
         return f"BiorthPoint(n={self.n}, feas_err={self.feasibility_error():.2e})"
@@ -102,6 +105,11 @@ def identity_point(n: int, feas_tol=None) -> BiorthPoint:
     return BiorthPoint(np.eye(n), np.eye(n), feas_tol=feas_tol)
 
 
+def _tangent_residual(base, u, v) -> float:
+    """fro_norm(x0 @ v + u @ y0): the tangency check, two n x n products."""
+    return fro_norm(base.x @ v + u @ base.y)
+
+
 class TangentPair:
     """Tangent vector (u, v) at `base`: base.x @ v + u @ base.y = 0.
 
@@ -109,9 +117,15 @@ class TangentPair:
     instead of silently re-projected. Linear combinations of tangents at
     the same base stay tangent and are supported through `+`, `-` and
     scalar `*`.
+
+    `residual` is fro_norm(x0 @ v + u @ y0) as the constructor measured it.
+    A result of `+`, `-` or scalar `*` carries the triangle-inequality bound
+    r1 + r2 or |s| r instead, and is measured again only when that bound
+    exceeds the default tangency tolerance. Arithmetic therefore costs
+    O(n^2) and still never yields a pair that the constructor would reject.
     """
 
-    __slots__ = ("u", "v", "base")
+    __slots__ = ("u", "v", "base", "residual")
 
     def __init__(self, u, v, base: BiorthPoint, tan_tol=None):
         u = require_square(as_matrix(u, "u"), "u")
@@ -123,7 +137,7 @@ class TangentPair:
             )
         if tan_tol is None:
             tan_tol = default_tan_tol(base.n)
-        resid = fro_norm(base.x @ v + u @ base.y)
+        resid = _tangent_residual(base, u, v)
         if resid > tan_tol:
             raise InvalidTangentError(
                 f"pair is not tangent at the base point: fro_norm(x0 @ v + u @ y0) "
@@ -132,12 +146,30 @@ class TangentPair:
         object.__setattr__(self, "u", _frozen(u))
         object.__setattr__(self, "v", _frozen(v))
         object.__setattr__(self, "base", base)
+        object.__setattr__(self, "residual", resid)
+
+    @classmethod
+    def _combine(cls, u, v, base, bound):
+        """Result of tangent arithmetic at `base` whose residual is at most `bound`.
+
+        `u` and `v` must be freshly computed arrays; they are frozen in place.
+        """
+        if not bound <= default_tan_tol(base.n):
+            return cls(u, v, base)
+        t = object.__new__(cls)
+        for name, a in (("u", u), ("v", v)):
+            a = as_matrix(a, name)
+            a.setflags(write=False)
+            object.__setattr__(t, name, a)
+        object.__setattr__(t, "base", base)
+        object.__setattr__(t, "residual", bound)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("TangentPair is immutable")
 
     def norm(self) -> float:
-        return float(np.sqrt(fro_inner(self.u, self.u) + fro_inner(self.v, self.v)))
+        return float(np.sqrt(float(np.vdot(self.u, self.u)) + float(np.vdot(self.v, self.v))))
 
     def as_ambient(self) -> "AmbientPair":
         return AmbientPair(self.u, self.v)
@@ -148,18 +180,22 @@ class TangentPair:
 
     def __add__(self, other):
         self._require_same_base(other)
-        return TangentPair(self.u + other.u, self.v + other.v, self.base)
+        return TangentPair._combine(
+            self.u + other.u, self.v + other.v, self.base, self.residual + other.residual
+        )
 
     def __sub__(self, other):
         self._require_same_base(other)
-        return TangentPair(self.u - other.u, self.v - other.v, self.base)
+        return TangentPair._combine(
+            self.u - other.u, self.v - other.v, self.base, self.residual + other.residual
+        )
 
     def __neg__(self):
-        return TangentPair(-self.u, -self.v, self.base)
+        return TangentPair._combine(-self.u, -self.v, self.base, self.residual)
 
     def __mul__(self, s):
         s = float(s)
-        return TangentPair(s * self.u, s * self.v, self.base)
+        return TangentPair._combine(s * self.u, s * self.v, self.base, abs(s) * self.residual)
 
     __rmul__ = __mul__
 
@@ -345,7 +381,8 @@ def metric(p, t1, t2) -> float:
         t1._require_same_base(t2)
         if not _same_point(t1.base, p):
             raise InvalidTangentError("tangents are not based at the given point")
-        return fro_inner(t1.u, t2.u) + fro_inner(t1.v, t2.v)
+        # The constructor validated and froze these arrays.
+        return float(np.vdot(t1.u, t2.u)) + float(np.vdot(t1.v, t2.v))
     return fro_inner(t1.phi, t2.phi) + fro_inner(t1.psi, t2.psi)
 
 
@@ -432,7 +469,7 @@ class BiorthogonalManifold:
         return random_tangent(seed, p, scale)
 
     def feasibility_error(self, p) -> float:
-        return is_on_manifold(p.x, p.y, np.inf)[1]
+        return p.feasibility_error()
 
     def zero_tangent(self, p) -> TangentPair:
         z = np.zeros((self.n, self.n))

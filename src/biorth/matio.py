@@ -5,6 +5,11 @@ space-separated reals. Trace format: CSV with a fixed header, one row per
 iterate. Reals are written with 17 significant digits, which pins every
 finite 64-bit value exactly; parsing always uses '.' as the decimal
 separator regardless of locale.
+
+Matrix rows are parsed and formatted one row per C-level call. A file that
+fails the fast parse is parsed again token by token, and that reference
+loop raises the error, so its line number and message do not depend on
+which path found the fault.
 """
 
 from __future__ import annotations
@@ -68,6 +73,26 @@ def read_matrix(path) -> np.ndarray:
             f"unexpected content after {rows} data rows", line=rows + 2
         )
     out = np.empty((rows, cols), dtype=np.float64)
+    try:
+        for i in range(rows):
+            tokens = lines[i + 1].split()
+            if len(tokens) != cols:
+                break
+            out[i] = list(map(float, tokens))
+        else:
+            if np.isfinite(out).all():
+                return out
+    except ValueError:
+        pass
+    # The fast parse failed somewhere; the reference loop finds the first fault.
+    return _parse_rows(lines, rows, cols, out)
+
+
+def _parse_rows(lines, rows, cols, out):
+    """Reference per-token parse of the data rows into `out`.
+
+    Raises MatrixFormatError at the first bad row or token in file order.
+    """
     for i in range(rows):
         line_no = i + 2
         tokens = lines[i + 1].split()
@@ -83,11 +108,12 @@ def read_matrix(path) -> np.ndarray:
 def write_matrix(path, m) -> None:
     m = as_matrix(m)
     rows, cols = m.shape
+    # '%.17g' % v and format(v, '.17g') produce the same digits.
+    row_format = " ".join(["%.17g"] * cols) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(f"{rows} {cols}\n")
         for i in range(rows):
-            f.write(" ".join(format_real(v) for v in m[i]))
-            f.write("\n")
+            f.write(row_format % tuple(m[i].tolist()))
 
 
 def write_trace(path, trace) -> None:

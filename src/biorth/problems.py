@@ -3,7 +3,10 @@
 Nearest biorthogonal pair to a given (phi, psi), its quadratic penalty
 relaxation on the flat product space, and bidirectional functional-map
 recovery with a funnel-shaped off-diagonal regularizer. Each problem
-exposes ``cost``, ``euclidean_gradient`` and ``cost_grad``.
+implements ``cost_grad(x, y) -> (cost, AmbientPair)``, which is the whole
+protocol the solvers call: one evaluation gives the cost and the Euclidean
+gradient together. ``cost`` and ``euclidean_gradient`` are conveniences that
+evaluate ``cost_grad`` and keep one half.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 Gradient descent and Polak-Ribiere conjugate gradient, both with Armijo
 backtracking, plus a finite-difference gradient checker. A problem is any
-object with ``cost(x, y) -> float`` and ``euclidean_gradient(x, y) ->
-AmbientPair``; the manifold supplies project/retract/metric/transport.
+object with ``cost_grad(x, y) -> (float, AmbientPair)``, the cost and the
+Euclidean gradient from one evaluation; the manifold supplies
+project/retract/metric/transport. Each line-search trial point is evaluated
+once, and the accepted point's gradient is the one the solver projects.
 """
 
 from __future__ import annotations
@@ -66,49 +68,50 @@ class TraceRecord:
 
 def riemannian_gradient(problem, manifold, p):
     """Euclidean gradient projected onto the tangent space at `p`."""
-    return manifold.project(p, problem.euclidean_gradient(p.x, p.y))
+    return manifold.project(p, problem.cost_grad(p.x, p.y)[1])
 
 
 def armijo_search(problem, manifold, p, direction, slope, opts, f0=None, initial_step=None):
     """Backtracking line search along `direction` from `p`.
 
     `slope` is the metric inner product of the Riemannian gradient with the
-    direction and must be negative. Returns (step, new_point, new_cost)
-    with new_cost <= f0 + armijo_c1 * step * slope. Candidates that leave
-    the feasible region or overflow are treated as infinitely bad and
-    backtracked past. Once a step is accepted, one quadratic interpolation
+    direction and must be negative. Returns (step, new_point, new_cost,
+    new_egrad) with new_cost <= f0 + armijo_c1 * step * slope, where
+    new_egrad is the Euclidean gradient that `problem.cost_grad` returned
+    together with new_cost at new_point. Candidates that leave the feasible
+    region or overflow are treated as infinitely bad and backtracked past. Once a step is accepted, one quadratic interpolation
     of the ray is tried and kept when it is both lower and still
     acceptable. Raises LineSearchError at the min_step floor.
     """
     if not slope < 0:
         raise ValueError(f"not a descent direction: slope = {slope!r}")
     if f0 is None:
-        f0 = problem.cost(p.x, p.y)
+        f0 = problem.cost_grad(p.x, p.y)[0]
 
     def evaluate(s):
         # Oversized trial steps legitimately overflow before being rejected.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 candidate = manifold.retract(p, s * direction)
-                return candidate, problem.cost(candidate.x, candidate.y)
+                return (candidate, *problem.cost_grad(candidate.x, candidate.y))
             except (OffManifoldError, NumericalError, InvalidTangentError):
-                return None, math.inf
+                return None, math.inf, None
 
     def acceptable(s, fc):
         return math.isfinite(fc) and fc <= f0 + opts.armijo_c1 * s * slope
 
     s = opts.initial_step if initial_step is None else initial_step
     while s >= opts.min_step:
-        candidate, fc = evaluate(s)
+        candidate, fc, gc = evaluate(s)
         if acceptable(s, fc):
             curvature = (fc - f0 - slope * s) / (s * s)
             if curvature > 0:
                 t = -slope / (2.0 * curvature)
                 if 0 < t < 4.0 * s and abs(t - s) > 1e-3 * s:
-                    refined, fr = evaluate(t)
+                    refined, fr, gr = evaluate(t)
                     if fr < fc and acceptable(t, fr):
-                        return t, refined, fr
-            return s, candidate, fc
+                        return t, refined, fr, gr
+            return s, candidate, fc, gc
         s *= opts.backtrack_factor
     raise LineSearchError(
         f"no sufficient decrease above min_step = {opts.min_step:.1e}"
@@ -151,10 +154,11 @@ def _descend(problem, manifold, p0, opts, cg):
         return (time.perf_counter() - started) * 1e3
 
     p = p0
-    f = problem.cost(p.x, p.y)
+    f, g = problem.cost_grad(p.x, p.y)
     if not math.isfinite(f):
         raise ValueError(f"cost at the starting point is not finite: {f!r}")
-    g = riemannian_gradient(problem, manifold, p)
+    # Rebinding g to the projection frees the Euclidean gradient here and below.
+    g = manifold.project(p, g)
     gnorm_sq = manifold.metric(p, g, g)
     gnorm = math.sqrt(gnorm_sq)
     trace = [TraceRecord(0, f, gnorm, manifold.feasibility_error(p), elapsed_ms())]
@@ -172,7 +176,7 @@ def _descend(problem, manifold, p0, opts, cg):
             d, steepest, since_restart = -g, True, 0
             slope = -gnorm_sq
         try:
-            step, p_new, f_new = armijo_search(
+            step, p_new, f_new, g_new = armijo_search(
                 problem, manifold, p, d, slope, opts, f0=f, initial_step=step_hint
             )
         except LineSearchError:
@@ -180,7 +184,7 @@ def _descend(problem, manifold, p0, opts, cg):
                 break
             d, steepest, since_restart = -g, True, 0
             try:
-                step, p_new, f_new = armijo_search(
+                step, p_new, f_new, g_new = armijo_search(
                     problem, manifold, p, d, -gnorm_sq, opts, f0=f,
                     initial_step=step_hint,
                 )
@@ -188,7 +192,7 @@ def _descend(problem, manifold, p0, opts, cg):
                 break
         step_hint = min(max(2.0 * step, opts.min_step), 4.0 * opts.initial_step)
 
-        g_new = riemannian_gradient(problem, manifold, p_new)
+        g_new = manifold.project(p_new, g_new)
         gnorm_sq_new = manifold.metric(p_new, g_new, g_new)
         if cg:
             since_restart += 1
@@ -233,8 +237,8 @@ def fd_gradient_check(problem, manifold, p, n_dirs=10, h=1e-6, seed=0):
     for i in range(n_dirs):
         t = manifold.random_tangent(seed + i, p, 1.0)
         analytic = manifold.metric(p, g, t)
-        fp = problem.cost(*_xy(manifold.retract(p, h * t)))
-        fm = problem.cost(*_xy(manifold.retract(p, (-h) * t)))
+        fp = problem.cost_grad(*_xy(manifold.retract(p, h * t)))[0]
+        fm = problem.cost_grad(*_xy(manifold.retract(p, (-h) * t)))[0]
         fd = (fp - fm) / (2.0 * h)
         denom = max(abs(analytic), abs(fd), 1e-12)
         worst = max(worst, abs(analytic - fd) / denom)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from biorth.errors import MatrixFormatError
 from biorth.matio import (
     TRACE_HEADER,
+    _parse_real,
     format_real,
     read_matrix,
     read_trace,
@@ -199,3 +203,98 @@ class TestFormatReal:
         values += SPECIAL_VALUES
         for v in values:
             assert float(format_real(v)) == v or (np.isnan(v))
+
+
+# Arbitrary finite doubles: hypothesis draws signed zeros, subnormals and the
+# extremes often; the explicit examples pin them.
+finite_matrices = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+
+
+def per_entry_text(m):
+    """The per-entry writer that the row template replaces."""
+    rows, cols = m.shape
+    return f"{rows} {cols}\n" + "".join(
+        " ".join(format_real(v) for v in row) + "\n" for row in m
+    )
+
+
+def per_token_error(path):
+    """The first fault the per-token reader reports, as (line, message)."""
+    lines = path.read_text().split("\n")[:-1]
+    rows, cols = map(int, lines[0].split())
+    for i in range(rows):
+        line_no = i + 2
+        tokens = lines[i + 1].split()
+        try:
+            if len(tokens) != cols:
+                raise MatrixFormatError(
+                    f"expected {cols} values, got {len(tokens)}", line=line_no
+                )
+            for tok in tokens:
+                _parse_real(tok, line_no, "entry")
+        except MatrixFormatError as err:
+            return err.line, str(err)
+    return None
+
+
+class TestRowFastPath:
+    @given(finite_matrices)
+    @example(np.array(SPECIAL_VALUES).reshape(2, 5))
+    @example(np.array([[-0.0, 5e-324, -1.7976931348623157e308]]))
+    def test_roundtrip_is_bitwise_exact(self, tmp_path_factory, m):
+        path = tmp_path_factory.mktemp("rt") / "m.txt"
+        write_matrix(path, m)
+        assert bitwise_equal(read_matrix(path), m)
+
+    @given(finite_matrices)
+    @example(np.array(SPECIAL_VALUES).reshape(5, 2))
+    def test_writer_bytes_match_per_entry_format(self, tmp_path_factory, m):
+        path = tmp_path_factory.mktemp("wr") / "m.txt"
+        write_matrix(path, m)
+        assert path.read_bytes() == per_entry_text(m).encode("ascii")
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        faults=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.integers(0, 4),
+                st.sampled_from(["x", "nan", "1e400", "short", "long"]),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    def test_errors_match_the_per_token_loop(self, tmp_path_factory, seed, rows, cols, faults):
+        m = make_rng(seed).standard_normal((rows, cols))
+        text = per_entry_text(m).split("\n")
+        faulty_rows = set()
+        for row, col, kind in faults:
+            k = 1 + row % rows
+            if k in faulty_rows:  # a second fault could undo the first
+                continue
+            faulty_rows.add(k)
+            tokens = text[k].split(" ")
+            if kind == "short":
+                tokens.pop()
+            elif kind == "long":
+                tokens.append("1")
+            else:
+                tokens[col % len(tokens)] = kind
+            text[k] = " ".join(tokens)
+        path = tmp_path_factory.mktemp("err") / "m.txt"
+        path.write_text("\n".join(text))
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix(path)
+        assert (err.value.line, str(err.value)) == per_token_error(path)
+
+    def test_underscore_digits_still_parse(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1 2\n1_0 2\n")
+        assert read_matrix(path).tolist() == [[10.0, 2.0]]

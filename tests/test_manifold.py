@@ -5,7 +5,13 @@ import pytest
 
 import biorth.manifold
 from biorth.checks import min_norm_tangent_oracle
-from biorth.errors import BiorthError, DimensionError, InvalidTangentError, OffManifoldError
+from biorth.errors import (
+    BiorthError,
+    DimensionError,
+    InvalidTangentError,
+    NumericalError,
+    OffManifoldError,
+)
 from biorth.linalg import fro_inner, fro_norm, mat_exp, svd
 from biorth.manifold import (
     AmbientPair,
@@ -13,6 +19,7 @@ from biorth.manifold import (
     BiorthogonalManifold,
     EuclideanManifold,
     TangentPair,
+    default_tan_tol,
     identity_point,
     is_on_manifold,
     metric,
@@ -466,3 +473,69 @@ class TestManifoldInterfaces:
         p = m.identity()
         t1 = m.random_tangent(10, p, 2.0)
         assert t1.norm() == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.fixture
+def residual_checks(monkeypatch):
+    """Count the two-matmul tangency checks the manifold module runs."""
+    calls = []
+    measure = biorth.manifold._tangent_residual
+
+    def counted(base, u, v):
+        calls.append(base)
+        return measure(base, u, v)
+
+    monkeypatch.setattr(biorth.manifold, "_tangent_residual", counted)
+    return calls
+
+
+class TestTangentArithmeticBound:
+    def test_stored_measurements_match_a_fresh_one(self):
+        p = seeded_point(250, 6)
+        t = project_tangent(p, AmbientPair(*make_rng(251).standard_normal((2, 6, 6))))
+        assert t.residual == fro_norm(p.x @ t.v + t.u @ p.y)
+        assert p.feasibility_error() == fro_norm(p.x @ p.y - np.eye(6))
+        assert BiorthogonalManifold(6).feasibility_error(p) == p.feasibility_error()
+
+    def test_bound_over_tolerance_is_measured_and_raises(self, residual_checks):
+        # The residual of t is 0.6 tol, so any result whose triangle bound is
+        # 1.2 tol must be measured, and its true residual is over tolerance.
+        n = 2
+        p = identity_point(n)
+        tol = default_tan_tol(n)
+        u = np.array([[1.0, 0.5], [0.0, -2.0]])
+        drift = np.array([[0.0, 0.6 * tol], [0.0, 0.0]])
+        t = TangentPair(u, -u + drift, p)
+        assert t.residual == pytest.approx(0.6 * tol, rel=1e-6)
+        for combine in (lambda: 2 * t, lambda: t + t, lambda: t - (-t)):
+            del residual_checks[:]
+            with pytest.raises(InvalidTangentError):
+                combine()
+            assert len(residual_checks) == 1
+
+    def test_small_residual_arithmetic_runs_no_matmul_check(self, residual_checks):
+        p = seeded_point(252, 6)
+        a = random_tangent(253, p, 1.0)
+        b = random_tangent(254, p, 2.0)
+        del residual_checks[:]
+        c = -(a + 3.0 * b) - 0.5 * a
+        for _ in range(10):
+            c = c + a * 0.1
+        assert residual_checks == []
+        assert c.residual <= default_tan_tol(6)
+        assert fro_norm(p.x @ c.v + c.u @ p.y) <= default_tan_tol(6)
+        with pytest.raises(ValueError):
+            c.u[0, 0] = 1.0
+
+    def test_non_finite_arithmetic_raises(self, residual_checks):
+        # A zero residual keeps the bound at zero, so only the finiteness
+        # check can catch the overflow.
+        p = identity_point(3)
+        u = 4.0 * np.eye(3)
+        t = TangentPair(u, -u, p)
+        assert t.residual == 0.0
+        del residual_checks[:]
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError):
+                t * 1e308
+        assert residual_checks == []

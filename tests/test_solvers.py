@@ -33,6 +33,9 @@ class SquaredNorm:
     def euclidean_gradient(self, x, y):
         return AmbientPair(2.0 * x, 2.0 * y)
 
+    def cost_grad(self, x, y):
+        return self.cost(x, y), self.euclidean_gradient(x, y)
+
 
 class ConstantProblem:
     def cost(self, x, y):
@@ -40,6 +43,9 @@ class ConstantProblem:
 
     def euclidean_gradient(self, x, y):
         return AmbientPair(np.zeros_like(x), np.zeros_like(y))
+
+    def cost_grad(self, x, y):
+        return self.cost(x, y), self.euclidean_gradient(x, y)
 
 
 class TestSolverOptions:
@@ -77,7 +83,7 @@ class TestArmijoSearch:
         d = AmbientPair(-2.0 * np.eye(n), -2.0 * np.eye(n))
         slope = manifold.metric(p, problem.euclidean_gradient(p.x, p.y), d)
         assert slope == -8.0 * n
-        step, point, cost = armijo_search(problem, manifold, p, d, slope, SolverOptions())
+        step, point, cost, _ = armijo_search(problem, manifold, p, d, slope, SolverOptions())
         assert step == 0.5
         assert cost == 0.0
         assert np.array_equal(point.x, np.zeros((n, n)))
@@ -109,7 +115,7 @@ class TestArmijoSearch:
             g = riemannian_gradient(problem, manifold, p)
             d = -g
             slope = manifold.metric(p, g, d)
-            step, _, cost = armijo_search(problem, manifold, p, d, slope, opts, f0=f0)
+            step, _, cost, _ = armijo_search(problem, manifold, p, d, slope, opts, f0=f0)
             assert cost <= f0 + opts.armijo_c1 * step * slope
             assert step >= opts.min_step
 
@@ -123,6 +129,9 @@ class TestArmijoSearch:
 
             def euclidean_gradient(self, x, y):
                 return AmbientPair(np.zeros_like(x), np.zeros_like(y))
+
+            def cost_grad(self, x, y):
+                return self.cost(x, y), self.euclidean_gradient(x, y)
 
         n = 3
         manifold = EuclideanManifold(n)
@@ -296,6 +305,44 @@ class TestConjugateGradient:
             )
             runs.append([(r.iter, r.cost, r.grad_norm, r.feas_err) for r in trace])
         assert runs[0] == runs[1]
+
+
+class CountingProblem:
+    """Exposes only cost_grad, and counts its calls."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.calls = 0
+
+    def cost_grad(self, x, y):
+        self.calls += 1
+        return self.problem.cost_grad(x, y)
+
+
+class CountingManifold(BiorthogonalManifold):
+    """Counts retractions; the line search makes one per trial point."""
+
+    trials = 0
+
+    def retract(self, p, t):
+        self.trials += 1
+        return super().retract(p, t)
+
+
+class TestEvaluateOnce:
+    def test_one_cost_grad_per_trial_point_plus_the_start(self):
+        n = 12
+        manifold = CountingManifold(n)
+        problem = CountingProblem(random_nearest_pair(41, n, 4.0))
+        point, trace = conjugate_gradient(
+            problem, manifold, manifold.identity(), SolverOptions(max_iters=30)
+        )
+        assert len(trace) == 31
+        assert manifold.trials >= 30
+        assert problem.calls == manifold.trials + 1
+        # the gradient the solver kept belongs to the point it returned
+        g = riemannian_gradient(problem.problem, manifold, point)
+        assert trace[-1].grad_norm == math.sqrt(manifold.metric(point, g, g))
 
 
 class TestFdGradientCheck:
