@@ -16,7 +16,7 @@ from .errors import (
     NumericalError,
     OffManifoldError,
 )
-from .linalg import SvdResult, as_matrix, fro_inner, fro_norm, hadamard, mat_exp, svd
+from .linalg import SvdResult, as_matrix, fro_inner, fro_norm, mat_exp, svd
 from .manifold import (
     AmbientPair,
     BiorthPoint,
@@ -87,7 +87,6 @@ __all__ = [
     "fro_norm",
     "funnel_weights",
     "gradient_descent",
-    "hadamard",
     "identity_point",
     "is_on_manifold",
     "mat_exp",

@@ -101,10 +101,3 @@ def fro_inner(a, b) -> float:
 def fro_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
 
-
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two equally shaped matrices."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    require_same_shape(a, b)
-    return a * b

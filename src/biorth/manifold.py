@@ -48,7 +48,7 @@ def is_on_manifold(x, y, tol) -> tuple[bool, float]:
 
 
 class BiorthPoint:
-    """A pair (x, y) of square matrices with x @ y = I within `feas_tol`.
+    """A pair (x, y) of square matrices with x @ y = I within default_feas_tol(n).
 
     Arrays are copied and marked read-only; points are safe to share. The
     feasibility error measured by the constructor is kept, and the SVD of y
@@ -56,15 +56,14 @@ class BiorthPoint:
     shares one factorization.
     """
 
-    __slots__ = ("x", "y", "feas_tol", "_feas_err", "_y_svd")
+    __slots__ = ("x", "y", "_feas_err", "_y_svd")
 
-    def __init__(self, x, y, feas_tol=None):
+    def __init__(self, x, y):
         x = require_square(as_matrix(x, "x"), "x")
         y = as_matrix(y, "y")
         require_same_shape(x, y)
         n = x.shape[0]
-        if feas_tol is None:
-            feas_tol = default_feas_tol(n)
+        feas_tol = default_feas_tol(n)
         err = fro_norm(x @ y - np.eye(n))
         if not err <= feas_tol:
             raise OffManifoldError(
@@ -73,7 +72,6 @@ class BiorthPoint:
             )
         object.__setattr__(self, "x", _frozen(x))
         object.__setattr__(self, "y", _frozen(y))
-        object.__setattr__(self, "feas_tol", float(feas_tol))
         object.__setattr__(self, "_feas_err", err)
         object.__setattr__(self, "_y_svd", None)
 
@@ -101,8 +99,8 @@ class BiorthPoint:
         return f"BiorthPoint(n={self.n}, feas_err={self.feasibility_error():.2e})"
 
 
-def identity_point(n: int, feas_tol=None) -> BiorthPoint:
-    return BiorthPoint(np.eye(n), np.eye(n), feas_tol=feas_tol)
+def identity_point(n: int) -> BiorthPoint:
+    return BiorthPoint(np.eye(n), np.eye(n))
 
 
 def _tangent_residual(base, u, v) -> float:
@@ -113,6 +111,7 @@ def _tangent_residual(base, u, v) -> float:
 class TangentPair:
     """Tangent vector (u, v) at `base`: base.x @ v + u @ base.y = 0.
 
+    The constructor rejects a pair whose residual exceeds default_tan_tol(n).
     The base point is stored so that cross-base arithmetic is rejected
     instead of silently re-projected. Linear combinations of tangents at
     the same base stay tangent and are supported through `+`, `-` and
@@ -121,13 +120,13 @@ class TangentPair:
     `residual` is fro_norm(x0 @ v + u @ y0) as the constructor measured it.
     A result of `+`, `-` or scalar `*` carries the triangle-inequality bound
     r1 + r2 or |s| r instead, and is measured again only when that bound
-    exceeds the default tangency tolerance. Arithmetic therefore costs
-    O(n^2) and still never yields a pair that the constructor would reject.
+    exceeds default_tan_tol(n). Arithmetic therefore costs O(n^2) and still
+    never yields a pair that the constructor would reject.
     """
 
     __slots__ = ("u", "v", "base", "residual")
 
-    def __init__(self, u, v, base: BiorthPoint, tan_tol=None):
+    def __init__(self, u, v, base: BiorthPoint):
         u = require_square(as_matrix(u, "u"), "u")
         v = as_matrix(v, "v")
         require_same_shape(u, v)
@@ -135,8 +134,7 @@ class TangentPair:
             raise DimensionError(
                 f"tangent shape {u.shape} does not match base point n={base.n}"
             )
-        if tan_tol is None:
-            tan_tol = default_tan_tol(base.n)
+        tan_tol = default_tan_tol(base.n)
         resid = _tangent_residual(base, u, v)
         if resid > tan_tol:
             raise InvalidTangentError(
@@ -289,16 +287,16 @@ def pair_product(a, b):
     first = a1 @ b1
     second = b2 @ a2
     if isinstance(a, BiorthPoint) and isinstance(b, BiorthPoint):
-        return BiorthPoint(first, second, feas_tol=max(a.feas_tol, b.feas_tol))
+        return BiorthPoint(first, second)
     return first, second
 
 
 def pair_inverse(p: BiorthPoint) -> BiorthPoint:
     """Group inverse: swap the two legs."""
-    return BiorthPoint(p.y, p.x, feas_tol=p.feas_tol)
+    return BiorthPoint(p.y, p.x)
 
 
-def project_tangent(p: BiorthPoint, a: AmbientPair, tan_tol=None) -> TangentPair:
+def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
     """Orthogonal projection of an ambient pair onto the tangent space at `p`.
 
     Returns the minimizer (u, v) of ``|u - phi|_F^2 + |v - psi|_F^2`` over
@@ -347,7 +345,7 @@ def project_tangent(p: BiorthPoint, a: AmbientPair, tan_tol=None) -> TangentPair
     w = -(s[:, None] * rh) / den
     uh = uh + ss * w
     vh = vh + w
-    return TangentPair(f.v @ uh @ f.u.T, f.u @ vh @ f.v.T, p, tan_tol=tan_tol)
+    return TangentPair(f.v @ uh @ f.u.T, f.u @ vh @ f.v.T, p)
 
 
 def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
@@ -370,36 +368,34 @@ def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
         raise NumericalError(
             f"retraction step too large: e^W is numerically singular ({exc})"
         ) from exc
-    return BiorthPoint(p.x @ e, y, feas_tol=p.feas_tol)
+    return BiorthPoint(p.x @ e, y)
 
 
 def metric(p, t1, t2) -> float:
     """Ambient Frobenius inner product of two tangents at the same point."""
-    if isinstance(t1, TangentPair) or isinstance(t2, TangentPair):
-        if not (isinstance(t1, TangentPair) and isinstance(t2, TangentPair)):
-            raise InvalidTangentError("cannot mix tangent and ambient pairs in the metric")
-        t1._require_same_base(t2)
-        if not _same_point(t1.base, p):
-            raise InvalidTangentError("tangents are not based at the given point")
-        # The constructor validated and froze these arrays.
-        return float(np.vdot(t1.u, t2.u)) + float(np.vdot(t1.v, t2.v))
-    return fro_inner(t1.phi, t2.phi) + fro_inner(t1.psi, t2.psi)
+    if not (isinstance(t1, TangentPair) and isinstance(t2, TangentPair)):
+        raise InvalidTangentError("the metric takes two TangentPairs")
+    t1._require_same_base(t2)
+    if not _same_point(t1.base, p):
+        raise InvalidTangentError("tangents are not based at the given point")
+    # The constructor validated and froze these arrays.
+    return float(np.vdot(t1.u, t2.u)) + float(np.vdot(t1.v, t2.v))
 
 
-def random_point(seed, n: int, scale: float, feas_tol=None) -> BiorthPoint:
+def random_point(seed, n: int, scale: float) -> BiorthPoint:
     """Seeded random point (e^{scale G}, e^{-scale G}) with G standard Gaussian."""
-    return _random_point(make_rng(seed), n, scale, feas_tol=feas_tol)
+    return _random_point(make_rng(seed), n, scale)
 
 
-def _random_point(rng, n, scale, feas_tol=None) -> BiorthPoint:
+def _random_point(rng, n, scale) -> BiorthPoint:
     if n < 1:
         raise DimensionError(f"n must be >= 1, got {n}")
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     if scale == 0:
-        return identity_point(n, feas_tol=feas_tol)
+        return identity_point(n)
     g = scale * rng.standard_normal((n, n))
-    return BiorthPoint(mat_exp(g), mat_exp(-g), feas_tol=feas_tol)
+    return BiorthPoint(mat_exp(g), mat_exp(-g))
 
 
 def random_tangent(seed, p: BiorthPoint, scale: float) -> TangentPair:
@@ -426,31 +422,34 @@ def _random_tangent(rng, p, scale) -> TangentPair:
 
 
 class BiorthogonalManifold:
-    """Manifold interface bundle for pairs (x, y) with x @ y = I."""
+    """Manifold interface bundle for n x n pairs (x, y) with x @ y = I.
 
-    def __init__(self, n: int, feas_tol=None, tan_tol=None):
+    Feasibility and tangency are checked against default_feas_tol(n) and
+    default_tan_tol(n).
+    """
+
+    def __init__(self, n: int):
         if n < 1:
             raise DimensionError(f"n must be >= 1, got {n}")
         self.n = n
-        self.feas_tol = default_feas_tol(n) if feas_tol is None else float(feas_tol)
-        self.tan_tol = default_tan_tol(n) if tan_tol is None else float(tan_tol)
 
     @property
     def dim(self) -> int:
         return self.n * self.n
 
     def check_point(self, p):
-        ok, err = is_on_manifold(p.x, p.y, self.feas_tol)
+        if p.n != self.n:
+            raise DimensionError(f"point has n={p.n}, manifold has n={self.n}")
+        tol = default_feas_tol(self.n)
+        ok, err = is_on_manifold(p.x, p.y, tol)
         if not ok:
-            raise OffManifoldError(
-                f"point violates feasibility: {err:.3e} > {self.feas_tol:.3e}"
-            )
+            raise OffManifoldError(f"point violates feasibility: {err:.3e} > {tol:.3e}")
 
     def identity(self) -> BiorthPoint:
-        return identity_point(self.n, feas_tol=self.feas_tol)
+        return identity_point(self.n)
 
     def project(self, p, a) -> TangentPair:
-        return project_tangent(p, a, tan_tol=self.tan_tol)
+        return project_tangent(p, a)
 
     def retract(self, p, t) -> BiorthPoint:
         return retract(p, t)
@@ -463,7 +462,7 @@ class BiorthogonalManifold:
         return self.project(p, t.as_ambient())
 
     def random_point(self, seed, scale=0.5) -> BiorthPoint:
-        return random_point(seed, self.n, scale, feas_tol=self.feas_tol)
+        return random_point(seed, self.n, scale)
 
     def random_tangent(self, seed, p, scale=1.0) -> TangentPair:
         return random_tangent(seed, p, scale)
@@ -494,7 +493,8 @@ class EuclideanManifold:
         return 2 * self.n * self.n
 
     def check_point(self, p):
-        pass
+        if p.n != self.n:
+            raise DimensionError(f"point has n={p.n}, manifold has n={self.n}")
 
     def identity(self) -> EuclideanPoint:
         return EuclideanPoint(np.eye(self.n), np.eye(self.n))

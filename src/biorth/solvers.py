@@ -19,40 +19,30 @@ import numpy as np
 from .errors import InvalidTangentError, LineSearchError, NumericalError, OffManifoldError
 
 
+# Line-search constants: sufficient-decrease coefficient, backtracking
+# factor, first trial step of a search, and the step floor.
+ARMIJO_C1 = 1e-4
+BACKTRACK_FACTOR = 0.5
+INITIAL_STEP = 1.0
+MIN_STEP = 1e-16
+
+
 @dataclass
 class SolverOptions:
-    """Shared knobs for the first-order solvers.
+    """Iteration budget and stopping tolerance for the first-order solvers.
 
-    cg_restart_every = None means "restart every dim(manifold) iterations".
+    A run stops after `max_iters` iterations or once the Riemannian
+    gradient norm is at most `grad_tol`.
     """
 
     max_iters: int = 100
     grad_tol: float = 1e-8
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
-    cg_restart_every: int | None = None
-    min_step: float = 1e-16
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.grad_tol < 0:
             raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
-        if not 0 < self.armijo_c1 < 1:
-            raise ValueError(f"armijo_c1 must be in (0, 1), got {self.armijo_c1}")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError(
-                f"backtrack_factor must be in (0, 1), got {self.backtrack_factor}"
-            )
-        if self.initial_step <= 0:
-            raise ValueError(f"initial_step must be > 0, got {self.initial_step}")
-        if self.cg_restart_every is not None and self.cg_restart_every < 1:
-            raise ValueError(
-                f"cg_restart_every must be >= 1, got {self.cg_restart_every}"
-            )
-        if self.min_step <= 0:
-            raise ValueError(f"min_step must be > 0, got {self.min_step}")
 
 
 @dataclass(frozen=True)
@@ -71,17 +61,20 @@ def riemannian_gradient(problem, manifold, p):
     return manifold.project(p, problem.cost_grad(p.x, p.y)[1])
 
 
-def armijo_search(problem, manifold, p, direction, slope, opts, f0=None, initial_step=None):
+def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=INITIAL_STEP):
     """Backtracking line search along `direction` from `p`.
 
     `slope` is the metric inner product of the Riemannian gradient with the
-    direction and must be negative. Returns (step, new_point, new_cost,
-    new_egrad) with new_cost <= f0 + armijo_c1 * step * slope, where
-    new_egrad is the Euclidean gradient that `problem.cost_grad` returned
-    together with new_cost at new_point. Candidates that leave the feasible
-    region or overflow are treated as infinitely bad and backtracked past. Once a step is accepted, one quadratic interpolation
-    of the ray is tried and kept when it is both lower and still
-    acceptable. Raises LineSearchError at the min_step floor.
+    direction and must be negative. Starting at `initial_step`, the step is
+    multiplied by BACKTRACK_FACTOR until it is accepted. Returns (step,
+    new_point, new_cost, new_egrad) with new_cost <= f0 + ARMIJO_C1 * step *
+    slope, where new_egrad is the Euclidean gradient that
+    `problem.cost_grad` returned together with new_cost at new_point.
+    Candidates that leave the feasible region or overflow are treated as
+    infinitely bad and backtracked past. Once a step is accepted, one
+    quadratic interpolation of the ray is tried and kept when it is both
+    lower and still acceptable. Raises LineSearchError at the MIN_STEP
+    floor.
     """
     if not slope < 0:
         raise ValueError(f"not a descent direction: slope = {slope!r}")
@@ -98,10 +91,10 @@ def armijo_search(problem, manifold, p, direction, slope, opts, f0=None, initial
                 return None, math.inf, None
 
     def acceptable(s, fc):
-        return math.isfinite(fc) and fc <= f0 + opts.armijo_c1 * s * slope
+        return math.isfinite(fc) and fc <= f0 + ARMIJO_C1 * s * slope
 
-    s = opts.initial_step if initial_step is None else initial_step
-    while s >= opts.min_step:
+    s = initial_step
+    while s >= MIN_STEP:
         candidate, fc, gc = evaluate(s)
         if acceptable(s, fc):
             curvature = (fc - f0 - slope * s) / (s * s)
@@ -112,10 +105,8 @@ def armijo_search(problem, manifold, p, direction, slope, opts, f0=None, initial
                     if fr < fc and acceptable(t, fr):
                         return t, refined, fr, gr
             return s, candidate, fc, gc
-        s *= opts.backtrack_factor
-    raise LineSearchError(
-        f"no sufficient decrease above min_step = {opts.min_step:.1e}"
-    )
+        s *= BACKTRACK_FACTOR
+    raise LineSearchError(f"no sufficient decrease above min_step = {MIN_STEP:.1e}")
 
 
 def gradient_descent(problem, manifold, p0, opts=None):
@@ -128,10 +119,10 @@ def conjugate_gradient(problem, manifold, p0, opts=None):
 
     Previous directions and gradients are carried to the new tangent space
     by projection; beta is clipped at zero and the direction resets to
-    steepest descent on schedule, whenever descent is lost, or when
-    successive gradients stop being near-orthogonal (Powell's restart
-    criterion), which keeps stale conjugacy information from degrading the
-    iteration below plain steepest descent.
+    steepest descent every dim(manifold) iterations, whenever descent is
+    lost, or when successive gradients stop being near-orthogonal (Powell's
+    restart criterion), which keeps stale conjugacy information from
+    degrading the iteration below plain steepest descent.
     """
     return _descend(problem, manifold, p0, opts, cg=True)
 
@@ -144,9 +135,7 @@ def _descend(problem, manifold, p0, opts, cg):
     if opts is None:
         opts = SolverOptions()
     manifold.check_point(p0)
-    restart_every = opts.cg_restart_every
-    if restart_every is None:
-        restart_every = max(manifold.dim, 1)
+    restart_every = max(manifold.dim, 1)
 
     started = time.perf_counter()
 
@@ -166,7 +155,7 @@ def _descend(problem, manifold, p0, opts, cg):
     d = -g
     steepest = True
     since_restart = 0
-    step_hint = opts.initial_step
+    step_hint = INITIAL_STEP
 
     for k in range(1, opts.max_iters + 1):
         if gnorm <= opts.grad_tol:
@@ -177,7 +166,7 @@ def _descend(problem, manifold, p0, opts, cg):
             slope = -gnorm_sq
         try:
             step, p_new, f_new, g_new = armijo_search(
-                problem, manifold, p, d, slope, opts, f0=f, initial_step=step_hint
+                problem, manifold, p, d, slope, f0=f, initial_step=step_hint
             )
         except LineSearchError:
             if steepest:
@@ -185,12 +174,11 @@ def _descend(problem, manifold, p0, opts, cg):
             d, steepest, since_restart = -g, True, 0
             try:
                 step, p_new, f_new, g_new = armijo_search(
-                    problem, manifold, p, d, -gnorm_sq, opts, f0=f,
-                    initial_step=step_hint,
+                    problem, manifold, p, d, -gnorm_sq, f0=f, initial_step=step_hint
                 )
             except LineSearchError:
                 break
-        step_hint = min(max(2.0 * step, opts.min_step), 4.0 * opts.initial_step)
+        step_hint = min(max(2.0 * step, MIN_STEP), 4.0 * INITIAL_STEP)
 
         g_new = manifold.project(p_new, g_new)
         gnorm_sq_new = manifold.metric(p_new, g_new, g_new)
@@ -237,13 +225,11 @@ def fd_gradient_check(problem, manifold, p, n_dirs=10, h=1e-6, seed=0):
     for i in range(n_dirs):
         t = manifold.random_tangent(seed + i, p, 1.0)
         analytic = manifold.metric(p, g, t)
-        fp = problem.cost_grad(*_xy(manifold.retract(p, h * t)))[0]
-        fm = problem.cost_grad(*_xy(manifold.retract(p, (-h) * t)))[0]
+        q = manifold.retract(p, h * t)
+        fp = problem.cost_grad(q.x, q.y)[0]
+        q = manifold.retract(p, (-h) * t)
+        fm = problem.cost_grad(q.x, q.y)[0]
         fd = (fp - fm) / (2.0 * h)
         denom = max(abs(analytic), abs(fd), 1e-12)
         worst = max(worst, abs(analytic - fd) / denom)
     return worst
-
-
-def _xy(point):
-    return point.x, point.y

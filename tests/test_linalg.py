@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from biorth.errors import DimensionError, NumericalError
-from biorth.linalg import as_matrix, fro_inner, fro_norm, hadamard, mat_exp, svd
+from biorth.linalg import as_matrix, fro_inner, fro_norm, mat_exp, svd
 from biorth.rng import make_rng
 
 
@@ -149,20 +149,3 @@ class TestFroInner:
         with pytest.raises(DimensionError):
             fro_inner(np.zeros((2, 2)), np.zeros((3, 3)))
 
-
-class TestHadamard:
-    def test_ones_is_identity_element(self):
-        a = make_rng(6).standard_normal((3, 4))
-        assert np.array_equal(hadamard(a, np.ones((3, 4))), a)
-
-    def test_zero(self):
-        a = make_rng(7).standard_normal((3, 3))
-        assert np.array_equal(hadamard(a, np.zeros((3, 3))), np.zeros((3, 3)))
-
-    def test_diagonal(self):
-        out = hadamard(np.diag([2.0, 3.0]), np.diag([4.0, 5.0]))
-        assert np.array_equal(out, np.diag([8.0, 15.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            hadamard(np.zeros((2, 2)), np.zeros((2, 3)))

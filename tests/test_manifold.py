@@ -19,6 +19,7 @@ from biorth.manifold import (
     BiorthogonalManifold,
     EuclideanManifold,
     TangentPair,
+    default_feas_tol,
     default_tan_tol,
     identity_point,
     is_on_manifold,
@@ -239,7 +240,7 @@ class TestProjectTangent:
         # miss tangency against the stored x0 by about 9e-9.
         # The correction must also keep the projection idempotent.
         p = BiorthPoint(np.eye(2), np.diag([1.0 + 1.8e-9, 1.0]))
-        assert 1e-9 < p.feasibility_error() <= p.feas_tol
+        assert 1e-9 < p.feasibility_error() <= default_feas_tol(2)
         a = AmbientPair(np.diag([10.0, 0.0]), np.zeros((2, 2)))
         t = project_tangent(p, a)
         assert t.u[0, 0] == pytest.approx(5.0, rel=1e-8)
@@ -388,6 +389,14 @@ class TestMetric:
         with pytest.raises(InvalidTangentError):
             metric(p, t1, t2)
 
+    def test_ambient_pairs_rejected(self):
+        p = seeded_point(196, 4)
+        a = AmbientPair(np.eye(4), np.eye(4))
+        with pytest.raises(InvalidTangentError):
+            metric(p, a, a)
+        with pytest.raises(InvalidTangentError):
+            metric(p, random_tangent(198, p, 1.0), a)
+
 
 class TestRandomPoint:
     def test_zero_scale_is_identity(self):
@@ -439,7 +448,7 @@ class TestManifoldInterfaces:
         a = AmbientPair(*make_rng(2).standard_normal((2, 6, 6)))
         t = m.project(p, a)
         q = m.retract(p, t * 0.01)
-        assert m.feasibility_error(q) <= m.feas_tol
+        assert m.feasibility_error(q) <= default_feas_tol(6)
         assert m.metric(p, t, t) == pytest.approx(t.norm() ** 2, rel=1e-12)
         assert m.dim == 36
 

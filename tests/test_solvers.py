@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biorth.errors import LineSearchError
+from biorth.errors import DimensionError, LineSearchError
 from biorth.linalg import fro_norm
 from biorth.manifold import (
     AmbientPair,
@@ -15,6 +15,8 @@ from biorth.manifold import (
 from biorth.problems import NearestPairProblem, PenaltyProblem, random_nearest_pair
 from biorth.rng import make_rng
 from biorth.solvers import (
+    ARMIJO_C1,
+    MIN_STEP,
     SolverOptions,
     armijo_search,
     conjugate_gradient,
@@ -57,13 +59,6 @@ class TestSolverOptions:
         [
             {"max_iters": -1},
             {"grad_tol": -1e-3},
-            {"armijo_c1": 0.0},
-            {"armijo_c1": 1.0},
-            {"backtrack_factor": 0.0},
-            {"backtrack_factor": 1.0},
-            {"initial_step": 0.0},
-            {"cg_restart_every": 0},
-            {"min_step": 0.0},
         ],
     )
     def test_rejects_bad_ranges(self, kwargs):
@@ -83,7 +78,7 @@ class TestArmijoSearch:
         d = AmbientPair(-2.0 * np.eye(n), -2.0 * np.eye(n))
         slope = manifold.metric(p, problem.euclidean_gradient(p.x, p.y), d)
         assert slope == -8.0 * n
-        step, point, cost, _ = armijo_search(problem, manifold, p, d, slope, SolverOptions())
+        step, point, cost, _ = armijo_search(problem, manifold, p, d, slope)
         assert step == 0.5
         assert cost == 0.0
         assert np.array_equal(point.x, np.zeros((n, n)))
@@ -94,7 +89,7 @@ class TestArmijoSearch:
         p = manifold.identity()
         d = manifold.zero_tangent(p)
         with pytest.raises(ValueError):
-            armijo_search(SquaredNorm(), manifold, p, d, 0.0, SolverOptions())
+            armijo_search(SquaredNorm(), manifold, p, d, 0.0)
 
     def test_ascent_direction_rejected(self):
         n = 3
@@ -102,7 +97,7 @@ class TestArmijoSearch:
         p = manifold.identity()
         d = AmbientPair(np.eye(n), np.eye(n))
         with pytest.raises(ValueError):
-            armijo_search(SquaredNorm(), manifold, p, d, 1.0, SolverOptions())
+            armijo_search(SquaredNorm(), manifold, p, d, 1.0)
 
     def test_accepted_step_satisfies_sufficient_decrease(self):
         for seed in range(5):
@@ -110,14 +105,13 @@ class TestArmijoSearch:
             manifold = BiorthogonalManifold(n)
             problem = random_nearest_pair(seed, n, 2.0)
             p = manifold.random_point(seed + 50, scale=0.3)
-            opts = SolverOptions()
             f0 = problem.cost(p.x, p.y)
             g = riemannian_gradient(problem, manifold, p)
             d = -g
             slope = manifold.metric(p, g, d)
-            step, _, cost, _ = armijo_search(problem, manifold, p, d, slope, opts, f0=f0)
-            assert cost <= f0 + opts.armijo_c1 * step * slope
-            assert step >= opts.min_step
+            step, _, cost, _ = armijo_search(problem, manifold, p, d, slope, f0=f0)
+            assert cost <= f0 + ARMIJO_C1 * step * slope
+            assert step >= MIN_STEP
 
     def test_floor_raises_line_search_error(self):
         # zero cost everywhere can never beat the required strict decrease
@@ -138,7 +132,7 @@ class TestArmijoSearch:
         p = manifold.identity()
         d = AmbientPair(np.eye(n), np.eye(n))
         with pytest.raises(LineSearchError):
-            armijo_search(Zero(), manifold, p, d, -1.0, SolverOptions())
+            armijo_search(Zero(), manifold, p, d, -1.0)
 
 
 class TestRiemannianGradient:
@@ -204,14 +198,23 @@ class TestGradientDescent:
 
     def test_rejects_infeasible_start(self):
         from biorth.errors import OffManifoldError
-        from biorth.manifold import BiorthPoint
+        from biorth.manifold import EuclideanPoint
 
         n = 4
         manifold = BiorthogonalManifold(n)
-        # a sloppy point admitted only by its own loose tolerance
-        sloppy = BiorthPoint((1.0 + 1e-4) * np.eye(n), np.eye(n), feas_tol=1.0)
+        # a sloppy pair that only the solver's entry check can reject
+        sloppy = EuclideanPoint((1.0 + 1e-4) * np.eye(n), np.eye(n))
         with pytest.raises(OffManifoldError):
             gradient_descent(random_nearest_pair(1, n, 1.0), manifold, sloppy)
+
+    def test_rejects_start_of_wrong_size(self):
+        # a 4 x 4 start on n = 5 manifolds: the problem alone would accept it
+        problem = random_nearest_pair(1, 4, 1.0)
+        opts = SolverOptions(max_iters=5)
+        with pytest.raises(DimensionError):
+            conjugate_gradient(problem, BiorthogonalManifold(5), identity_point(4), opts)
+        with pytest.raises(DimensionError):
+            gradient_descent(problem, EuclideanManifold(5), EuclideanManifold(4).identity(), opts)
 
     def test_feasibility_at_every_iterate(self):
         n = 20
