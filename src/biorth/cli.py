@@ -3,7 +3,9 @@
 Each experiment is a single deterministic invocation: seeded inputs, a
 solver run, a CSV trace plus result matrices under an output prefix, and a
 one-line summary on stdout. Exit codes: 0 success, 1 runtime or data
-error, 2 usage error.
+error, 2 usage error. The parser enforces the range of every numeric flag
+(NaN fails it) and exits 2; an input the library rejects, such as a data
+file of the wrong shape or negative weights, exits 1.
 """
 
 from __future__ import annotations
@@ -34,6 +36,26 @@ class UsageError(Exception):
     pass
 
 
+def _at_least(kind, low, strict=False):
+    """Parser type: a `kind` value >= low (> low if strict). NaN fails both."""
+    op = ">" if strict else ">="
+
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {op} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid ... value"
+    return parse
+
+
+COUNT = _at_least(int, 0)
+SIZE = _at_least(int, 1)
+NONNEGATIVE = _at_least(float, 0)
+POSITIVE = _at_least(float, 0, strict=True)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="biorth",
@@ -45,8 +67,8 @@ def build_parser():
     def add_solver_flags(p, default_iters=100):
         p.add_argument("--solver", choices=("gd", "cg"), default="cg",
                        help="gradient descent or conjugate gradient (default cg)")
-        p.add_argument("--max-iters", type=int, default=default_iters)
-        p.add_argument("--grad-tol", type=float, default=1e-8)
+        p.add_argument("--max-iters", type=COUNT, default=default_iters)
+        p.add_argument("--grad-tol", type=NONNEGATIVE, default=1e-8)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out", default=None,
                        help="output path prefix (default: the command name)")
@@ -55,8 +77,8 @@ def build_parser():
         "model-problem",
         help="nearest biorthogonal pair to seeded Gaussian targets, solved on the manifold",
     )
-    p_model.add_argument("--n", type=int, default=100)
-    p_model.add_argument("--scale", type=float, default=5.0,
+    p_model.add_argument("--n", type=SIZE, default=100)
+    p_model.add_argument("--scale", type=NONNEGATIVE, default=5.0,
                          help="standard deviation of the Gaussian target entries")
     add_solver_flags(p_model)
     p_model.set_defaults(func=cmd_model_problem)
@@ -65,9 +87,9 @@ def build_parser():
         "penalty",
         help="same targets, biorthogonality replaced by a quadratic penalty on the flat space",
     )
-    p_pen.add_argument("--n", type=int, default=100)
-    p_pen.add_argument("--scale", type=float, default=5.0)
-    p_pen.add_argument("--alpha", type=float, default=100.0, help="penalty weight")
+    p_pen.add_argument("--n", type=SIZE, default=100)
+    p_pen.add_argument("--scale", type=NONNEGATIVE, default=5.0)
+    p_pen.add_argument("--alpha", type=POSITIVE, default=100.0, help="penalty weight")
     add_solver_flags(p_pen)
     p_pen.set_defaults(func=cmd_penalty)
 
@@ -77,10 +99,10 @@ def build_parser():
     )
     p_fun.add_argument("--synthetic", action="store_true",
                        help="generate a seeded instance instead of reading files")
-    p_fun.add_argument("--q", type=int, default=64)
-    p_fun.add_argument("--k", type=int, default=16)
-    p_fun.add_argument("--noise", type=float, default=0.0)
-    p_fun.add_argument("--lambda", dest="lam", type=float, default=0.0,
+    p_fun.add_argument("--q", type=SIZE, default=64)
+    p_fun.add_argument("--k", type=SIZE, default=16)
+    p_fun.add_argument("--noise", type=NONNEGATIVE, default=0.0)
+    p_fun.add_argument("--lambda", dest="lam", type=NONNEGATIVE, default=0.0,
                        help="weight of the funnel regularizer")
     p_fun.add_argument("--a", dest="a_path", help="coefficient matrix A (q x k)")
     p_fun.add_argument("--b", dest="b_path", help="coefficient matrix B (q x k)")
@@ -103,22 +125,15 @@ def build_parser():
     p_check = sub.add_parser("check", help="run the self-verification suites")
     p_check.add_argument("--suite", choices=sorted(SUITES), default=None,
                          help="run a single suite (default: all)")
-    p_check.add_argument("--tol", type=float, default=1.0,
+    p_check.add_argument("--tol", type=NONNEGATIVE, default=1.0,
                          help="scale factor applied to every suite tolerance")
     p_check.set_defaults(func=cmd_check)
 
     return parser
 
 
-def _solver_options(args):
-    try:
-        return SolverOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _run_solver(args, problem, manifold, p0):
-    opts = _solver_options(args)
+    opts = SolverOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     solve = conjugate_gradient if args.solver == "cg" else gradient_descent
     started = time.perf_counter()
     point, trace = solve(problem, manifold, p0, opts)
@@ -139,10 +154,6 @@ def _emit_run(out, point, trace, seconds, manifold, x_name="X", y_name="Y"):
 
 
 def cmd_model_problem(args):
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.scale < 0:
-        raise UsageError(f"--scale must be >= 0, got {args.scale}")
     out = args.out or "model-problem"
     problem = random_nearest_pair(args.seed, args.n, args.scale)
     manifold = BiorthogonalManifold(args.n)
@@ -152,12 +163,6 @@ def cmd_model_problem(args):
 
 
 def cmd_penalty(args):
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.alpha <= 0:
-        raise UsageError(f"--alpha must be > 0, got {args.alpha}")
-    if args.scale < 0:
-        raise UsageError(f"--scale must be >= 0, got {args.scale}")
     out = args.out or "penalty"
     # Same seed gives the same targets as model-problem, so runs compare.
     targets = random_nearest_pair(args.seed, args.n, args.scale)
@@ -172,27 +177,15 @@ def cmd_funmap(args):
     out = args.out or "funmap"
     truth = None
     if args.synthetic:
-        if args.k < 1:
-            raise UsageError(f"--k must be >= 1, got {args.k}")
         if args.q < args.k:
             raise UsageError(f"need --q >= --k, got q={args.q}, k={args.k}")
-        if args.noise < 0:
-            raise UsageError(f"--noise must be >= 0, got {args.noise}")
-        if args.lam < 0:
-            raise UsageError(f"--lambda must be >= 0, got {args.lam}")
         problem, truth = synth_funmap(args.seed, args.q, args.k, args.noise, args.lam)
     else:
         if not args.a_path or not args.b_path:
             raise UsageError("file mode needs --a and --b (or pass --synthetic)")
         a = read_matrix(args.a_path)
         b = read_matrix(args.b_path)
-        if a.shape[0] < a.shape[1]:
-            raise UsageError(
-                f"need at least as many rows as columns in A, got {a.shape}"
-            )
         w = read_matrix(args.w_path) if args.w_path else funnel_weights(a.shape[1])
-        if args.lam < 0:
-            raise UsageError(f"--lambda must be >= 0, got {args.lam}")
         problem = FunmapProblem(a, b, w, lam=args.lam)
     k = problem.k
     manifold = BiorthogonalManifold(k)
@@ -220,8 +213,6 @@ def cmd_project(args):
 
 
 def cmd_check(args):
-    if args.tol < 0:
-        raise UsageError(f"--tol must be >= 0, got {args.tol}")
     names = [args.suite] if args.suite else None
     results = run_suites(names, tol_scale=args.tol)
     all_ok = True
@@ -243,7 +234,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, BiorthError) as exc:
+    except (OSError, BiorthError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

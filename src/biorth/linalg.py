@@ -38,6 +38,14 @@ def require_same_shape(a: np.ndarray, b: np.ndarray, what="operands"):
         raise DimensionError(f"{what} have mismatched shapes {a.shape} vs {b.shape}")
 
 
+def square_pair(a, b, names=("x", "y")) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two matrices as one square, finite shape; returns both as arrays."""
+    a = require_square(as_matrix(a, names[0]), names[0])
+    b = as_matrix(b, names[1])
+    require_same_shape(a, b)
+    return a, b
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Factorization m = u @ diag(s) @ v.T with orthogonal u, v.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, InvalidTangentError, OffManifoldError, NumericalError
-from .linalg import as_matrix, fro_inner, fro_norm, mat_exp, require_same_shape, require_square, svd
+from .linalg import as_matrix, fro_norm, mat_exp, square_pair, svd
 from .rng import make_rng
 
 # Rounding in n x n products accumulates roughly linearly in n.
@@ -38,12 +38,15 @@ def _same_point(p, q) -> bool:
     return p is q or (np.array_equal(p.x, q.x) and np.array_equal(p.y, q.y))
 
 
+def _feasibility_error(x, y) -> float:
+    """fro_norm(x @ y - I) of two validated square arrays: one n x n product."""
+    return fro_norm(x @ y - np.eye(x.shape[0]))
+
+
 def is_on_manifold(x, y, tol) -> tuple[bool, float]:
     """Feasibility test: returns (within tolerance, fro_norm(x @ y - I))."""
-    x = require_square(as_matrix(x, "x"), "x")
-    y = as_matrix(y, "y")
-    require_same_shape(x, y)
-    err = fro_norm(x @ y - np.eye(x.shape[0]))
+    x, y = square_pair(x, y)
+    err = _feasibility_error(x, y)
     return err <= tol, err
 
 
@@ -59,12 +62,9 @@ class BiorthPoint:
     __slots__ = ("x", "y", "_feas_err", "_y_svd")
 
     def __init__(self, x, y):
-        x = require_square(as_matrix(x, "x"), "x")
-        y = as_matrix(y, "y")
-        require_same_shape(x, y)
-        n = x.shape[0]
-        feas_tol = default_feas_tol(n)
-        err = fro_norm(x @ y - np.eye(n))
+        x, y = square_pair(x, y)
+        feas_tol = default_feas_tol(x.shape[0])
+        err = _feasibility_error(x, y)
         if not err <= feas_tol:
             raise OffManifoldError(
                 f"pair is not biorthogonal: fro_norm(x @ y - I) = {err:.3e} "
@@ -127,9 +127,7 @@ class TangentPair:
     __slots__ = ("u", "v", "base", "residual")
 
     def __init__(self, u, v, base: BiorthPoint):
-        u = require_square(as_matrix(u, "u"), "u")
-        v = as_matrix(v, "v")
-        require_same_shape(u, v)
+        u, v = square_pair(u, v, ("u", "v"))
         if u.shape != base.x.shape:
             raise DimensionError(
                 f"tangent shape {u.shape} does not match base point n={base.n}"
@@ -212,9 +210,7 @@ class AmbientPair:
     __slots__ = ("phi", "psi")
 
     def __init__(self, phi, psi):
-        phi = require_square(as_matrix(phi, "phi"), "phi")
-        psi = as_matrix(psi, "psi")
-        require_same_shape(phi, psi)
+        phi, psi = square_pair(phi, psi, ("phi", "psi"))
         object.__setattr__(self, "phi", _frozen(phi))
         object.__setattr__(self, "psi", _frozen(psi))
 
@@ -226,7 +222,8 @@ class AmbientPair:
         return self.phi.shape[0]
 
     def norm(self) -> float:
-        return float(np.sqrt(fro_inner(self.phi, self.phi) + fro_inner(self.psi, self.psi)))
+        phi, psi = self.phi, self.psi
+        return float(np.sqrt(float(np.vdot(phi, phi)) + float(np.vdot(psi, psi))))
 
     def __add__(self, other):
         return AmbientPair(self.phi + other.phi, self.psi + other.psi)
@@ -253,9 +250,7 @@ class EuclideanPoint:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        x = require_square(as_matrix(x, "x"), "x")
-        y = as_matrix(y, "y")
-        require_same_shape(x, y)
+        x, y = square_pair(x, y)
         object.__setattr__(self, "x", _frozen(x))
         object.__setattr__(self, "y", _frozen(y))
 
@@ -390,7 +385,7 @@ def random_point(seed, n: int, scale: float) -> BiorthPoint:
 def _random_point(rng, n, scale) -> BiorthPoint:
     if n < 1:
         raise DimensionError(f"n must be >= 1, got {n}")
-    if scale < 0:
+    if not scale >= 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     if scale == 0:
         return identity_point(n)
@@ -408,7 +403,7 @@ def random_tangent(seed, p: BiorthPoint, scale: float) -> TangentPair:
 
 
 def _random_tangent(rng, p, scale) -> TangentPair:
-    if scale < 0:
+    if not scale >= 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     n = p.n
     if scale == 0:
@@ -437,13 +432,18 @@ class BiorthogonalManifold:
     def dim(self) -> int:
         return self.n * self.n
 
-    def check_point(self, p):
+    def check_point(self, p) -> BiorthPoint:
+        """Return the BiorthPoint a solver iterates from when started at `p`.
+
+        A BiorthPoint of the right size is feasible by its type and is
+        returned as is. Any other pair (x, y) is converted, so an
+        infeasible one raises OffManifoldError.
+        """
         if p.n != self.n:
             raise DimensionError(f"point has n={p.n}, manifold has n={self.n}")
-        tol = default_feas_tol(self.n)
-        ok, err = is_on_manifold(p.x, p.y, tol)
-        if not ok:
-            raise OffManifoldError(f"point violates feasibility: {err:.3e} > {tol:.3e}")
+        if isinstance(p, BiorthPoint):
+            return p
+        return BiorthPoint(p.x, p.y)
 
     def identity(self) -> BiorthPoint:
         return identity_point(self.n)
@@ -493,8 +493,10 @@ class EuclideanManifold:
         return 2 * self.n * self.n
 
     def check_point(self, p):
+        """Return the start point `p` after checking its size."""
         if p.n != self.n:
             raise DimensionError(f"point has n={p.n}, manifold has n={self.n}")
+        return p
 
     def identity(self) -> EuclideanPoint:
         return EuclideanPoint(np.eye(self.n), np.eye(self.n))
@@ -508,7 +510,8 @@ class EuclideanManifold:
         return EuclideanPoint(p.x + t.phi, p.y + t.psi)
 
     def metric(self, p, t1, t2) -> float:
-        return fro_inner(t1.phi, t2.phi) + fro_inner(t1.psi, t2.psi)
+        # The AmbientPair constructor validated and froze these arrays.
+        return float(np.vdot(t1.phi, t2.phi)) + float(np.vdot(t1.psi, t2.psi))
 
     def transport(self, p, t) -> AmbientPair:
         return t
@@ -522,7 +525,7 @@ class EuclideanManifold:
         )
 
     def random_tangent(self, seed, p, scale=1.0) -> AmbientPair:
-        if scale < 0:
+        if not scale >= 0:
             raise ValueError(f"scale must be >= 0, got {scale}")
         n = self.n
         if scale == 0:
@@ -532,7 +535,7 @@ class EuclideanManifold:
         return (scale / t.norm()) * t
 
     def feasibility_error(self, p) -> float:
-        return is_on_manifold(p.x, p.y, np.inf)[1]
+        return _feasibility_error(p.x, p.y)
 
     def zero_tangent(self, p) -> AmbientPair:
         z = np.zeros((self.n, self.n))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import as_matrix, mat_exp, require_same_shape, require_square
+from .linalg import as_matrix, mat_exp, require_same_shape, require_square, square_pair
 from .manifold import AmbientPair, BiorthPoint
 from .rng import make_rng
 
@@ -33,12 +33,8 @@ class NearestPairProblem(_MatrixPairProblem):
     """Squared Frobenius distance from (x, y) to a fixed target pair (phi, psi)."""
 
     def __init__(self, phi, psi):
-        phi = require_square(as_matrix(phi, "phi"), "phi")
-        psi = as_matrix(psi, "psi")
-        require_same_shape(phi, psi)
-        self.phi = phi
-        self.psi = psi
-        self.n = phi.shape[0]
+        self.phi, self.psi = square_pair(phi, psi, ("phi", "psi"))
+        self.n = self.phi.shape[0]
 
     def _check(self, x, y):
         if x.shape != self.phi.shape or y.shape != self.psi.shape:
@@ -63,7 +59,7 @@ class PenaltyProblem(_MatrixPairProblem):
     """
 
     def __init__(self, phi, psi, alpha):
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError(f"alpha must be > 0, got {alpha}")
         self.alpha = float(alpha)
         base = NearestPairProblem(phi, psi)
@@ -105,7 +101,7 @@ class FunmapProblem(_MatrixPairProblem):
             raise DimensionError(f"w must be {k} x {k}, got {w.shape}")
         if np.any(w < 0):
             raise ValueError("w entries must be >= 0")
-        if lam < 0:
+        if not lam >= 0:
             raise ValueError(f"lam must be >= 0, got {lam}")
         self.a = a
         self.b = b
@@ -149,7 +145,7 @@ def synth_funmap(seed, q, k, noise=0.0, lam=0.0):
         raise ValueError(f"k must be >= 1, got {k}")
     if q < k:
         raise ValueError(f"need q >= k, got q={q}, k={k}")
-    if noise < 0:
+    if not noise >= 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
     rng = make_rng(seed)
     g = 0.3 * rng.standard_normal((k, k))

@@ -41,7 +41,7 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.grad_tol < 0:
+        if not self.grad_tol >= 0:
             raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
 
@@ -134,7 +134,7 @@ POWELL_RESTART_THRESHOLD = 0.1
 def _descend(problem, manifold, p0, opts, cg):
     if opts is None:
         opts = SolverOptions()
-    manifold.check_point(p0)
+    p = manifold.check_point(p0)
     restart_every = max(manifold.dim, 1)
 
     started = time.perf_counter()
@@ -142,7 +142,6 @@ def _descend(problem, manifold, p0, opts, cg):
     def elapsed_ms():
         return (time.perf_counter() - started) * 1e3
 
-    p = p0
     f, g = problem.cost_grad(p.x, p.y)
     if not math.isfinite(f):
         raise ValueError(f"cost at the starting point is not finite: {f!r}")
@@ -218,7 +217,7 @@ def fd_gradient_check(problem, manifold, p, n_dirs=10, h=1e-6, seed=0):
     Compares metric(grad, t) with (f(R(h t)) - f(R(-h t))) / 2h along
     `n_dirs` seeded unit tangents t at `p`.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"h must be > 0, got {h}")
     g = riemannian_gradient(problem, manifold, p)
     worst = 0.0

@@ -116,6 +116,19 @@ class TestFunmap:
         write_matrix("b.txt", np.zeros((5, 3)))
         assert main(["funmap", "--a", "a.txt", "--b", "b.txt"]) == 1
 
+    def test_negative_weight_file_is_data_error(self, capsys):
+        write_matrix("a.txt", make_rng(7).standard_normal((6, 3)))
+        write_matrix("b.txt", make_rng(8).standard_normal((6, 3)))
+        write_matrix("w.txt", -np.ones((3, 3)))
+        assert main(["funmap", "--a", "a.txt", "--b", "b.txt", "--w", "w.txt"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_wide_a_file_is_data_error(self, capsys):
+        write_matrix("a.txt", np.ones((2, 3)))
+        write_matrix("b.txt", np.ones((2, 3)))
+        assert main(["funmap", "--a", "a.txt", "--b", "b.txt"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_file_mode_requires_paths(self):
         assert main(["funmap"]) == 2
 
@@ -168,6 +181,21 @@ class TestCheck:
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model-problem", "--grad-tol", "nan"],
+            ["funmap", "--synthetic", "--noise", "nan"],
+            ["penalty", "--alpha", "nan"],
+            ["model-problem", "--scale", "nan"],
+            ["check", "--tol", "nan"],
+        ],
+        ids=["grad-tol", "noise", "alpha", "scale", "tol"],
+    )
+    def test_nan_flag_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "must be >" in capsys.readouterr().err
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 

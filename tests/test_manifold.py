@@ -452,6 +452,11 @@ class TestManifoldInterfaces:
         assert m.metric(p, t, t) == pytest.approx(t.norm() ** 2, rel=1e-12)
         assert m.dim == 36
 
+    def test_check_point_returns_a_biorth_point_as_is(self):
+        m = BiorthogonalManifold(4)
+        p = m.random_point(5, scale=0.4)
+        assert m.check_point(p) is p
+
     def test_retract_at_zero_is_identity_map(self):
         m = BiorthogonalManifold(5)
         p = m.random_point(3, scale=0.4)

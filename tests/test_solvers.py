@@ -7,12 +7,22 @@ from biorth.errors import DimensionError, LineSearchError
 from biorth.linalg import fro_norm
 from biorth.manifold import (
     AmbientPair,
+    BiorthPoint,
     BiorthogonalManifold,
     EuclideanManifold,
+    EuclideanPoint,
     identity_point,
     random_point,
+    random_tangent,
 )
-from biorth.problems import NearestPairProblem, PenaltyProblem, random_nearest_pair
+from biorth.problems import (
+    FunmapProblem,
+    NearestPairProblem,
+    PenaltyProblem,
+    funnel_weights,
+    random_nearest_pair,
+    synth_funmap,
+)
 from biorth.rng import make_rng
 from biorth.solvers import (
     ARMIJO_C1,
@@ -64,6 +74,30 @@ class TestSolverOptions:
     def test_rejects_bad_ranges(self, kwargs):
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("grad_tol", lambda: SolverOptions(grad_tol=NAN)),
+        ("alpha", lambda: PenaltyProblem(np.eye(2), np.eye(2), alpha=NAN)),
+        ("lam", lambda: FunmapProblem(np.eye(3), np.eye(3), funnel_weights(3), lam=NAN)),
+        ("noise", lambda: synth_funmap(1, 6, 3, noise=NAN)),
+        ("scale", lambda: random_point(1, 3, NAN)),
+        ("scale", lambda: random_tangent(1, identity_point(3), NAN)),
+        ("scale", lambda: EuclideanManifold(3).random_tangent(1, None, NAN)),
+        ("h", lambda: fd_gradient_check(ConstantProblem(), BiorthogonalManifold(3),
+                                        identity_point(3), h=NAN)),
+    ],
+    ids=["SolverOptions", "PenaltyProblem", "FunmapProblem", "synth_funmap", "random_point",
+         "random_tangent", "EuclideanManifold.random_tangent", "fd_gradient_check"],
+)
+def test_range_checks_reject_nan(name, build):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build()
 
 
 class TestArmijoSearch:
@@ -206,6 +240,16 @@ class TestGradientDescent:
         sloppy = EuclideanPoint((1.0 + 1e-4) * np.eye(n), np.eye(n))
         with pytest.raises(OffManifoldError):
             gradient_descent(random_nearest_pair(1, n, 1.0), manifold, sloppy)
+
+    def test_starts_from_a_feasible_euclidean_point(self):
+        n = 4
+        manifold = BiorthogonalManifold(n)
+        start = EuclideanPoint(np.eye(n), np.eye(n))
+        problem = random_nearest_pair(1, n, 1.0)
+        point, trace = conjugate_gradient(problem, manifold, start, SolverOptions(max_iters=5))
+        assert isinstance(point, BiorthPoint)
+        assert len(trace) == 6
+        assert trace[-1].cost < trace[0].cost
 
     def test_rejects_start_of_wrong_size(self):
         # a 4 x 4 start on n = 5 manifolds: the problem alone would accept it
