@@ -16,7 +16,7 @@ from .errors import (
     NumericalError,
     OffManifoldError,
 )
-from .linalg import SvdResult, as_matrix, fro_inner, fro_norm, mat_exp, svd
+from .linalg import SvdResult, as_matrix, fro_norm, mat_exp, svd
 from .manifold import (
     AmbientPair,
     BiorthPoint,
@@ -83,7 +83,6 @@ __all__ = [
     "default_feas_tol",
     "default_tan_tol",
     "fd_gradient_check",
-    "fro_inner",
     "fro_norm",
     "funnel_weights",
     "gradient_descent",

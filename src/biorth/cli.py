@@ -4,13 +4,16 @@ Each experiment is a single deterministic invocation: seeded inputs, a
 solver run, a CSV trace plus result matrices under an output prefix, and a
 one-line summary on stdout. Exit codes: 0 success, 1 runtime or data
 error, 2 usage error. The parser enforces the range of every numeric flag
-(NaN fails it) and exits 2; an input the library rejects, such as a data
-file of the wrong shape or negative weights, exits 1.
+(NaN fails it, and so does an infinite objective weight) and exits 2; an
+input the library rejects, such as a data file of the wrong shape or
+negative weights, exits 1. The `biorth` command starts through
+`biorth_launcher`, which sets the BLAS thread count before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -36,14 +39,20 @@ class UsageError(Exception):
     pass
 
 
-def _at_least(kind, low, strict=False):
-    """Parser type: a `kind` value >= low (> low if strict). NaN fails both."""
-    op = ">" if strict else ">="
+def _at_least(kind, low, strict=False, finite=False):
+    """Parser type: a `kind` value >= low (> low if strict), below inf if finite.
+
+    NaN fails every variant.
+    """
+    rule = (">" if strict else ">=") + f" {low}" + (" and finite" if finite else "")
 
     def parse(text):
         value = kind(text)
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(f"must be {op} {low}, got {text}")
+        ok = value > low if strict else value >= low
+        if finite:
+            ok = ok and value < math.inf
+        if not ok:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in "invalid ... value"
@@ -53,7 +62,9 @@ def _at_least(kind, low, strict=False):
 COUNT = _at_least(int, 0)
 SIZE = _at_least(int, 1)
 NONNEGATIVE = _at_least(float, 0)
-POSITIVE = _at_least(float, 0, strict=True)
+# Objective weights: an infinite one makes the gradient NaN wherever it meets a zero.
+WEIGHT = _at_least(float, 0, finite=True)
+POSITIVE_WEIGHT = _at_least(float, 0, strict=True, finite=True)
 
 
 def build_parser():
@@ -89,7 +100,7 @@ def build_parser():
     )
     p_pen.add_argument("--n", type=SIZE, default=100)
     p_pen.add_argument("--scale", type=NONNEGATIVE, default=5.0)
-    p_pen.add_argument("--alpha", type=POSITIVE, default=100.0, help="penalty weight")
+    p_pen.add_argument("--alpha", type=POSITIVE_WEIGHT, default=100.0, help="penalty weight")
     add_solver_flags(p_pen)
     p_pen.set_defaults(func=cmd_penalty)
 
@@ -102,7 +113,7 @@ def build_parser():
     p_fun.add_argument("--q", type=SIZE, default=64)
     p_fun.add_argument("--k", type=SIZE, default=16)
     p_fun.add_argument("--noise", type=NONNEGATIVE, default=0.0)
-    p_fun.add_argument("--lambda", dest="lam", type=NONNEGATIVE, default=0.0,
+    p_fun.add_argument("--lambda", dest="lam", type=WEIGHT, default=0.0,
                        help="weight of the funnel regularizer")
     p_fun.add_argument("--a", dest="a_path", help="coefficient matrix A (q x k)")
     p_fun.add_argument("--b", dest="b_path", help="coefficient matrix B (q x k)")
@@ -239,9 +250,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def entry():
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

@@ -59,9 +59,6 @@ class SvdResult:
     s: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
 
 def svd(m) -> SvdResult:
     """Full SVD of a square matrix.
@@ -96,14 +93,6 @@ def mat_exp(m) -> np.ndarray:
             "scaling failed to keep intermediate powers finite"
         )
     return out
-
-
-def fro_inner(a, b) -> float:
-    """Frobenius inner product, the entrywise product summed over all entries."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    require_same_shape(a, b)
-    return float(np.vdot(a, b))
 
 
 def fro_norm(a) -> float:

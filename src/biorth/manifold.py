@@ -461,6 +461,22 @@ class BiorthogonalManifold:
         """Carry a tangent to the tangent space at `p` by projection."""
         return self.project(p, t.as_ambient())
 
+    def inner_transported(self, p, t, s) -> float:
+        """metric(p, t, transport(p, s)) for a tangent `t` at `p`, with no projection.
+
+        `s` may be based anywhere. The projection is orthogonal in the
+        ambient Frobenius metric, so it is self-adjoint and fixes `t`:
+        <t, P(s)> = <P(t), s> = <t, s>, the ambient product of the arrays.
+        At a base point that has drifted, this is the product with the exact
+        orthogonal projection onto the stored pair's tangent space, which
+        project_tangent matches only up to the drift.
+        """
+        if not (isinstance(t, TangentPair) and isinstance(s, TangentPair)):
+            raise InvalidTangentError("inner_transported takes two TangentPairs")
+        if not _same_point(t.base, p):
+            raise InvalidTangentError("tangent is not based at the given point")
+        return float(np.vdot(t.u, s.u)) + float(np.vdot(t.v, s.v))
+
     def random_point(self, seed, scale=0.5) -> BiorthPoint:
         return random_point(seed, self.n, scale)
 
@@ -515,6 +531,10 @@ class EuclideanManifold:
 
     def transport(self, p, t) -> AmbientPair:
         return t
+
+    def inner_transported(self, p, t, s) -> float:
+        """metric(p, t, transport(p, s)); transport is the identity here."""
+        return self.metric(p, t, s)
 
     def random_point(self, seed, scale=0.5) -> EuclideanPoint:
         rng = make_rng(seed)

@@ -59,8 +59,8 @@ class PenaltyProblem(_MatrixPairProblem):
     """
 
     def __init__(self, phi, psi, alpha):
-        if not alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
+        if not 0 < alpha < np.inf:
+            raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
         self.alpha = float(alpha)
         base = NearestPairProblem(phi, psi)
         self.phi = base.phi
@@ -101,8 +101,8 @@ class FunmapProblem(_MatrixPairProblem):
             raise DimensionError(f"w must be {k} x {k}, got {w.shape}")
         if np.any(w < 0):
             raise ValueError("w entries must be >= 0")
-        if not lam >= 0:
-            raise ValueError(f"lam must be >= 0, got {lam}")
+        if not 0 <= lam < np.inf:
+            raise ValueError(f"lam must be >= 0 and finite, got {lam}")
         self.a = a
         self.b = b
         self.w = w

@@ -4,8 +4,10 @@ Gradient descent and Polak-Ribiere conjugate gradient, both with Armijo
 backtracking, plus a finite-difference gradient checker. A problem is any
 object with ``cost_grad(x, y) -> (float, AmbientPair)``, the cost and the
 Euclidean gradient from one evaluation; the manifold supplies
-project/retract/metric/transport. Each line-search trial point is evaluated
-once, and the accepted point's gradient is the one the solver projects.
+project/retract/metric/transport/inner_transported. Each line-search trial
+point is evaluated once, and the accepted point's gradient is the one the
+solver projects. Conjugate gradient transports the previous direction but not
+the previous gradient, of which it needs only one inner product.
 """
 
 from __future__ import annotations
@@ -117,8 +119,12 @@ def gradient_descent(problem, manifold, p0, opts=None):
 def conjugate_gradient(problem, manifold, p0, opts=None):
     """Nonlinear conjugate gradient with Polak-Ribiere(+) directions.
 
-    Previous directions and gradients are carried to the new tangent space
-    by projection; beta is clipped at zero and the direction resets to
+    The previous direction is carried to the new tangent space by
+    `manifold.transport`. The previous gradient enters only through its
+    inner product with the new one, <g_new, transport(g_old)>, which
+    `manifold.inner_transported` reads without transporting g_old; that one
+    number gives both beta = (|g_new|^2 - <g_new, g_old>) / |g_old|^2 and
+    Powell's test. Beta is clipped at zero and the direction resets to
     steepest descent every dim(manifold) iterations, whenever descent is
     lost, or when successive gradients stop being near-orthogonal (Powell's
     restart criterion), which keeps stale conjugacy information from
@@ -183,19 +189,13 @@ def _descend(problem, manifold, p0, opts, cg):
         gnorm_sq_new = manifold.metric(p_new, g_new, g_new)
         if cg:
             since_restart += 1
-            g_prev = manifold.transport(p_new, g)
-            orthogonality_lost = (
-                abs(manifold.metric(p_new, g_new, g_prev))
-                >= POWELL_RESTART_THRESHOLD * gnorm_sq_new
-            )
+            overlap = manifold.inner_transported(p_new, g_new, g)
+            orthogonality_lost = abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq_new
             if since_restart >= restart_every or orthogonality_lost:
                 d, steepest, since_restart = -g_new, True, 0
             else:
                 d_prev = manifold.transport(p_new, d)
-                beta = max(
-                    0.0,
-                    manifold.metric(p_new, g_new, g_new - g_prev) / gnorm_sq,
-                )
+                beta = max(0.0, (gnorm_sq_new - overlap) / gnorm_sq)
                 d = -g_new + beta * d_prev
                 steepest = beta == 0.0
         else:

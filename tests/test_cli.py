@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from biorth.cli import main
 from biorth.matio import read_matrix, read_trace, write_matrix
 from biorth.rng import make_rng
+from biorth_launcher import THREAD_VARIABLES
 
 
 @pytest.fixture(autouse=True)
@@ -189,12 +195,25 @@ class TestParser:
             ["penalty", "--alpha", "nan"],
             ["model-problem", "--scale", "nan"],
             ["check", "--tol", "nan"],
+            ["funmap", "--synthetic", "--lambda", "nan"],
         ],
-        ids=["grad-tol", "noise", "alpha", "scale", "tol"],
+        ids=["grad-tol", "noise", "alpha", "scale", "tol", "lambda"],
     )
     def test_nan_flag_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
         assert "must be >" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["penalty", "--n", "3", "--alpha", "inf", "--max-iters", "2"],
+            ["funmap", "--synthetic", "--q", "8", "--k", "4", "--lambda", "inf", "--max-iters", "2"],
+        ],
+        ids=["alpha", "lambda"],
+    )
+    def test_infinite_weight_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "and finite, got" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -204,3 +223,55 @@ class TestParser:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs the `biorth` command's entry point in a fresh interpreter, then
+# reports the thread variable and, where the OpenBLAS that numpy loaded can
+# be found, the thread count OpenBLAS itself reports (None otherwise).
+THREAD_PROBE = """
+import atexit, ctypes, glob, os, sys
+import biorth_launcher
+assert "numpy" not in sys.modules, "importing the launcher loaded numpy"
+
+def report():
+    import numpy
+    count = None
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(ctypes.CDLL(path), name, None)
+            if get is not None:
+                count = get()
+                break
+    print("THREADS", os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"), count)
+
+atexit.register(report)
+sys.argv = ["biorth", "check", "--suite", "exp-identity"]
+biorth_launcher.entry()
+"""
+
+
+def run_entry_point(**thread_env):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(thread_env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    _, openblas, omp, count = done.stdout.split("\n")[-2].split()
+    return openblas, omp, None if count == "None" else int(count)
+
+
+class TestThreadPolicy:
+    def test_default_is_one_thread(self):
+        openblas, omp, count = run_entry_point()
+        assert (openblas, omp) == ("1", "1")
+        assert count in (None, 1)
+
+    def test_user_setting_wins(self):
+        openblas, omp, count = run_entry_point(OPENBLAS_NUM_THREADS="2")
+        assert (openblas, omp) == ("2", "None")
+        if count is not None and (os.cpu_count() or 1) >= 2:
+            assert count == 2

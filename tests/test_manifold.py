@@ -12,7 +12,7 @@ from biorth.errors import (
     NumericalError,
     OffManifoldError,
 )
-from biorth.linalg import fro_inner, fro_norm, mat_exp, svd
+from biorth.linalg import fro_norm, mat_exp, svd
 from biorth.manifold import (
     AmbientPair,
     BiorthPoint,
@@ -231,7 +231,7 @@ class TestProjectTangent:
             rv = a.psi - t.v
             for seed in range(20):
                 w = random_tangent(110 + seed, p, 1.0)
-                ip = abs(fro_inner(ru, w.u) + fro_inner(rv, w.v))
+                ip = abs(float(np.vdot(ru, w.u)) + float(np.vdot(rv, w.v)))
                 assert ip <= 1e-8 * a.norm()
 
     def test_drifted_base_point_projects_to_a_tangent(self):
@@ -372,7 +372,7 @@ class TestMetric:
         p = identity_point(n)
         u = make_rng(192).standard_normal((n, n))
         t = TangentPair(u, -u, p)
-        assert metric(p, t, t) == pytest.approx(2.0 * fro_inner(u, u), rel=1e-14)
+        assert metric(p, t, t) == pytest.approx(2.0 * float(np.vdot(u, u)), rel=1e-14)
 
     def test_matches_elementwise_sum(self):
         p = seeded_point(193, 5)
@@ -396,6 +396,62 @@ class TestMetric:
             metric(p, a, a)
         with pytest.raises(InvalidTangentError):
             metric(p, random_tangent(198, p, 1.0), a)
+
+
+class TestInnerTransported:
+    """inner_transported(p, t, s) is metric(p, t, transport(p, s)) without the projection.
+
+    Errors are measured against |t| |s|, the scale of the inner product.
+    """
+
+    def test_matches_the_metric_of_the_transport(self):
+        n = 8
+        m = BiorthogonalManifold(n)
+        for scale in BASE_SCALES:
+            for seed in range(5):
+                p = seeded_point(300 + seed, n, scale)
+                q = m.retract(p, m.random_tangent(310 + seed, p, 0.1))
+                t = m.project(q, AmbientPair(*make_rng(320 + seed).standard_normal((2, n, n))))
+                s = m.random_tangent(330 + seed, p, 2.0)
+                expected = m.metric(q, t, m.transport(q, s))
+                assert abs(m.inner_transported(q, t, s) - expected) <= 1e-12 * t.norm() * s.norm()
+
+    def test_drifted_base_point_gets_the_exact_product(self):
+        # The drifted point of test_drifted_base_point_projects_to_a_tangent.
+        # project_tangent is orthogonal there only up to the drift, so the
+        # product through transport is off by O(drift) |t| |s|. The product
+        # without it equals <t, P(s)> for the exact orthogonal projection P
+        # onto the stored pair's tangent space, as the Kronecker oracle gives it.
+        p = BiorthPoint(np.eye(2), np.diag([1.0 + 1.8e-9, 1.0]))
+        m = BiorthogonalManifold(2)
+        t = m.project(p, AmbientPair(np.diag([10.0, 0.0]), np.zeros((2, 2))))
+        for seed in range(5):
+            s = m.random_tangent(340 + seed, seeded_point(350 + seed, 2, 0.5), 1.0)
+            got = m.inner_transported(p, t, s)
+            u_ref, v_ref = min_norm_tangent_oracle(p, s.as_ambient())
+            exact = float(np.vdot(t.u, u_ref)) + float(np.vdot(t.v, v_ref))
+            scale = t.norm() * s.norm()
+            assert abs(got - exact) <= 1e-12 * scale
+            through_transport = m.metric(p, t, m.transport(p, s))
+            assert abs(got - through_transport) <= p.feasibility_error() * scale
+
+    def test_flat_manifold(self):
+        m = EuclideanManifold(5)
+        p = m.identity()
+        t = m.random_tangent(360, p, 1.0)
+        s = m.random_tangent(361, p, 2.0)
+        assert m.inner_transported(p, t, s) == m.metric(p, t, m.transport(p, s))
+
+    def test_tangent_based_elsewhere_rejected(self):
+        m = BiorthogonalManifold(4)
+        p = seeded_point(362, 4)
+        q = seeded_point(363, 4)
+        t = random_tangent(364, p, 1.0)
+        s = random_tangent(365, q, 1.0)
+        with pytest.raises(InvalidTangentError):
+            m.inner_transported(q, t, s)
+        with pytest.raises(InvalidTangentError):
+            m.inner_transported(p, t, s.as_ambient())
 
 
 class TestRandomPoint:

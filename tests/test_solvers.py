@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import biorth.manifold
 from biorth.errors import DimensionError, LineSearchError
-from biorth.linalg import fro_norm
+from biorth.linalg import fro_norm, svd
 from biorth.manifold import (
     AmbientPair,
     BiorthPoint,
@@ -97,6 +98,20 @@ NAN = float("nan")
 )
 def test_range_checks_reject_nan(name, build):
     with pytest.raises(ValueError, match=f"^{name} must be"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("alpha", lambda: PenaltyProblem(np.eye(2), np.eye(2), alpha=math.inf)),
+        ("lam", lambda: FunmapProblem(np.eye(3), np.eye(3), funnel_weights(3), lam=math.inf)),
+        ("lam", lambda: synth_funmap(1, 6, 3, lam=math.inf)),
+    ],
+    ids=["PenaltyProblem", "FunmapProblem", "synth_funmap"],
+)
+def test_weights_reject_infinity(name, build):
+    with pytest.raises(ValueError, match=f"^{name} must be .* finite"):
         build()
 
 
@@ -390,6 +405,63 @@ class TestEvaluateOnce:
         # the gradient the solver kept belongs to the point it returned
         g = riemannian_gradient(problem.problem, manifold, point)
         assert trace[-1].grad_norm == math.sqrt(manifold.metric(point, g, g))
+
+
+class CountingTransport(BiorthogonalManifold):
+    """Counts transports; conjugate gradient carries only the direction."""
+
+    transports = 0
+
+    def transport(self, p, t):
+        self.transports += 1
+        return super().transport(p, t)
+
+
+class InnerThroughTransport(BiorthogonalManifold):
+    """Computes the CG inner product the direct way: transport, then metric."""
+
+    def inner_transported(self, p, t, s):
+        return self.metric(p, t, self.transport(p, s))
+
+
+class TestConjugateGradientKernels:
+    def test_one_transport_per_iteration_and_one_svd_per_point(self, monkeypatch):
+        svds = []
+
+        def counted(m):
+            svds.append(m)
+            return svd(m)
+
+        monkeypatch.setattr(biorth.manifold, "svd", counted)
+        n = 12
+        manifold = CountingTransport(n)
+        problem = random_nearest_pair(41, n, 4.0)
+        _, trace = conjugate_gradient(
+            problem, manifold, manifold.identity(), SolverOptions(max_iters=30)
+        )
+        assert len(trace) == 31
+        assert manifold.transports <= 30
+        # one factorization per accepted point: the start and each iterate
+        assert len(svds) == len(trace)
+
+    def test_trace_matches_the_product_through_transport(self):
+        n = 12
+        problem = random_nearest_pair(21, n, 3.0)
+        traces = []
+        for manifold in (BiorthogonalManifold(n), InnerThroughTransport(n)):
+            _, trace = conjugate_gradient(
+                problem, manifold, manifold.identity(), SolverOptions(max_iters=30)
+            )
+            traces.append(trace)
+        new, direct = traces
+        assert len(new) == len(direct) == 31
+        # The gradient falls 1e4-fold over the run, and rounding in its last
+        # rows is relative to the gradients it was computed from, so gradient
+        # norms are compared at the scale of the first one.
+        scale = direct[0].grad_norm
+        for a, b in zip(new, direct):
+            assert a.cost == pytest.approx(b.cost, rel=1e-10)
+            assert abs(a.grad_norm - b.grad_norm) <= 1e-10 * scale
 
 
 class TestFdGradientCheck:
