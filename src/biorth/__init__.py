@@ -27,7 +27,6 @@ from .manifold import (
     default_feas_tol,
     default_tan_tol,
     identity_point,
-    is_on_manifold,
     metric,
     pair_inverse,
     pair_product,
@@ -87,7 +86,6 @@ __all__ = [
     "funnel_weights",
     "gradient_descent",
     "identity_point",
-    "is_on_manifold",
     "mat_exp",
     "metric",
     "pair_inverse",

@@ -234,15 +234,14 @@ def lie_closure_suite(tol_scale=1.0):
         prod = pair_product(p, q)
         worst_closure = max(worst_closure, prod.feasibility_error())
         inv_p = pair_inverse(p)
-        ix, iy = pair_product((inv_p.x, inv_p.y), (p.x, p.y))
+        ip = pair_product(inv_p, p)
         eye = np.eye(n)
         worst_inverse = max(
-            worst_inverse, fro_norm(ix - eye) + fro_norm(iy - eye)
+            worst_inverse, fro_norm(ip.x - eye) + fro_norm(ip.y - eye)
         )
-        e = identity_point(n)
-        ex, ey = pair_product((e.x, e.y), (p.x, p.y))
+        ep = pair_product(identity_point(n), p)
         worst_identity = max(
-            worst_identity, fro_norm(ex - p.x) + fro_norm(ey - p.y)
+            worst_identity, fro_norm(ep.x - p.x) + fro_norm(ep.y - p.y)
         )
     bound = 1e-10 * tol_scale
     return SuiteResult(

@@ -219,7 +219,8 @@ def cmd_project(args):
     t = project_tangent(base, AmbientPair(phi, psi))
     write_matrix(f"{args.out}.X.txt", t.u)
     write_matrix(f"{args.out}.Y.txt", t.v)
-    print(f"tangent_residual={format_real(t.residual)}")
+    resid = fro_norm(base.x @ t.v + t.u @ base.y)
+    print(f"tangent_residual={format_real(resid)}")
     return 0
 
 

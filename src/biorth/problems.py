@@ -5,8 +5,7 @@ relaxation on the flat product space, and bidirectional functional-map
 recovery with a funnel-shaped off-diagonal regularizer. Each problem
 implements ``cost_grad(x, y) -> (cost, AmbientPair)``, which is the whole
 protocol the solvers call: one evaluation gives the cost and the Euclidean
-gradient together. ``cost`` and ``euclidean_gradient`` are conveniences that
-evaluate ``cost_grad`` and keep one half.
+gradient together.
 """
 
 from __future__ import annotations
@@ -19,17 +18,7 @@ from .manifold import AmbientPair, BiorthPoint
 from .rng import make_rng
 
 
-class _MatrixPairProblem:
-    """Shared cost/gradient plumbing; subclasses implement cost_grad."""
-
-    def cost(self, x, y):
-        return self.cost_grad(x, y)[0]
-
-    def euclidean_gradient(self, x, y):
-        return self.cost_grad(x, y)[1]
-
-
-class NearestPairProblem(_MatrixPairProblem):
+class NearestPairProblem:
     """Squared Frobenius distance from (x, y) to a fixed target pair (phi, psi)."""
 
     def __init__(self, phi, psi):
@@ -50,7 +39,7 @@ class NearestPairProblem(_MatrixPairProblem):
         return cost, AmbientPair(2.0 * rx, 2.0 * ry)
 
 
-class PenaltyProblem(_MatrixPairProblem):
+class PenaltyProblem:
     """Nearest-pair cost plus alpha * |x @ y - I|_F^2.
 
     The additive penalty replaces the biorthogonality constraint; minimizers
@@ -77,7 +66,7 @@ class PenaltyProblem(_MatrixPairProblem):
         return cost, AmbientPair(gx, gy)
 
 
-class FunmapProblem(_MatrixPairProblem):
+class FunmapProblem:
     """Bidirectional functional-map fit between coefficient matrices.
 
     For q x k data matrices a and b, the pair (c1, c2) is scored by

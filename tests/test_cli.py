@@ -8,6 +8,7 @@ import pytest
 
 from biorth.cli import main
 from biorth.matio import read_matrix, read_trace, write_matrix
+from biorth.problems import synth_funmap
 from biorth.rng import make_rng
 from biorth_launcher import THREAD_VARIABLES
 
@@ -53,6 +54,13 @@ class TestModelProblem:
         trace = read_trace("gd.trace.csv")
         costs = [r.cost for r in trace]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+    def test_large_targets_run(self):
+        # Targets of size 1e5 give projected gradients whose tangency residual,
+        # about 7e-8, is rounding relative to the data but above the absolute
+        # default_tan_tol(5) = 5e-9.
+        assert main(["model-problem", "--n", "5", "--scale", "1e5",
+                     "--max-iters", "50", "--out", "big"]) == 0
 
     def test_benchmark_scale_invocation(self):
         # the documented full-size reproduction command
@@ -106,6 +114,18 @@ class TestFunmap:
         assert code == 0
         c1 = read_matrix("ff.C1.txt")
         assert np.linalg.norm(a @ c1 - a @ c) <= 1e-5
+
+    def test_file_mode_large_data_recovers_truth(self):
+        # The synthetic instance with its data scaled by 100 has the same
+        # truth, and its gradients are 1e4 times larger.
+        problem, truth = synth_funmap(3, 64, 16)
+        write_matrix("a.txt", 100.0 * problem.a)
+        write_matrix("b.txt", 100.0 * problem.b)
+        code = main(["funmap", "--a", "a.txt", "--b", "b.txt", "--seed", "3",
+                     "--out", "big"])
+        assert code == 0
+        assert np.linalg.norm(read_matrix("big.C1.txt") - truth.x) <= 1e-10
+        assert np.linalg.norm(read_matrix("big.C2.txt") - truth.y) <= 1e-10
 
     def test_file_mode_with_weight_matrix(self):
         rng = make_rng(6)

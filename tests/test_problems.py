@@ -29,13 +29,13 @@ class TestNearestPair:
     def test_identity_against_zero_targets(self):
         n = 7
         problem = NearestPairProblem(np.zeros((n, n)), np.zeros((n, n)))
-        cost = problem.cost(np.eye(n), np.eye(n))
+        cost = problem.cost_grad(np.eye(n), np.eye(n))[0]
         assert cost == 2.0 * n
 
     def test_gradient_formula(self):
         rng = make_rng(2)
         phi, psi, x, y = (rng.standard_normal((4, 4)) for _ in range(4))
-        grad = NearestPairProblem(phi, psi).euclidean_gradient(x, y)
+        grad = NearestPairProblem(phi, psi).cost_grad(x, y)[1]
         assert np.allclose(grad.phi, 2.0 * (x - phi))
         assert np.allclose(grad.psi, 2.0 * (y - psi))
 
@@ -50,7 +50,7 @@ class TestNearestPair:
     def test_dimension_mismatch(self):
         problem = NearestPairProblem(np.eye(3), np.eye(3))
         with pytest.raises(DimensionError):
-            problem.cost(np.eye(4), np.eye(4))
+            problem.cost_grad(np.eye(4), np.eye(4))
 
 
 class TestPenalty:
@@ -60,9 +60,9 @@ class TestPenalty:
         phi = rng.standard_normal((n, n))
         psi = rng.standard_normal((n, n))
         p = BiorthogonalManifold(n).random_point(6, scale=0.4)
-        base_cost = NearestPairProblem(phi, psi).cost(p.x, p.y)
+        base_cost = NearestPairProblem(phi, psi).cost_grad(p.x, p.y)[0]
         for alpha in (1.0, 100.0, 1e6):
-            pen_cost = PenaltyProblem(phi, psi, alpha).cost(p.x, p.y)
+            pen_cost = PenaltyProblem(phi, psi, alpha).cost_grad(p.x, p.y)[0]
             # the constraint term is an exact square of the tiny feasibility
             # error, so the two costs agree to rounding even for huge alpha
             assert pen_cost == pytest.approx(base_cost, rel=1e-12)
@@ -71,8 +71,8 @@ class TestPenalty:
         n = 5
         rng = make_rng(7)
         phi, psi, x, y = (rng.standard_normal((n, n)) for _ in range(4))
-        base = NearestPairProblem(phi, psi).cost(x, y)
-        pen = PenaltyProblem(phi, psi, 1e-12).cost(x, y)
+        base = NearestPairProblem(phi, psi).cost_grad(x, y)[0]
+        pen = PenaltyProblem(phi, psi, 1e-12).cost_grad(x, y)[0]
         assert abs(pen - base) <= 1e-9
 
     def test_rejects_nonpositive_alpha(self):
@@ -95,7 +95,7 @@ class TestPenalty:
 class TestFunmap:
     def test_exact_fit_costs_nothing(self):
         problem, truth = synth_funmap(3, q=32, k=8, noise=0.0, lam=0.0)
-        cost = problem.cost(truth.x, truth.y)
+        cost = problem.cost_grad(truth.x, truth.y)[0]
         assert cost <= 1e-24
 
     def test_zero_weights_disable_regularizer(self):
@@ -104,8 +104,8 @@ class TestFunmap:
         b = rng.standard_normal((20, 6))
         c1 = rng.standard_normal((6, 6))
         c2 = rng.standard_normal((6, 6))
-        with_reg = FunmapProblem(a, b, np.zeros((6, 6)), lam=7.5).cost(c1, c2)
-        without = FunmapProblem(a, b, np.zeros((6, 6)), lam=0.0).cost(c1, c2)
+        with_reg = FunmapProblem(a, b, np.zeros((6, 6)), lam=7.5).cost_grad(c1, c2)[0]
+        without = FunmapProblem(a, b, np.zeros((6, 6)), lam=0.0).cost_grad(c1, c2)[0]
         assert with_reg == without
 
     def test_finite_difference(self):
@@ -135,7 +135,7 @@ class TestFunmap:
     def test_rejects_map_dimension_mismatch(self):
         problem, _ = synth_funmap(15, q=16, k=4)
         with pytest.raises(DimensionError):
-            problem.cost(np.eye(5), np.eye(5))
+            problem.cost_grad(np.eye(5), np.eye(5))
 
 
 class TestFunnelWeights:

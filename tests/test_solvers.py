@@ -154,7 +154,7 @@ class TestArmijoSearch:
             manifold = BiorthogonalManifold(n)
             problem = random_nearest_pair(seed, n, 2.0)
             p = manifold.random_point(seed + 50, scale=0.3)
-            f0 = problem.cost(p.x, p.y)
+            f0 = problem.cost_grad(p.x, p.y)[0]
             g = riemannian_gradient(problem, manifold, p)
             d = -g
             slope = manifold.metric(p, g, d)
@@ -203,7 +203,7 @@ class TestRiemannianGradient:
         p = identity_point(n)
         problem = NearestPairProblem(phi, psi)
         g = riemannian_gradient(problem, manifold, p)
-        raw = problem.euclidean_gradient(p.x, p.y)
+        raw = problem.cost_grad(p.x, p.y)[1]
         assert fro_norm(g.u - raw.phi) + fro_norm(g.v - raw.psi) <= 1e-12
 
     def test_matches_forward_difference(self):
@@ -213,13 +213,13 @@ class TestRiemannianGradient:
         p = manifold.random_point(4, scale=0.3)
         g = riemannian_gradient(problem, manifold, p)
         gnorm = math.sqrt(manifold.metric(p, g, g))
-        f0 = problem.cost(p.x, p.y)
+        f0 = problem.cost_grad(p.x, p.y)[0]
         h = 1e-6
         for seed in range(10):
             t = manifold.random_tangent(seed, p, 1.0)
             analytic = manifold.metric(p, g, t)
             q = manifold.retract(p, h * t)
-            fd = (problem.cost(q.x, q.y) - f0) / h
+            fd = (problem.cost_grad(q.x, q.y)[0] - f0) / h
             # forward differences carry O(h) truncation; slopes along random
             # unit tangents can be tiny, so compare at the gradient scale
             assert abs(analytic - fd) <= 1e-5 * max(abs(analytic), abs(fd), gnorm)
@@ -443,6 +443,18 @@ class TestConjugateGradientKernels:
         assert manifold.transports <= 30
         # one factorization per accepted point: the start and each iterate
         assert len(svds) == len(trace)
+
+    def test_no_tangency_measurement_inside_the_run(self, residual_checks):
+        # Projections and tangent arithmetic are tangent by construction;
+        # only the public TangentPair constructor measures the residual.
+        n = 12
+        manifold = BiorthogonalManifold(n)
+        problem = random_nearest_pair(41, n, 4.0)
+        _, trace = conjugate_gradient(
+            problem, manifold, manifold.identity(), SolverOptions(max_iters=30)
+        )
+        assert len(trace) == 31
+        assert residual_checks == []
 
     def test_trace_matches_the_product_through_transport(self):
         n = 12
