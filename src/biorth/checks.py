@@ -18,12 +18,12 @@ from .manifold import (
     AmbientPair,
     BiorthogonalManifold,
     EuclideanManifold,
-    _random_point,
-    _random_tangent,
     identity_point,
     pair_inverse,
     pair_product,
     project_tangent,
+    random_point,
+    random_tangent,
     retract,
 )
 from .problems import FunmapProblem, NearestPairProblem, PenaltyProblem, synth_funmap
@@ -80,7 +80,7 @@ def projection_oracle_suite(tol_scale=1.0):
     for n in range(2, 9):
         for trial in range(100):
             rng = make_rng(90_000 + 101 * n + trial)
-            p = _random_point(rng, n, 0.4)
+            p = random_point(rng, n, 0.4)
             a = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
             t = project_tangent(p, a)
             u_ref, v_ref = min_norm_tangent_oracle(p, a)
@@ -102,7 +102,7 @@ def tangency_suite(tol_scale=1.0):
     for n in range(2, 21):
         for trial in range(20):
             rng = make_rng(91_000 + 97 * n + trial)
-            p = _random_point(rng, n, 0.4)
+            p = random_point(rng, n, 0.4)
             a = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
             a_norm = a.norm()
             t = project_tangent(p, a)
@@ -115,7 +115,7 @@ def tangency_suite(tol_scale=1.0):
             ru = a.phi - t.u
             rv = a.psi - t.v
             for j in range(20):
-                w = _random_tangent(rng, p, 1.0)
+                w = random_tangent(rng, p, 1.0)
                 ip = abs(float(np.vdot(ru, w.u) + np.vdot(rv, w.v)))
                 worst_orth = max(worst_orth, ip / a_norm)
     return SuiteResult(
@@ -135,9 +135,9 @@ def retraction_suite(tol_scale=1.0):
     for trial in range(50):
         rng = make_rng(92_000 + trial)
         n = int(rng.integers(2, 21))
-        p = _random_point(rng, n, 0.3)
+        p = random_point(rng, n, 0.3)
         scale = float(rng.uniform(0.1, 5.0))
-        t = _random_tangent(rng, p, scale)
+        t = random_tangent(rng, p, scale)
         q = retract(p, t)
         worst_feas = max(worst_feas, q.feasibility_error() / n)
 
@@ -191,7 +191,7 @@ def gradient_fd_suite(tol_scale=1.0):
         rng = make_rng(94_000 + trial)
         phi = rng.standard_normal((n, n))
         psi = rng.standard_normal((n, n))
-        p = _random_point(rng, n, 0.4)
+        p = random_point(rng, n, 0.4)
         nearest = NearestPairProblem(phi, psi)
         worst_nearest = max(
             worst_nearest,
@@ -229,8 +229,8 @@ def lie_closure_suite(tol_scale=1.0):
     for trial in range(100):
         rng = make_rng(96_000 + trial)
         n = int(rng.integers(2, 21))
-        p = _random_point(rng, n, 0.4)
-        q = _random_point(rng, n, 0.4)
+        p = random_point(rng, n, 0.4)
+        q = random_point(rng, n, 0.4)
         prod = pair_product(p, q)
         worst_closure = max(worst_closure, prod.feasibility_error())
         inv_p = pair_inverse(p)

@@ -80,7 +80,7 @@ def build_parser():
                        help="gradient descent or conjugate gradient (default cg)")
         p.add_argument("--max-iters", type=COUNT, default=default_iters)
         p.add_argument("--grad-tol", type=NONNEGATIVE, default=1e-8)
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--seed", type=COUNT, default=1)
         p.add_argument("--out", default=None,
                        help="output path prefix (default: the command name)")
 

@@ -3,8 +3,10 @@
 Provides the point and tangent types, the tangent-space projection (a
 Sylvester-type solve diagonalized by one SVD of y, cached on the point), an
 exponential-map retraction that is feasible by construction, and the flat
-product space used by the penalty baseline. All values are immutable once
-constructed.
+product space used by the penalty baseline. All values are immutable. Public
+constructors check and copy caller data; values the package computes itself
+are finite and of the right shape by construction, so the private builder
+`_Value._build` freezes their fresh arrays in place with no scan or copy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, InvalidTangentError, OffManifoldError, NumericalError
-from .linalg import as_matrix, fro_norm, mat_exp, square_pair, svd
+from .linalg import fro_norm, mat_exp, square_pair, svd
 from .rng import make_rng
 
 # Rounding in n x n products accumulates roughly linearly in n.
@@ -28,12 +30,6 @@ def default_tan_tol(n: int) -> float:
     return TAN_TOL_PER_DIM * n
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.setflags(write=False)
-    return out
-
-
 def _same_point(p, q) -> bool:
     return p is q or (np.array_equal(p.x, q.x) and np.array_equal(p.y, q.y))
 
@@ -43,7 +39,38 @@ def _feasibility_error(x, y) -> float:
     return fro_norm(x @ y - np.eye(x.shape[0]))
 
 
-class BiorthPoint:
+def _scalar(s) -> float:
+    """`s` as a float; NumericalError if it is not finite."""
+    s = float(s)
+    if not np.isfinite(s):
+        raise NumericalError(f"scalar factor is not finite: {s!r}")
+    return s
+
+
+class _Value:
+    """Immutable base of the value types: fields are set once, arrays read-only."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _freeze(self, *fields):
+        """Set the fields in __slots__ order, marking arrays read-only in place."""
+        for name, value in zip(self.__slots__, fields):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _build(cls, *fields):
+        """A value from fresh fields the package computed: frozen, not copied or checked."""
+        obj = object.__new__(cls)
+        obj._freeze(*fields)
+        return obj
+
+
+class BiorthPoint(_Value):
     """A pair (x, y) of square matrices with x @ y = I within default_feas_tol(n).
 
     Arrays are copied and marked read-only; points are safe to share. The
@@ -63,13 +90,7 @@ class BiorthPoint:
                 f"pair is not biorthogonal: fro_norm(x @ y - I) = {err:.3e} "
                 f"exceeds tolerance {feas_tol:.3e}"
             )
-        object.__setattr__(self, "x", _frozen(x))
-        object.__setattr__(self, "y", _frozen(y))
-        object.__setattr__(self, "_feas_err", err)
-        object.__setattr__(self, "_y_svd", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiorthPoint is immutable")
+        self._freeze(np.array(x), np.array(y), err, None)
 
     @property
     def n(self) -> int:
@@ -101,16 +122,16 @@ def _tangent_residual(base, u, v) -> float:
     return fro_norm(base.x @ v + u @ base.y)
 
 
-class TangentPair:
+class TangentPair(_Value):
     """Tangent vector (u, v) at `base`: base.x @ v + u @ base.y = 0.
 
-    The constructor is where caller data enters, so it measures the residual
-    fro_norm(x0 @ v + u @ y0) and rejects a pair above default_tan_tol(n).
-    Tangents built inside the package are tangent by construction and are
-    not measured again: project_tangent solves for a tangent pair, and `+`,
-    `-` and scalar `*` of tangents at one base stay in its tangent space.
-    The base point is stored so that cross-base arithmetic is rejected
-    instead of silently re-projected.
+    The constructor is where caller data enters, so it checks finiteness and
+    rejects a residual fro_norm(x0 @ v + u @ y0) above default_tan_tol(n).
+    Tangents built inside the package go through the unchecked builder:
+    project_tangent solves for a tangent pair, and `+`, `-` and scalar `*`
+    of tangents at one base stay in its tangent space. Scalar `*` checks
+    only that the scalar is finite. The base point is stored so that
+    cross-base arithmetic is rejected instead of silently re-projected.
     """
 
     __slots__ = ("u", "v", "base")
@@ -128,33 +149,14 @@ class TangentPair:
                 f"pair is not tangent at the base point: fro_norm(x0 @ v + u @ y0) "
                 f"= {resid:.3e} exceeds tolerance {tan_tol:.3e}"
             )
-        object.__setattr__(self, "u", _frozen(u))
-        object.__setattr__(self, "v", _frozen(v))
-        object.__setattr__(self, "base", base)
-
-    @classmethod
-    def _build(cls, u, v, base):
-        """Tangent at `base` from arrays that are tangent by construction.
-
-        `u` and `v` must be freshly computed n x n arrays; they are checked
-        for finiteness and frozen in place. Tangency is not measured.
-        """
-        t = object.__new__(cls)
-        for name, a in (("u", u), ("v", v)):
-            a = as_matrix(a, name)
-            a.setflags(write=False)
-            object.__setattr__(t, name, a)
-        object.__setattr__(t, "base", base)
-        return t
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TangentPair is immutable")
+        self._freeze(np.array(u), np.array(v), base)
 
     def norm(self) -> float:
         return float(np.sqrt(float(np.vdot(self.u, self.u)) + float(np.vdot(self.v, self.v))))
 
     def as_ambient(self) -> "AmbientPair":
-        return AmbientPair(self.u, self.v)
+        """The same arrays as an AmbientPair; both are frozen, so nothing is copied."""
+        return AmbientPair._build(self.u, self.v)
 
     def _require_same_base(self, other):
         if not _same_point(self.base, other.base):
@@ -172,7 +174,7 @@ class TangentPair:
         return TangentPair._build(-self.u, -self.v, self.base)
 
     def __mul__(self, s):
-        s = float(s)
+        s = _scalar(s)
         return TangentPair._build(s * self.u, s * self.v, self.base)
 
     __rmul__ = __mul__
@@ -181,23 +183,20 @@ class TangentPair:
         return f"TangentPair(n={self.base.n}, norm={self.norm():.2e})"
 
 
-class AmbientPair:
+class AmbientPair(_Value):
     """An unconstrained pair (phi, psi) of square matrices of equal size.
 
     Carrier for Euclidean gradients and for projection inputs; also the
-    tangent type of the flat product space. Supports the same linear
-    arithmetic as TangentPair.
+    tangent type of the flat product space. The constructor, through which
+    every problem's `cost_grad` returns its gradient, checks finiteness; the
+    same linear arithmetic as TangentPair goes through the unchecked builder.
     """
 
     __slots__ = ("phi", "psi")
 
     def __init__(self, phi, psi):
         phi, psi = square_pair(phi, psi, ("phi", "psi"))
-        object.__setattr__(self, "phi", _frozen(phi))
-        object.__setattr__(self, "psi", _frozen(psi))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AmbientPair is immutable")
+        self._freeze(np.array(phi), np.array(psi))
 
     @property
     def n(self) -> int:
@@ -208,17 +207,17 @@ class AmbientPair:
         return float(np.sqrt(float(np.vdot(phi, phi)) + float(np.vdot(psi, psi))))
 
     def __add__(self, other):
-        return AmbientPair(self.phi + other.phi, self.psi + other.psi)
+        return AmbientPair._build(self.phi + other.phi, self.psi + other.psi)
 
     def __sub__(self, other):
-        return AmbientPair(self.phi - other.phi, self.psi - other.psi)
+        return AmbientPair._build(self.phi - other.phi, self.psi - other.psi)
 
     def __neg__(self):
-        return AmbientPair(-self.phi, -self.psi)
+        return AmbientPair._build(-self.phi, -self.psi)
 
     def __mul__(self, s):
-        s = float(s)
-        return AmbientPair(s * self.phi, s * self.psi)
+        s = _scalar(s)
+        return AmbientPair._build(s * self.phi, s * self.psi)
 
     __rmul__ = __mul__
 
@@ -226,18 +225,14 @@ class AmbientPair:
         return f"AmbientPair(n={self.n}, norm={self.norm():.2e})"
 
 
-class EuclideanPoint:
+class EuclideanPoint(_Value):
     """Unconstrained point (x, y) in the flat product space of matrix pairs."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
         x, y = square_pair(x, y)
-        object.__setattr__(self, "x", _frozen(x))
-        object.__setattr__(self, "y", _frozen(y))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EuclideanPoint is immutable")
+        self._freeze(np.array(x), np.array(y))
 
     @property
     def n(self) -> int:
@@ -299,8 +294,6 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
     construction, so its residual is not measured again; the tangency and
     projection-oracle suites of `biorth check` measure it independently.
     """
-    if not isinstance(a, AmbientPair):
-        a = AmbientPair(*a)
     if a.phi.shape != p.x.shape:
         raise DimensionError(
             f"ambient pair shape {a.phi.shape} does not match point n={p.n}"
@@ -350,43 +343,35 @@ def metric(p, t1, t2) -> float:
     t1._require_same_base(t2)
     if not _same_point(t1.base, p):
         raise InvalidTangentError("tangents are not based at the given point")
-    # Every TangentPair holds finite, frozen arrays.
+    # No scan: a non-finite entry makes this sum non-finite, which the solvers check.
     return float(np.vdot(t1.u, t2.u)) + float(np.vdot(t1.v, t2.v))
 
 
 def random_point(seed, n: int, scale: float) -> BiorthPoint:
-    """Seeded random point (e^{scale G}, e^{-scale G}) with G standard Gaussian."""
-    return _random_point(make_rng(seed), n, scale)
-
-
-def _random_point(rng, n, scale) -> BiorthPoint:
+    """Random point (e^{scale G}, e^{-scale G}), G Gaussian drawn by make_rng(seed)."""
     if n < 1:
         raise DimensionError(f"n must be >= 1, got {n}")
     if not scale >= 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     if scale == 0:
         return identity_point(n)
-    g = scale * rng.standard_normal((n, n))
+    g = scale * make_rng(seed).standard_normal((n, n))
     return BiorthPoint(mat_exp(g), mat_exp(-g))
 
 
 def random_tangent(seed, p: BiorthPoint, scale: float) -> TangentPair:
-    """Seeded random tangent at `p`, scaled to norm `scale`.
+    """Random tangent at `p`, scaled to norm `scale`.
 
-    Draws Gaussian u and completes it with the unique v = -y0 @ u @ y0
-    satisfying the tangent constraint at a feasible base point.
+    Draws Gaussian u by make_rng(seed) and completes it with the unique
+    v = -y0 @ u @ y0 satisfying the tangent constraint at a feasible base point.
     """
-    return _random_tangent(make_rng(seed), p, scale)
-
-
-def _random_tangent(rng, p, scale) -> TangentPair:
     if not scale >= 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     n = p.n
     if scale == 0:
         z = np.zeros((n, n))
         return TangentPair(z, z, p)
-    u = rng.standard_normal((n, n))
+    u = make_rng(seed).standard_normal((n, n))
     v = -(p.y @ u @ p.y)
     nrm = np.sqrt(np.sum(u * u) + np.sum(v * v))
     s = scale / nrm
@@ -495,15 +480,12 @@ class EuclideanManifold:
         return EuclideanPoint(np.eye(self.n), np.eye(self.n))
 
     def project(self, p, a) -> AmbientPair:
-        if not isinstance(a, AmbientPair):
-            a = AmbientPair(*a)
         return a
 
     def retract(self, p, t) -> EuclideanPoint:
-        return EuclideanPoint(p.x + t.phi, p.y + t.psi)
+        return EuclideanPoint._build(p.x + t.phi, p.y + t.psi)
 
     def metric(self, p, t1, t2) -> float:
-        # The AmbientPair constructor validated and froze these arrays.
         return float(np.vdot(t1.phi, t2.phi)) + float(np.vdot(t1.psi, t2.psi))
 
     def transport(self, p, t) -> AmbientPair:

@@ -25,21 +25,20 @@ class NearestPairProblem:
         self.phi, self.psi = square_pair(phi, psi, ("phi", "psi"))
         self.n = self.phi.shape[0]
 
-    def _check(self, x, y):
+    def _residuals(self, x, y):
         if x.shape != self.phi.shape or y.shape != self.psi.shape:
             raise DimensionError(
                 f"arguments {x.shape}, {y.shape} do not match problem n={self.n}"
             )
+        return x - self.phi, y - self.psi
 
     def cost_grad(self, x, y):
-        self._check(x, y)
-        rx = x - self.phi
-        ry = y - self.psi
+        rx, ry = self._residuals(x, y)
         cost = float(np.sum(rx * rx) + np.sum(ry * ry))
         return cost, AmbientPair(2.0 * rx, 2.0 * ry)
 
 
-class PenaltyProblem:
+class PenaltyProblem(NearestPairProblem):
     """Nearest-pair cost plus alpha * |x @ y - I|_F^2.
 
     The additive penalty replaces the biorthogonality constraint; minimizers
@@ -50,19 +49,15 @@ class PenaltyProblem:
     def __init__(self, phi, psi, alpha):
         if not 0 < alpha < np.inf:
             raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
+        super().__init__(phi, psi)
         self.alpha = float(alpha)
-        base = NearestPairProblem(phi, psi)
-        self.phi = base.phi
-        self.psi = base.psi
-        self.n = base.n
-        self._base = base
 
     def cost_grad(self, x, y):
-        cost0, grad0 = self._base.cost_grad(x, y)
+        rx, ry = self._residuals(x, y)
         r = x @ y - np.eye(self.n)
-        cost = cost0 + self.alpha * float(np.sum(r * r))
-        gx = grad0.phi + 2.0 * self.alpha * (r @ y.T)
-        gy = grad0.psi + 2.0 * self.alpha * (x.T @ r)
+        cost = float(np.sum(rx * rx) + np.sum(ry * ry)) + self.alpha * float(np.sum(r * r))
+        gx = 2.0 * rx + 2.0 * self.alpha * (r @ y.T)
+        gy = 2.0 * ry + 2.0 * self.alpha * (x.T @ r)
         return cost, AmbientPair(gx, gy)
 
 

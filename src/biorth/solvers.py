@@ -8,6 +8,8 @@ project/retract/metric/transport/inner_transported. Each line-search trial
 point is evaluated once, and the accepted point's gradient is the one the
 solver projects. Conjugate gradient transports the previous direction but not
 the previous gradient, of which it needs only one inner product.
+The one finiteness check is metric(g, g) of each projected gradient: if it
+is finite, so is every entry of g; if not, the run raises NumericalError.
 """
 
 from __future__ import annotations
@@ -56,6 +58,16 @@ class TraceRecord:
     grad_norm: float
     feas_err: float
     elapsed_ms: float
+
+
+def _gradient_norm_sq(manifold, p, g, k):
+    """metric(p, g, g) of the gradient at iteration `k`; NumericalError if not finite."""
+    gnorm_sq = manifold.metric(p, g, g)
+    if not math.isfinite(gnorm_sq):
+        raise NumericalError(
+            f"gradient norm is not finite at iteration {k}: metric(g, g) = {gnorm_sq!r}"
+        )
+    return gnorm_sq
 
 
 def riemannian_gradient(problem, manifold, p):
@@ -153,7 +165,7 @@ def _descend(problem, manifold, p0, opts, cg):
         raise ValueError(f"cost at the starting point is not finite: {f!r}")
     # Rebinding g to the projection frees the Euclidean gradient here and below.
     g = manifold.project(p, g)
-    gnorm_sq = manifold.metric(p, g, g)
+    gnorm_sq = _gradient_norm_sq(manifold, p, g, 0)
     gnorm = math.sqrt(gnorm_sq)
     trace = [TraceRecord(0, f, gnorm, manifold.feasibility_error(p), elapsed_ms())]
 
@@ -186,7 +198,7 @@ def _descend(problem, manifold, p0, opts, cg):
         step_hint = min(max(2.0 * step, MIN_STEP), 4.0 * INITIAL_STEP)
 
         g_new = manifold.project(p_new, g_new)
-        gnorm_sq_new = manifold.metric(p_new, g_new, g_new)
+        gnorm_sq_new = _gradient_norm_sq(manifold, p_new, g_new, k)
         if cg:
             since_restart += 1
             overlap = manifold.inner_transported(p_new, g_new, g)
@@ -215,8 +227,10 @@ def fd_gradient_check(problem, manifold, p, n_dirs=10, h=1e-6, seed=0):
     """Worst relative error of the projected gradient against central differences.
 
     Compares metric(grad, t) with (f(R(h t)) - f(R(-h t))) / 2h along
-    `n_dirs` seeded unit tangents t at `p`.
+    `n_dirs` >= 1 seeded unit tangents t at `p`.
     """
+    if n_dirs < 1:
+        raise ValueError(f"n_dirs must be >= 1, got {n_dirs}")
     if not h > 0:
         raise ValueError(f"h must be > 0, got {h}")
     g = riemannian_gradient(problem, manifold, p)

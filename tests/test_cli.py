@@ -127,6 +127,19 @@ class TestFunmap:
         assert np.linalg.norm(read_matrix("big.C1.txt") - truth.x) <= 1e-10
         assert np.linalg.norm(read_matrix("big.C2.txt") - truth.y) <= 1e-10
 
+    def test_file_mode_overflowing_gradient_is_numerical_error(self, capsys):
+        # Data times 1e100 gives gradient entries near 1e200, whose squared
+        # norm overflows: the run must fail rather than report iters=0.
+        problem, _ = synth_funmap(3, 64, 16)
+        write_matrix("a.txt", 1e100 * problem.a)
+        write_matrix("b.txt", 1e100 * problem.b)
+        code = main(["funmap", "--a", "a.txt", "--b", "b.txt", "--seed", "3",
+                     "--out", "huge"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gradient norm is not finite" in err
+        assert not os.path.exists("huge.trace.csv")
+
     def test_file_mode_with_weight_matrix(self):
         rng = make_rng(6)
         a = rng.standard_normal((12, 4))
@@ -234,6 +247,11 @@ class TestParser:
     def test_infinite_weight_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
         assert "and finite, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["model-problem", "penalty", "funmap"])
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        assert main([command, "--seed", "-1"]) == 2
+        assert "--seed: must be >= 0" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

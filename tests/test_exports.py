@@ -7,6 +7,9 @@ DELETED = (
     (biorth, "is_on_manifold"),
     (biorth.manifold, "is_on_manifold"),
     (biorth.problems, "_MatrixPairProblem"),
+    (biorth.manifold, "_random_point"),
+    (biorth.manifold, "_random_tangent"),
+    (biorth.manifold, "_frozen"),
 )
 
 

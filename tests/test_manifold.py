@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import biorth.linalg
 import biorth.manifold
 from biorth.checks import min_norm_tangent_oracle
 from biorth.errors import (
@@ -460,6 +461,17 @@ class TestRandomPoint:
         assert np.array_equal(p1.x, p2.x)
         assert np.array_equal(p1.y, p2.y)
 
+    def test_generator_is_drawn_from_as_given(self):
+        rng = make_rng(202)
+        assert make_rng(rng) is rng
+        p = random_point(rng, 4, 0.3)
+        assert np.array_equal(p.x, random_point(202, 4, 0.3).x)
+        t = random_tangent(rng, p, 1.0)
+        again = make_rng(202)
+        random_point(again, 4, 0.3)
+        assert np.array_equal(t.u, random_tangent(again, p, 1.0).u)
+        assert not np.array_equal(t.u, random_tangent(202, p, 1.0).u)
+
     def test_feasibility_by_construction(self):
         p = random_point(1, 10, 0.5)
         assert p.feasibility_error() <= 1e-12
@@ -561,13 +573,81 @@ class TestTangentArithmeticBound:
             c.u[0, 0] = 1.0
 
     def test_non_finite_arithmetic_raises(self, residual_checks):
-        # Arithmetic measures no residual, so only the finiteness check can
-        # catch the overflow.
+        # Arithmetic measures no residual and scans no array, so the scalar
+        # factor is the one value it checks. Overflow of a product with a
+        # finite scalar is not checked.
         p = identity_point(3)
         u = 4.0 * np.eye(3)
         t = TangentPair(u, -u, p)
+        a = AmbientPair(u, -u)
         del residual_checks[:]
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericalError):
-                t * 1e308
+        for value in (t, a):
+            for s in (np.nan, np.inf, -np.inf):
+                with pytest.raises(NumericalError, match="not finite"):
+                    value * s
+                with pytest.raises(NumericalError, match="not finite"):
+                    s * value
         assert residual_checks == []
+
+
+@pytest.fixture
+def matrix_scans(monkeypatch):
+    """Count the as_matrix finiteness scans, also through a name imported into manifold."""
+    calls = []
+    scan = biorth.linalg.as_matrix
+
+    def counted(a, name="matrix"):
+        calls.append(name)
+        return scan(a, name)
+
+    for module in (biorth.linalg, biorth.manifold):
+        if hasattr(module, "as_matrix"):
+            monkeypatch.setattr(module, "as_matrix", counted)
+    return calls
+
+
+class TestPackageBuiltValues:
+    """Values the package computes are frozen in place without a scan."""
+
+    def test_arithmetic_runs_no_scan(self, matrix_scans):
+        p = seeded_point(260, 5)
+        a = random_tangent(261, p, 1.0)
+        b = random_tangent(262, p, 2.0)
+        g = AmbientPair(*make_rng(263).standard_normal((2, 5, 5)))
+        del matrix_scans[:]
+        c = -(a + 3.0 * b) - a * 0.5
+        h = 2.0 * (-(g + g) - g * 0.5)
+        amb = c.as_ambient()
+        assert matrix_scans == []
+        for value, arrays in ((c, (c.u, c.v)), (h, (h.phi, h.psi)), (amb, (amb.phi, amb.psi))):
+            for arr in arrays:
+                assert not arr.flags.writeable
+            with pytest.raises(AttributeError, match="immutable"):
+                value.extra = 1
+
+    def test_as_ambient_shares_the_frozen_arrays(self):
+        t = random_tangent(264, seeded_point(265, 4), 1.0)
+        a = t.as_ambient()
+        assert a.phi is t.u and a.psi is t.v
+
+    def test_projection_and_flat_retraction_run_no_scan(self, matrix_scans):
+        p = seeded_point(266, 5)
+        p.y_svd()
+        a = AmbientPair(*make_rng(267).standard_normal((2, 5, 5)))
+        flat = EuclideanManifold(5)
+        q = flat.identity()
+        del matrix_scans[:]
+        t = project_tangent(p, a)
+        r = flat.retract(q, a)
+        assert matrix_scans == []
+        assert not t.u.flags.writeable and not r.x.flags.writeable
+        assert isinstance(r, EuclideanPoint)
+
+    def test_constructors_still_copy_and_check_caller_data(self):
+        u = np.eye(3)
+        a = AmbientPair(u, u)
+        assert a.phi is not u and u.flags.writeable
+        with pytest.raises(NumericalError):
+            AmbientPair(np.full((3, 3), np.inf), u)
+        with pytest.raises(NumericalError):
+            EuclideanPoint(u, np.full((3, 3), np.nan))

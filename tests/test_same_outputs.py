@@ -1,0 +1,58 @@
+"""The comparison of tools/same_outputs.py on small hand-made output trees."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+same_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_outputs)
+
+MATRIX = "2 2\n1 0.5\n-0.25 1\n"
+TRACE = "iter,cost,grad_norm,feas_err,elapsed_ms\n0,2,1,0,0.125\n1,1,0.5,1e-16,3.5\n"
+CONSOLE = "final_cost=1 feas_err=1e-16 iters=1 seconds=0.004\n--- stderr\n--- exit 0\n"
+
+
+def write_run(root, matrix=MATRIX, trace=TRACE, console=CONSOLE):
+    run = root / "model-cg-1"
+    run.mkdir(parents=True)
+    (run / "run.X.txt").write_text(matrix)
+    (run / "run.trace.csv").write_text(trace)
+    (run / same_outputs.CONSOLE).write_text(console)
+    return root
+
+
+def test_identical_trees_match(tmp_path):
+    assert same_outputs.first_difference(write_run(tmp_path / "a"), write_run(tmp_path / "b")) is None
+
+
+def test_timings_are_ignored(tmp_path):
+    a = write_run(tmp_path / "a")
+    b = write_run(tmp_path / "b", trace=TRACE.replace("0.125", "9.75").replace("3.5", "12"),
+                  console=CONSOLE.replace("seconds=0.004", "seconds=1.250"))
+    assert same_outputs.first_difference(a, b) is None
+
+
+@pytest.mark.parametrize(
+    "changed, name",
+    [
+        ({"matrix": MATRIX.replace("0.5", "0.6")}, "run.X.txt"),
+        ({"trace": TRACE.replace("1e-16", "2e-16")}, "run.trace.csv"),
+        ({"console": CONSOLE.replace("iters=1", "iters=2")}, same_outputs.CONSOLE),
+        ({"console": CONSOLE.replace("exit 0", "exit 1")}, same_outputs.CONSOLE),
+    ],
+    ids=["matrix-byte", "trace-value", "stdout", "exit-code"],
+)
+def test_first_changed_file_is_named(tmp_path, changed, name):
+    a = write_run(tmp_path / "a")
+    b = write_run(tmp_path / "b", **changed)
+    assert same_outputs.first_difference(a, b) == str(Path("model-cg-1") / name)
+
+
+def test_a_missing_file_differs(tmp_path):
+    a = write_run(tmp_path / "a")
+    b = write_run(tmp_path / "b")
+    (b / "model-cg-1" / "run.X.txt").unlink()
+    assert same_outputs.first_difference(a, b) == str(Path("model-cg-1") / "run.X.txt")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import biorth.manifold
-from biorth.errors import DimensionError, LineSearchError
+from biorth.errors import DimensionError, LineSearchError, NumericalError
 from biorth.linalg import fro_norm, svd
 from biorth.manifold import (
     AmbientPair,
@@ -113,6 +113,39 @@ def test_range_checks_reject_nan(name, build):
 def test_weights_reject_infinity(name, build):
     with pytest.raises(ValueError, match=f"^{name} must be .* finite"):
         build()
+
+
+class HugeGradient:
+    """Finite cost, gradient entries of 1e160: each entry is finite, the norm is not."""
+
+    def cost_grad(self, x, y):
+        return 1.0, AmbientPair(np.full_like(x, 1e160), np.zeros_like(y))
+
+
+@pytest.mark.parametrize("solve", [gradient_descent, conjugate_gradient])
+@pytest.mark.parametrize("manifold", [BiorthogonalManifold(3), EuclideanManifold(3)],
+                         ids=["biorth", "flat"])
+def test_non_finite_gradient_norm_raises(solve, manifold):
+    with pytest.raises(NumericalError, match="gradient norm is not finite at iteration 0"):
+        solve(HugeGradient(), manifold, manifold.identity())
+
+
+class HugeGradientAfterStart:
+    """|x - 2I|^2, with gradient entries of 1e160 everywhere but at x = I."""
+
+    def cost_grad(self, x, y):
+        eye = np.eye(x.shape[0])
+        r = x - 2.0 * eye
+        g = 2.0 * r if np.array_equal(x, eye) else np.full_like(x, 1e160)
+        return float(np.sum(r * r)), AmbientPair(g, np.zeros_like(y))
+
+
+@pytest.mark.parametrize("solve", [gradient_descent, conjugate_gradient])
+@pytest.mark.parametrize("manifold", [BiorthogonalManifold(3), EuclideanManifold(3)],
+                         ids=["biorth", "flat"])
+def test_non_finite_gradient_norm_at_an_accepted_point_raises(solve, manifold):
+    with pytest.raises(NumericalError, match="gradient norm is not finite at iteration 1"):
+        solve(HugeGradientAfterStart(), manifold, manifold.identity())
 
 
 class TestArmijoSearch:
@@ -496,6 +529,13 @@ class TestFdGradientCheck:
         manifold = BiorthogonalManifold(5)
         p = manifold.random_point(35, scale=0.3)
         assert fd_gradient_check(ConstantProblem(), manifold, p, n_dirs=5, h=1e-6) == 0.0
+
+    @pytest.mark.parametrize("n_dirs", [0, -1])
+    def test_rejects_no_directions(self, n_dirs):
+        # With no direction the worst error is 0.0, a perfect score for any gradient.
+        manifold = BiorthogonalManifold(3)
+        with pytest.raises(ValueError, match="^n_dirs must be >= 1"):
+            fd_gradient_check(ConstantProblem(), manifold, identity_point(3), n_dirs=n_dirs)
 
     def test_rejects_bad_h(self):
         manifold = BiorthogonalManifold(3)

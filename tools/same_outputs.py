@@ -1,0 +1,151 @@
+"""Check that two biorth source trees give the same outputs on a fixed list of runs.
+
+Usage: python tools/same_outputs.py BASE_SRC NEW_SRC
+
+BASE_SRC and NEW_SRC are directories that hold a `biorth` package, such as
+the `src` directory of two checkouts. Every command line of RUNS runs once
+per tree, in a fresh interpreter at one BLAS thread, each in its own output
+directory; the `project` runs share four n = 150 input files. The two
+output trees are then compared file by file: matrix files byte for byte,
+trace CSVs without their `elapsed_ms` column, and each run's console record
+(stdout, stderr and exit code) without its `seconds=` field. Prints
+"identical outputs" and exits 0, or names the first file that differs and
+exits 1.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+import scipy.linalg
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+PROJECT_N = 150
+PROJECT_ITEMS = 4
+PROJECT_SEED = 3001
+CONSOLE = "console.txt"
+
+
+def _runs():
+    """(name, argv) of every run; `{inputs}` stands for the shared input directory."""
+    runs = []
+    for s in range(1, 9):
+        runs.append((f"model-cg-{s}", ["model-problem", "--solver", "cg", "--n", "100",
+                                       "--max-iters", "35", "--seed", str(s)]))
+    for s in range(1, 4):
+        runs.append((f"penalty-{s}", ["penalty", "--n", "60", "--max-iters", "300",
+                                      "--seed", str(s)]))
+        runs.append((f"funmap-{s}", ["funmap", "--synthetic", "--seed", str(s)]))
+        runs.append((f"model-gd-{s}", ["model-problem", "--solver", "gd", "--n", "20",
+                                       "--max-iters", "200", "--seed", str(s)]))
+    for i in range(PROJECT_ITEMS):
+        argv = ["project"]
+        for key in ("x0", "y0", "phi", "psi"):
+            argv += [f"--{key}", os.path.join("{inputs}", f"{key}{i}.txt")]
+        runs.append((f"project-{i}", argv))
+    runs.append(("check", ["check"]))
+    runs.append(("check-tol0", ["check", "--tol", "0"]))
+    return runs
+
+
+RUNS = _runs()
+
+
+def _write_matrix(path, m):
+    """biorth's text matrix format at 17 significant digits, exact for float64."""
+    rows = [f"{m.shape[0]} {m.shape[1]}"]
+    rows += [" ".join(format(float(v), ".17g") for v in row) for row in m]
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write("\n".join(rows) + "\n")
+
+
+def write_project_inputs(directory):
+    """A feasible base pair (e^G, e^-G) and a Gaussian ambient pair per project run."""
+    n = PROJECT_N
+    rng = np.random.Generator(np.random.PCG64(PROJECT_SEED))
+    for i in range(PROJECT_ITEMS):
+        g = (0.5 / np.sqrt(n)) * rng.standard_normal((n, n))
+        mats = {"x0": scipy.linalg.expm(g), "y0": scipy.linalg.expm(-g),
+                "phi": rng.standard_normal((n, n)), "psi": rng.standard_normal((n, n))}
+        for key, m in mats.items():
+            _write_matrix(os.path.join(directory, f"{key}{i}.txt"), m)
+
+
+def run_all(src, out_root, inputs):
+    """Run every command of RUNS with `src` on the import path, one directory each."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.update({name: "1" for name in THREAD_VARIABLES})
+    for name, argv in RUNS:
+        workdir = os.path.join(out_root, name)
+        os.makedirs(workdir)
+        argv = [a.replace("{inputs}", inputs) for a in argv]
+        if argv[0] != "check":
+            argv += ["--out", "run"]
+        proc = subprocess.run([sys.executable, "-m", "biorth.cli", *argv], cwd=workdir,
+                              env=env, capture_output=True, text=True)
+        with open(os.path.join(workdir, CONSOLE), "w", encoding="utf-8") as f:
+            f.write(f"{proc.stdout}--- stderr\n{proc.stderr}--- exit {proc.returncode}\n")
+
+
+def _normalized(path):
+    """The bytes of an output file that must match: timings removed."""
+    with open(path, "rb") as f:
+        data = f.read()
+    name = os.path.basename(path)
+    if name == CONSOLE:
+        return re.sub(rb"seconds=\S+", b"seconds=", data)
+    if name.endswith(".trace.csv"):
+        rows = list(csv.reader(io.StringIO(data.decode("ascii"))))
+        if rows and "elapsed_ms" in rows[0]:
+            drop = rows[0].index("elapsed_ms")
+            rows = [r[:drop] + r[drop + 1:] for r in rows]
+        return "\n".join(",".join(r) for r in rows).encode("ascii")
+    return data
+
+
+def _files(root):
+    out = []
+    for dirpath, _, names in os.walk(root):
+        out += [os.path.relpath(os.path.join(dirpath, nm), root) for nm in names]
+    return out
+
+
+def first_difference(base_dir, new_dir):
+    """Relative path of the first output file that differs, or None if all match."""
+    for rel in sorted(set(_files(base_dir)) | set(_files(new_dir))):
+        a, b = os.path.join(base_dir, rel), os.path.join(new_dir, rel)
+        if not (os.path.isfile(a) and os.path.isfile(b)) or _normalized(a) != _normalized(b):
+            return rel
+    return None
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python tools/same_outputs.py BASE_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = os.path.join(tmp, "inputs")
+        os.makedirs(inputs)
+        write_project_inputs(inputs)
+        outs = [os.path.join(tmp, label) for label in ("base", "new")]
+        for src, out in zip(argv, outs):
+            run_all(src, out, inputs)
+        diff = first_difference(*outs)
+    if diff is not None:
+        print(f"outputs differ: {diff}")
+        return 1
+    print(f"identical outputs: {len(RUNS)} runs")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
