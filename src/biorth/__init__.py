@@ -33,6 +33,7 @@ from .manifold import (
     project_tangent,
     random_point,
     random_tangent,
+    ray_velocity,
     retract,
 )
 from .matio import read_matrix, read_trace, write_matrix, write_trace
@@ -94,6 +95,7 @@ __all__ = [
     "random_nearest_pair",
     "random_point",
     "random_tangent",
+    "ray_velocity",
     "read_matrix",
     "read_trace",
     "retract",

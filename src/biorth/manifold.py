@@ -2,8 +2,9 @@
 
 Provides the point and tangent types, the tangent-space projection (a
 Sylvester-type solve diagonalized by one SVD of y, cached on the point), an
-exponential-map retraction that is feasible by construction, and the flat
-product space used by the penalty baseline. All values are immutable. Public
+exponential-map retraction that is feasible by construction, the velocity
+of its curve along a search ray, and the flat product space used by the
+penalty baseline. All values are immutable. Public
 constructors check and copy caller data; values the package computes itself
 are finite and of the right shape by construction, so the private builder
 `_Value._build` freezes their fresh arrays in place with no scan or copy.
@@ -202,6 +203,10 @@ class AmbientPair(_Value):
     def n(self) -> int:
         return self.phi.shape[0]
 
+    def as_ambient(self) -> "AmbientPair":
+        """Itself: as the flat space's tangent type, it answers as TangentPair does."""
+        return self
+
     def norm(self) -> float:
         phi, psi = self.phi, self.psi
         return float(np.sqrt(float(np.vdot(phi, phi)) + float(np.vdot(psi, psi))))
@@ -319,21 +324,52 @@ def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
     Translates the tangent to the identity, exponentiates, and translates
     back: with W = y0 @ u and E = e^W the new point is (x0 @ E, E^-1 @ y0),
     the second leg from one LU solve against E. The product of the two legs
-    is x0 @ y0 up to rounding, so feasibility is preserved by construction
-    (and re-checked by the point constructor), and the map agrees with
-    (x0 + u, y0 + v) to first order. A step so large that E is numerically
-    singular raises NumericalError.
+    is x0 @ y0 up to rounding, so feasibility is preserved by construction,
+    and the map agrees with (x0 + u, y0 + v) to first order. The feasibility
+    error is still measured, once, and kept on the new point: a step whose
+    legs lose biorthogonality to rounding or overflow (a NaN or infinite
+    error) raises OffManifoldError, and a step so large that e^W overflows
+    or is numerically singular raises NumericalError.
     """
     if not _same_point(t.base, p):
         raise InvalidTangentError("tangent is based at a different point")
-    e = mat_exp(p.y @ t.u)
-    try:
-        y = np.linalg.solve(e, p.y)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"retraction step too large: e^W is numerically singular ({exc})"
-        ) from exc
-    return BiorthPoint(p.x @ e, y)
+    # Overflow in an oversized step is reported as a typed error, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = mat_exp(p.y @ t.u)
+        try:
+            y = np.linalg.solve(e, p.y)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"retraction step too large: e^W is numerically singular ({exc})"
+            ) from exc
+        x = p.x @ e
+        err = _feasibility_error(x, y)
+    feas_tol = default_feas_tol(p.n)
+    if not err <= feas_tol:
+        raise OffManifoldError(
+            f"retracted pair is not biorthogonal: fro_norm(x @ y - I) = {err:.3e} "
+            f"exceeds tolerance {feas_tol:.3e}"
+        )
+    return BiorthPoint._build(x, y, err, None)
+
+
+def ray_velocity(p: BiorthPoint, t: TangentPair):
+    """Velocity of the retraction curve c(s) = retract(p, s * t), as a function of c(s).
+
+    With W = y0 @ u, c(s) = (x0 e^{sW}, e^{-sW} y0), so c'(s) = (x(s) @ W,
+    -W @ y(s)). W is formed once here; the returned function maps a point
+    q = c(s) to the TangentPair (q.x @ W, -(W @ q.y)) at q, two n x n
+    products. It is tangent by construction, x(s) (-W y(s)) + (x(s) W) y(s)
+    = 0 up to rounding, so it goes through the unchecked builder.
+    """
+    if not _same_point(t.base, p):
+        raise InvalidTangentError("tangent is based at a different point")
+    w = p.y @ t.u
+
+    def velocity(q):
+        return TangentPair._build(q.x @ w, -(w @ q.y), q)
+
+    return velocity
 
 
 def metric(p, t1, t2) -> float:
@@ -416,6 +452,9 @@ class BiorthogonalManifold:
     def retract(self, p, t) -> BiorthPoint:
         return retract(p, t)
 
+    def ray_velocity(self, p, t):
+        return ray_velocity(p, t)
+
     def metric(self, p, t1, t2) -> float:
         return metric(p, t1, t2)
 
@@ -484,6 +523,10 @@ class EuclideanManifold:
 
     def retract(self, p, t) -> EuclideanPoint:
         return EuclideanPoint._build(p.x + t.phi, p.y + t.psi)
+
+    def ray_velocity(self, p, t):
+        """Velocity of s -> retract(p, s * t) at any of its points: `t` itself."""
+        return lambda q: t
 
     def metric(self, p, t1, t2) -> float:
         return float(np.vdot(t1.phi, t2.phi)) + float(np.vdot(t1.psi, t2.psi))

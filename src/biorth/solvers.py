@@ -1,13 +1,18 @@
 """First-order descent over a manifold interface.
 
-Gradient descent and Polak-Ribiere conjugate gradient, both with Armijo
-backtracking, plus a finite-difference gradient checker. A problem is any
-object with ``cost_grad(x, y) -> (float, AmbientPair)``, the cost and the
-Euclidean gradient from one evaluation; the manifold supplies
-project/retract/metric/transport/inner_transported. Each line-search trial
-point is evaluated once, and the accepted point's gradient is the one the
-solver projects. Conjugate gradient transports the previous direction but not
-the previous gradient, of which it needs only one inner product.
+Gradient descent and Polak-Ribiere conjugate gradient, both with a
+sufficient-decrease line search along the retraction curve, plus a
+finite-difference gradient checker. A problem is any object with
+``cost_grad(x, y) -> (float, AmbientPair)``, the cost and the Euclidean
+gradient from one evaluation; the manifold supplies
+project/retract/ray_velocity/metric/transport/inner_transported. Each
+line-search trial point is evaluated once. Its gradient gives the slope of
+the ray there, which drives a cubic interpolation and a curvature test
+(Nocedal & Wright, Numerical Optimization, section 3.5), and the accepted
+point's gradient is the one the solver projects. Each search starts from
+the slope-ratio step of the previous one. Conjugate gradient transports the
+previous direction but not the previous gradient, of which it needs only
+one inner product.
 The one finiteness check is metric(g, g) of each projected gradient: if it
 is finite, so is every entry of g; if not, the run raises NumericalError.
 """
@@ -23,10 +28,14 @@ import numpy as np
 from .errors import InvalidTangentError, LineSearchError, NumericalError, OffManifoldError
 
 
-# Line-search constants: sufficient-decrease coefficient, backtracking
-# factor, first trial step of a search, and the step floor.
+# Line-search constants: sufficient-decrease coefficient, curvature
+# coefficient of the strong Wolfe test, backtracking factor, first trial
+# step of the first search, and the step floor. An interpolated backtrack
+# from step s lands in [INTERPOLATE_MIN * s, BACKTRACK_FACTOR * s].
 ARMIJO_C1 = 1e-4
+WOLFE_C2 = 0.03
 BACKTRACK_FACTOR = 0.5
+INTERPOLATE_MIN = 0.1
 INITIAL_STEP = 1.0
 MIN_STEP = 1e-16
 
@@ -75,51 +84,93 @@ def riemannian_gradient(problem, manifold, p):
     return manifold.project(p, problem.cost_grad(p.x, p.y)[1])
 
 
+def _cubic_minimizer(s, f0, slope0, fs, slope_s):
+    """Minimizer of the Hermite cubic through (0, f0, slope0) and (s, fs, slope_s).
+
+    Nocedal & Wright, Numerical Optimization, (3.59) with the earlier step
+    at 0. NaN when the cubic has no local minimizer or an input is not finite.
+    """
+    if not (math.isfinite(fs) and math.isfinite(slope_s)):
+        return math.nan
+    d1 = slope0 + slope_s - 3.0 * (fs - f0) / s
+    disc = d1 * d1 - slope0 * slope_s
+    if not disc >= 0:
+        return math.nan
+    d2 = math.sqrt(disc)
+    den = slope_s - slope0 + 2.0 * d2
+    if den == 0:
+        return math.nan
+    return s - s * (slope_s + d2 - d1) / den
+
+
 def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=INITIAL_STEP):
-    """Backtracking line search along `direction` from `p`.
+    """Line search with sufficient decrease along the retraction curve from `p`.
 
     `slope` is the metric inner product of the Riemannian gradient with the
-    direction and must be negative. Starting at `initial_step`, the step is
-    multiplied by BACKTRACK_FACTOR until it is accepted. Returns (step,
-    new_point, new_cost, new_egrad) with new_cost <= f0 + ARMIJO_C1 * step *
-    slope, where new_egrad is the Euclidean gradient that
-    `problem.cost_grad` returned together with new_cost at new_point.
+    direction and must be negative. Each trial step s is one retraction
+    q = retract(p, s * direction) and one `problem.cost_grad` at q. Its
+    gradient also gives the slope of the ray there, phi'(s) = <egrad(q),
+    c'(s)>, the ambient product with the curve's velocity from
+    `manifold.ray_velocity`. The first trial is `initial_step`.
+
+    - A trial that fails sufficient decrease moves to the minimizer of the
+      Hermite cubic through (0, f0, slope) and (s, phi(s), phi'(s)), clipped
+      to [INTERPOLATE_MIN * s, BACKTRACK_FACTOR * s]; when phi(s) or phi'(s)
+      is not finite, or the cubic has no minimizer, the step is multiplied
+      by BACKTRACK_FACTOR.
+    - A trial with sufficient decrease, new_cost <= f0 + ARMIJO_C1 * s *
+      slope, is accepted at once when it also passes the curvature test
+      |phi'(s)| <= WOLFE_C2 * |slope|. Otherwise the cubic's minimizer is
+      tried once and kept when it is both lower and still acceptable.
+
     Candidates that leave the feasible region or overflow are treated as
-    infinitely bad and backtracked past. Once a step is accepted, one
-    quadratic interpolation of the ray is tried and kept when it is both
-    lower and still acceptable. Raises LineSearchError at the MIN_STEP
-    floor.
+    infinitely bad. Returns (step, new_point, new_cost, new_egrad), where
+    new_egrad is the Euclidean gradient that `problem.cost_grad` returned
+    together with new_cost at new_point. Raises LineSearchError at the
+    MIN_STEP floor.
     """
     if not slope < 0:
         raise ValueError(f"not a descent direction: slope = {slope!r}")
     if f0 is None:
         f0 = problem.cost_grad(p.x, p.y)[0]
+    velocity = manifold.ray_velocity(p, direction)
 
+    # Oversized trial steps legitimately overflow before being rejected.
     def evaluate(s):
-        # Oversized trial steps legitimately overflow before being rejected.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                candidate = manifold.retract(p, s * direction)
-                return (candidate, *problem.cost_grad(candidate.x, candidate.y))
+                q = manifold.retract(p, s * direction)
+                return (q, *problem.cost_grad(q.x, q.y))
             except (OffManifoldError, NumericalError, InvalidTangentError):
                 return None, math.inf, None
+
+    def slope_at(q, gq):
+        if q is None:
+            return math.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = velocity(q).as_ambient()
+            return float(np.vdot(gq.phi, v.phi)) + float(np.vdot(gq.psi, v.psi))
 
     def acceptable(s, fc):
         return math.isfinite(fc) and fc <= f0 + ARMIJO_C1 * s * slope
 
     s = initial_step
     while s >= MIN_STEP:
-        candidate, fc, gc = evaluate(s)
-        if acceptable(s, fc):
-            curvature = (fc - f0 - slope * s) / (s * s)
-            if curvature > 0:
-                t = -slope / (2.0 * curvature)
-                if 0 < t < 4.0 * s and abs(t - s) > 1e-3 * s:
-                    refined, fr, gr = evaluate(t)
-                    if fr < fc and acceptable(t, fr):
-                        return t, refined, fr, gr
-            return s, candidate, fc, gc
-        s *= BACKTRACK_FACTOR
+        q, fq, gq = evaluate(s)
+        slope_q = slope_at(q, gq)
+        t = _cubic_minimizer(s, f0, slope, fq, slope_q)
+        if acceptable(s, fq):
+            if abs(slope_q) <= WOLFE_C2 * -slope:
+                return s, q, fq, gq
+            if 0 < t < 4.0 * s and abs(t - s) > 1e-3 * s:
+                refined, fr, gr = evaluate(t)
+                if fr < fq and acceptable(t, fr):
+                    return t, refined, fr, gr
+            return s, q, fq, gq
+        if math.isfinite(t):
+            s = min(max(t, INTERPOLATE_MIN * s), BACKTRACK_FACTOR * s)
+        else:
+            s *= BACKTRACK_FACTOR
     raise LineSearchError(f"no sufficient decrease above min_step = {MIN_STEP:.1e}")
 
 
@@ -149,6 +200,20 @@ def conjugate_gradient(problem, manifold, p0, opts=None):
 POWELL_RESTART_THRESHOLD = 0.1
 
 
+def _first_step(last_decrease, slope):
+    """First trial step of a search whose ray has initial `slope`.
+
+    The slope ratio of Nocedal & Wright, Numerical Optimization, section
+    3.5: the step that predicts the same first-order decrease as the last
+    accepted step, alpha_prev * slope_prev / slope, clipped to [MIN_STEP,
+    4 * INITIAL_STEP]. `last_decrease` is alpha_prev * slope_prev, or None
+    before the first search, which starts at INITIAL_STEP.
+    """
+    if last_decrease is None:
+        return INITIAL_STEP
+    return min(max(last_decrease / slope, MIN_STEP), 4.0 * INITIAL_STEP)
+
+
 def _descend(problem, manifold, p0, opts, cg):
     if opts is None:
         opts = SolverOptions()
@@ -160,7 +225,9 @@ def _descend(problem, manifold, p0, opts, cg):
     def elapsed_ms():
         return (time.perf_counter() - started) * 1e3
 
-    f, g = problem.cost_grad(p.x, p.y)
+    # The start point may overflow as a trial point does; a non-finite cost is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g = problem.cost_grad(p.x, p.y)
     if not math.isfinite(f):
         raise ValueError(f"cost at the starting point is not finite: {f!r}")
     # Rebinding g to the projection frees the Euclidean gradient here and below.
@@ -172,7 +239,7 @@ def _descend(problem, manifold, p0, opts, cg):
     d = -g
     steepest = True
     since_restart = 0
-    step_hint = INITIAL_STEP
+    last_decrease = None
 
     for k in range(1, opts.max_iters + 1):
         if gnorm <= opts.grad_tol:
@@ -183,19 +250,22 @@ def _descend(problem, manifold, p0, opts, cg):
             slope = -gnorm_sq
         try:
             step, p_new, f_new, g_new = armijo_search(
-                problem, manifold, p, d, slope, f0=f, initial_step=step_hint
+                problem, manifold, p, d, slope, f0=f,
+                initial_step=_first_step(last_decrease, slope),
             )
         except LineSearchError:
             if steepest:
                 break
             d, steepest, since_restart = -g, True, 0
+            slope = -gnorm_sq
             try:
                 step, p_new, f_new, g_new = armijo_search(
-                    problem, manifold, p, d, -gnorm_sq, f0=f, initial_step=step_hint
+                    problem, manifold, p, d, slope, f0=f,
+                    initial_step=_first_step(last_decrease, slope),
                 )
             except LineSearchError:
                 break
-        step_hint = min(max(2.0 * step, MIN_STEP), 4.0 * INITIAL_STEP)
+        last_decrease = step * slope
 
         g_new = manifold.project(p_new, g_new)
         gnorm_sq_new = _gradient_norm_sq(manifold, p_new, g_new, k)

@@ -62,6 +62,17 @@ class TestModelProblem:
         assert main(["model-problem", "--n", "5", "--scale", "1e5",
                      "--max-iters", "50", "--out", "big"]) == 0
 
+    def test_overflowing_start_cost_is_data_error_without_warning(self, capsys):
+        # Targets near 1e160 make the squared residuals overflow at the start
+        # point. The suite turns a RuntimeWarning into an exception, so this
+        # also checks that no warning escapes before the typed error.
+        code = main(["model-problem", "--n", "5", "--scale", "1e160",
+                     "--max-iters", "20", "--out", "huge"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: cost at the starting point is not finite: inf\n"
+        assert not os.path.exists("huge.trace.csv")
+
     def test_benchmark_scale_invocation(self):
         # the documented full-size reproduction command
         code = main(["model-problem", "--n", "100", "--seed", "1",

@@ -353,6 +353,86 @@ class TestRetract:
         with pytest.raises(InvalidTangentError):
             retract(q, t)
 
+    def test_overflowing_legs_raise_a_typed_error(self):
+        # x0 = 1e300 I and W = y0 u = 20 I: e^W is finite, x0 e^W is not, so
+        # the measured feasibility error is NaN. The suite turns warnings
+        # into errors, so this also checks that the overflow is not reported
+        # as a warning.
+        p = BiorthPoint(1e300 * np.eye(2), 1e-300 * np.eye(2))
+        t = TangentPair(2e301 * np.eye(2), -2e-299 * np.eye(2), p)
+        with pytest.raises(OffManifoldError, match="nan"):
+            retract(p, t)
+
+    def test_stores_the_measured_feasibility_error(self, matrix_scans):
+        p = seeded_point(183, 6)
+        t = random_tangent(184, p, 1.0)
+        del matrix_scans[:]
+        q = retract(p, t)
+        # mat_exp validates its argument; the new point is not scanned again.
+        assert matrix_scans == ["matrix"]
+        assert isinstance(q, BiorthPoint)
+        assert not q.x.flags.writeable and not q.y.flags.writeable
+        assert q.feasibility_error() == BiorthPoint(q.x, q.y).feasibility_error()
+
+
+class TestRayVelocity:
+    """ray_velocity(p, t)(q) is the derivative of s -> retract(p, s t) at q = retract(p, s t)."""
+
+    @staticmethod
+    def central_difference(m, p, t, s, h=1e-6):
+        plus, minus = m.retract(p, (s + h) * t), m.retract(p, (s - h) * t)
+        return (plus.x - minus.x) / (2 * h), (plus.y - minus.y) / (2 * h)
+
+    def assert_matches_the_curve(self, m, p, t, steps):
+        velocity = m.ray_velocity(p, t)
+        for s in steps:
+            q = m.retract(p, s * t)
+            got = velocity(q).as_ambient()
+            dx, dy = self.central_difference(m, p, t, s)
+            err = np.sqrt(fro_norm(got.phi - dx) ** 2 + fro_norm(got.psi - dy) ** 2)
+            assert err <= 1e-6 * got.norm()
+
+    def test_biorthogonal_manifold(self):
+        n = 6
+        m = BiorthogonalManifold(n)
+        for seed in range(4):
+            p = seeded_point(370 + seed, n)
+            t = random_tangent(380 + seed, p, 1.0)
+            self.assert_matches_the_curve(m, p, t, (0.0, 0.3, 1.5))
+
+    def test_drifted_base_point(self):
+        # The drifted point of TestInnerTransported: the curve is still
+        # (x0 e^{sW}, e^{-sW} y0), whatever x0 y0 is.
+        p = BiorthPoint(np.eye(2), np.diag([1.0 + 1.8e-9, 1.0]))
+        m = BiorthogonalManifold(2)
+        t = m.project(p, AmbientPair(np.diag([10.0, 0.0]), np.zeros((2, 2))))
+        self.assert_matches_the_curve(m, p, t, (0.0, 0.05, 0.2))
+
+    def test_velocity_is_tangent_at_the_trial_point(self, residual_checks):
+        n = 6
+        m = BiorthogonalManifold(n)
+        p = seeded_point(390, n)
+        t = random_tangent(391, p, 1.0)
+        q = m.retract(p, 0.7 * t)
+        del residual_checks[:]
+        v = m.ray_velocity(p, t)(q)
+        assert residual_checks == []
+        assert v.base is q
+        assert fro_norm(q.x @ v.v + v.u @ q.y) <= 1e-12 * v.norm()
+
+    def test_flat_manifold(self):
+        m = EuclideanManifold(4)
+        p = m.random_point(392)
+        t = m.random_tangent(393, p, 1.0)
+        self.assert_matches_the_curve(m, p, t, (0.0, 0.3, 1.5))
+        assert m.ray_velocity(p, t)(m.retract(p, 0.3 * t)) is t
+
+    def test_foreign_base_rejected(self):
+        p = seeded_point(394, 4)
+        t = random_tangent(395, seeded_point(396, 4), 1.0)
+        with pytest.raises(InvalidTangentError):
+            BiorthogonalManifold(4).ray_velocity(p, t)
+
 
 class TestMetric:
     def test_positive_definite(self):

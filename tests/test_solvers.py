@@ -27,7 +27,10 @@ from biorth.problems import (
 from biorth.rng import make_rng
 from biorth.solvers import (
     ARMIJO_C1,
+    BACKTRACK_FACTOR,
+    INTERPOLATE_MIN,
     MIN_STEP,
+    WOLFE_C2,
     SolverOptions,
     armijo_search,
     conjugate_gradient,
@@ -194,6 +197,66 @@ class TestArmijoSearch:
             step, _, cost, _ = armijo_search(problem, manifold, p, d, slope, f0=f0)
             assert cost <= f0 + ARMIJO_C1 * step * slope
             assert step >= MIN_STEP
+
+    def test_accepted_step_passes_the_curvature_test_or_was_refined(self):
+        # Each search records its trials: step, cost and the slope of the
+        # ray there. The returned step satisfies sufficient decrease. Where
+        # it fails the curvature test, the search has tried the one cubic
+        # refine after an acceptable trial and returns the lower acceptable
+        # one, unless the cubic has no minimizer in the refine window.
+        outcomes = set()
+        for manifold, problem, p in self.searches():
+            g = riemannian_gradient(problem, manifold, p)
+            d = -g
+            slope = manifold.metric(p, g, d)
+            f0 = problem.cost_grad(p.x, p.y)[0]
+            for initial_step in (1e-3, 1.0, 4.0):
+                rec = TrialRecorder(manifold, problem, p, d)
+                step, point, cost, _ = armijo_search(
+                    rec, rec, p, d, slope, f0=f0, initial_step=initial_step)
+                trials = rec.trials
+
+                def acceptable(trial):
+                    s, c = trial[:2]
+                    return c <= f0 + ARMIJO_C1 * s * slope
+
+                (returned,) = [t for t in trials if t[3] is point]
+                assert returned[0] == pytest.approx(step, rel=1e-12)
+                assert returned[1] == cost and acceptable(returned)
+                for trial, following in zip(trials, trials[1:]):
+                    if not acceptable(trial):
+                        s, s_next = trial[0], following[0]
+                        assert INTERPOLATE_MIN * s * (1 - 1e-12) <= s_next
+                        assert s_next <= BACKTRACK_FACTOR * s * (1 + 1e-12)
+                if abs(returned[2]) <= WOLFE_C2 * -slope:
+                    assert returned is trials[-1]
+                    outcomes.add("curvature")
+                    continue
+                t = hermite_minimizer(f0, slope, *returned[:3])
+                if returned is trials[-1] and not (0 < t < 4 * step and abs(t - step) > 1e-3 * step):
+                    outcomes.add("no refine window")
+                    continue
+                armijo_point, refined = trials[-2], trials[-1]
+                assert acceptable(armijo_point) and abs(armijo_point[2]) > WOLFE_C2 * -slope
+                assert refined[0] == pytest.approx(hermite_minimizer(f0, slope, *armijo_point[:3]))
+                if returned is refined:
+                    assert refined[1] < armijo_point[1]
+                    outcomes.add("refined")
+                else:
+                    assert returned is armijo_point
+                    assert not (refined[1] < armijo_point[1] and acceptable(refined))
+                    outcomes.add("refine rejected")
+        assert {"curvature", "refined"} <= outcomes
+
+    @staticmethod
+    def searches():
+        for seed in range(4):
+            n = 6
+            yield (BiorthogonalManifold(n), random_nearest_pair(seed, n, 2.0),
+                   random_point(seed + 60, n, 0.3))
+            targets = random_nearest_pair(seed + 70, n, 2.0)
+            flat = EuclideanManifold(n)
+            yield flat, PenaltyProblem(targets.phi, targets.psi, 10.0), flat.random_point(seed + 80)
 
     def test_floor_raises_line_search_error(self):
         # zero cost everywhere can never beat the required strict decrease
@@ -402,6 +465,48 @@ class TestConjugateGradient:
         assert runs[0] == runs[1]
 
 
+def hermite_minimizer(f0, slope0, s, fs, slope_s):
+    """Local minimizer of the cubic c with c(0) = f0, c'(0) = slope0, c(s) = fs,
+    c'(s) = slope_s, from its coefficients; NaN if it has none."""
+    # c(t) = f0 + slope0 t + a t^2 + b t^3
+    a, b = np.linalg.solve([[s * s, s ** 3], [2 * s, 3 * s * s]],
+                           [fs - f0 - slope0 * s, slope_s - slope0])
+    roots = np.roots([3 * b, 2 * a, slope0])
+    minima = [r.real for r in roots if abs(r.imag) <= 1e-12 * abs(r) and 2 * a + 6 * b * r.real > 0]
+    return minima[0] if minima else math.nan
+
+
+class TrialRecorder:
+    """Stands in for both the manifold and the problem of one search, and
+    records (step, cost, ray slope, point) of each trial.
+
+    The step of a trial is read off the tangent that the search retracts
+    along, whose norm is step * |d|.
+    """
+
+    def __init__(self, manifold, problem, p, d):
+        self.manifold, self.problem = manifold, problem
+        self.velocity = manifold.ray_velocity(p, d)
+        self.d_norm = d.norm()
+        self.trials = []
+
+    def __getattr__(self, name):
+        return getattr(self.manifold, name)
+
+    def slope_of(self, q, egrad):
+        v = self.velocity(q).as_ambient()
+        return float(np.vdot(egrad.phi, v.phi)) + float(np.vdot(egrad.psi, v.psi))
+
+    def retract(self, p, t):
+        self._step, self._point = t.norm() / self.d_norm, self.manifold.retract(p, t)
+        return self._point
+
+    def cost_grad(self, x, y):
+        cost, egrad = self.problem.cost_grad(x, y)
+        self.trials.append((self._step, cost, self.slope_of(self._point, egrad), self._point))
+        return cost, egrad
+
+
 class CountingProblem:
     """Exposes only cost_grad, and counts its calls."""
 
@@ -438,6 +543,21 @@ class TestEvaluateOnce:
         # the gradient the solver kept belongs to the point it returned
         g = riemannian_gradient(problem.problem, manifold, point)
         assert trace[-1].grad_norm == math.sqrt(manifold.metric(point, g, g))
+
+
+class TestTrialPoints:
+    def test_few_trial_points_per_iteration(self):
+        # A step doubled from the last one started each search too far out,
+        # and a quadratic refine often added a trial: that made 2.47
+        # retractions per iteration on this run.
+        n = 12
+        manifold = CountingManifold(n)
+        problem = random_nearest_pair(41, n, 4.0)
+        _, trace = conjugate_gradient(
+            problem, manifold, manifold.identity(), SolverOptions(max_iters=30)
+        )
+        assert len(trace) == 31
+        assert manifold.trials <= 2.25 * 30
 
 
 class CountingTransport(BiorthogonalManifold):
