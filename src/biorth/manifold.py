@@ -203,13 +203,12 @@ class AmbientPair(_Value):
     def n(self) -> int:
         return self.phi.shape[0]
 
-    def as_ambient(self) -> "AmbientPair":
-        """Itself: as the flat space's tangent type, it answers as TangentPair does."""
-        return self
+    def inner(self, other) -> float:
+        """Ambient Frobenius inner product with another AmbientPair."""
+        return float(np.vdot(self.phi, other.phi)) + float(np.vdot(self.psi, other.psi))
 
     def norm(self) -> float:
-        phi, psi = self.phi, self.psi
-        return float(np.sqrt(float(np.vdot(phi, phi)) + float(np.vdot(psi, psi))))
+        return float(np.sqrt(self.inner(self)))
 
     def __add__(self, other):
         return AmbientPair._build(self.phi + other.phi, self.psi + other.psi)
@@ -358,16 +357,16 @@ def ray_velocity(p: BiorthPoint, t: TangentPair):
 
     With W = y0 @ u, c(s) = (x0 e^{sW}, e^{-sW} y0), so c'(s) = (x(s) @ W,
     -W @ y(s)). W is formed once here; the returned function maps a point
-    q = c(s) to the TangentPair (q.x @ W, -(W @ q.y)) at q, two n x n
-    products. It is tangent by construction, x(s) (-W y(s)) + (x(s) W) y(s)
-    = 0 up to rounding, so it goes through the unchecked builder.
+    q = c(s) to the AmbientPair (q.x @ W, -(W @ q.y)), two n x n products,
+    ready for its ambient product with a Euclidean gradient. It is tangent
+    at q by construction, x(s) (-W y(s)) + (x(s) W) y(s) = 0 up to rounding.
     """
     if not _same_point(t.base, p):
         raise InvalidTangentError("tangent is based at a different point")
     w = p.y @ t.u
 
     def velocity(q):
-        return TangentPair._build(q.x @ w, -(w @ q.y), q)
+        return AmbientPair._build(q.x @ w, -(w @ q.y))
 
     return velocity
 
@@ -529,7 +528,7 @@ class EuclideanManifold:
         return lambda q: t
 
     def metric(self, p, t1, t2) -> float:
-        return float(np.vdot(t1.phi, t2.phi)) + float(np.vdot(t1.psi, t2.psi))
+        return t1.inner(t2)
 
     def transport(self, p, t) -> AmbientPair:
         return t

@@ -148,8 +148,7 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
         if q is None:
             return math.nan
         with np.errstate(over="ignore", invalid="ignore"):
-            v = velocity(q).as_ambient()
-            return float(np.vdot(gq.phi, v.phi)) + float(np.vdot(gq.psi, v.psi))
+            return gq.inner(velocity(q))
 
     def acceptable(s, fc):
         return math.isfinite(fc) and fc <= f0 + ARMIJO_C1 * s * slope

@@ -387,7 +387,7 @@ class TestRayVelocity:
         velocity = m.ray_velocity(p, t)
         for s in steps:
             q = m.retract(p, s * t)
-            got = velocity(q).as_ambient()
+            got = velocity(q)
             dx, dy = self.central_difference(m, p, t, s)
             err = np.sqrt(fro_norm(got.phi - dx) ** 2 + fro_norm(got.psi - dy) ** 2)
             assert err <= 1e-6 * got.norm()
@@ -417,8 +417,7 @@ class TestRayVelocity:
         del residual_checks[:]
         v = m.ray_velocity(p, t)(q)
         assert residual_checks == []
-        assert v.base is q
-        assert fro_norm(q.x @ v.v + v.u @ q.y) <= 1e-12 * v.norm()
+        assert fro_norm(q.x @ v.psi + v.phi @ q.y) <= 1e-12 * v.norm()
 
     def test_flat_manifold(self):
         m = EuclideanManifold(4)

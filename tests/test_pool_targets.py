@@ -21,8 +21,9 @@ def test_every_workload_and_the_held_out_seed_are_listed():
         assert seeds == [*pool_targets.WORKLOADS[name].pool, pool_targets.HELDOUT]
 
 
-def test_subset_meets_its_targets(capsys):
-    code = pool_targets.main([SRC, "--instance", "model-n100:1", "--instance", "funmap-k16:2"])
+def test_subset_meets_its_targets(capsys, monkeypatch):
+    monkeypatch.setattr(pool_targets, "instances", lambda: [("model-n100", 1), ("funmap-k16", 2)])
+    code = pool_targets.main([SRC])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[0].startswith("model-n100 seed 1: target met at iteration ")
@@ -34,7 +35,8 @@ def test_a_miss_exits_1(capsys, monkeypatch):
     # Two CG iterations cannot reach the 3e-3 target of a model-n100 instance.
     short = dataclasses.replace(pool_targets.WORKLOADS["model-n100"], max_iters=2)
     monkeypatch.setitem(pool_targets.WORKLOADS, "model-n100", short)
-    assert pool_targets.main([SRC, "--instance", "model-n100:1"]) == 1
+    monkeypatch.setattr(pool_targets, "instances", lambda: [("model-n100", 1)])
+    assert pool_targets.main([SRC]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("model-n100 seed 1: MISSED: target ")
     assert out[-1] == "0 of 1 instances met their targets"

@@ -493,17 +493,13 @@ class TrialRecorder:
     def __getattr__(self, name):
         return getattr(self.manifold, name)
 
-    def slope_of(self, q, egrad):
-        v = self.velocity(q).as_ambient()
-        return float(np.vdot(egrad.phi, v.phi)) + float(np.vdot(egrad.psi, v.psi))
-
     def retract(self, p, t):
         self._step, self._point = t.norm() / self.d_norm, self.manifold.retract(p, t)
         return self._point
 
     def cost_grad(self, x, y):
         cost, egrad = self.problem.cost_grad(x, y)
-        self.trials.append((self._step, cost, self.slope_of(self._point, egrad), self._point))
+        self.trials.append((self._step, cost, egrad.inner(self.velocity(self._point)), self._point))
         return cost, egrad
 
 

@@ -1,6 +1,6 @@
 """Check that every pool instance of the solver workloads meets its target within budget.
 
-Usage: python tools/pool_targets.py SRC [--instance WORKLOAD:SEED ...]
+Usage: python tools/pool_targets.py SRC
 
 SRC is a directory that holds a `biorth` package, such as the `src`
 directory of a checkout; it goes first on the import path, so run the tool
@@ -8,8 +8,7 @@ in a fresh interpreter. For every instance seed in the pool of model-n100,
 funmap-k16 and penalty-n100, and for the held-out seed, the benchmark's own
 command line (perfbench/invocations.py) runs once through `biorth.cli.main`
 at the workload's iteration budget and one BLAS thread, and the benchmark's
-output gates (`invocations.check`) judge it. `--instance` restricts the
-run to the instances named.
+output gates (`invocations.check`) judge it.
 
 Prints, per instance, the iteration at which the trace first meets its
 target and the final gap, (final cost - reference) / scale, where the
@@ -68,25 +67,14 @@ def run_instance(workload, seed, workdir):
     return outcome, gap, err.getvalue().strip()
 
 
-def _instance(text):
-    name, _, seed = text.partition(":")
-    if name not in SOLVER_WORKLOADS or not seed.isdigit():
-        raise argparse.ArgumentTypeError(
-            f"expected WORKLOAD:SEED with WORKLOAD one of {', '.join(SOLVER_WORKLOADS)}, "
-            f"got {text}")
-    return name, int(seed)
-
-
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("src", help="directory holding the biorth package")
-    p.add_argument("--instance", type=_instance, action="append", metavar="WORKLOAD:SEED",
-                   help="run only this instance (repeatable)")
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
 
-    tasks = args.instance or instances()
+    tasks = instances()
     missed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed in tasks:
