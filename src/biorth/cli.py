@@ -25,6 +25,7 @@ from .manifold import (
     BiorthPoint,
     BiorthogonalManifold,
     EuclideanManifold,
+    _tangent_residual,
     project_tangent,
 )
 from .matio import format_real, read_matrix, write_matrix, write_trace
@@ -219,8 +220,7 @@ def cmd_project(args):
     t = project_tangent(base, AmbientPair(phi, psi))
     write_matrix(f"{args.out}.X.txt", t.u)
     write_matrix(f"{args.out}.Y.txt", t.v)
-    resid = fro_norm(base.x @ t.v + t.u @ base.y)
-    print(f"tangent_residual={format_real(resid)}")
+    print(f"tangent_residual={format_real(_tangent_residual(base, t.u, t.v))}")
     return 0
 
 

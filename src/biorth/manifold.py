@@ -31,13 +31,23 @@ def default_tan_tol(n: int) -> float:
     return TAN_TOL_PER_DIM * n
 
 
-def _same_point(p, q) -> bool:
-    return p is q or (np.array_equal(p.x, q.x) and np.array_equal(p.y, q.y))
-
-
 def _feasibility_error(x, y) -> float:
     """fro_norm(x @ y - I) of two validated square arrays: one n x n product."""
     return fro_norm(x @ y - np.eye(x.shape[0]))
+
+
+def _require_feasible(x, y, what) -> float:
+    """fro_norm(x @ y - I); OffManifoldError naming `what` unless within default_feas_tol(n)."""
+    # A product that overflows gives an inf or NaN error, reported by the raise, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = _feasibility_error(x, y)
+    feas_tol = default_feas_tol(x.shape[0])
+    if not err <= feas_tol:
+        raise OffManifoldError(
+            f"{what} is not biorthogonal: fro_norm(x @ y - I) = {err:.3e} "
+            f"exceeds tolerance {feas_tol:.3e}"
+        )
+    return err
 
 
 def _scalar(s) -> float:
@@ -84,13 +94,7 @@ class BiorthPoint(_Value):
 
     def __init__(self, x, y):
         x, y = square_pair(x, y)
-        feas_tol = default_feas_tol(x.shape[0])
-        err = _feasibility_error(x, y)
-        if not err <= feas_tol:
-            raise OffManifoldError(
-                f"pair is not biorthogonal: fro_norm(x @ y - I) = {err:.3e} "
-                f"exceeds tolerance {feas_tol:.3e}"
-            )
+        err = _require_feasible(x, y, "pair")
         self._freeze(np.array(x), np.array(y), err, None)
 
     @property
@@ -123,6 +127,15 @@ def _tangent_residual(base, u, v) -> float:
     return fro_norm(base.x @ v + u @ base.y)
 
 
+def _require_based_at(p, t):
+    """InvalidTangentError unless `t` is a TangentPair based at the point `p`."""
+    if isinstance(t, TangentPair):
+        b = t.base
+        if b is p or (np.array_equal(b.x, p.x) and np.array_equal(b.y, p.y)):
+            return
+    raise InvalidTangentError("expected a TangentPair based at the given point")
+
+
 class TangentPair(_Value):
     """Tangent vector (u, v) at `base`: base.x @ v + u @ base.y = 0.
 
@@ -152,23 +165,23 @@ class TangentPair(_Value):
             )
         self._freeze(np.array(u), np.array(v), base)
 
+    def inner(self, other) -> float:
+        """Ambient Frobenius inner product with another TangentPair, based anywhere."""
+        return float(np.vdot(self.u, other.u)) + float(np.vdot(self.v, other.v))
+
     def norm(self) -> float:
-        return float(np.sqrt(float(np.vdot(self.u, self.u)) + float(np.vdot(self.v, self.v))))
+        return float(np.sqrt(self.inner(self)))
 
     def as_ambient(self) -> "AmbientPair":
         """The same arrays as an AmbientPair; both are frozen, so nothing is copied."""
         return AmbientPair._build(self.u, self.v)
 
-    def _require_same_base(self, other):
-        if not _same_point(self.base, other.base):
-            raise InvalidTangentError("tangent vectors have different base points")
-
     def __add__(self, other):
-        self._require_same_base(other)
+        _require_based_at(self.base, other)
         return TangentPair._build(self.u + other.u, self.v + other.v, self.base)
 
     def __sub__(self, other):
-        self._require_same_base(other)
+        _require_based_at(self.base, other)
         return TangentPair._build(self.u - other.u, self.v - other.v, self.base)
 
     def __neg__(self):
@@ -330,8 +343,7 @@ def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
     error) raises OffManifoldError, and a step so large that e^W overflows
     or is numerically singular raises NumericalError.
     """
-    if not _same_point(t.base, p):
-        raise InvalidTangentError("tangent is based at a different point")
+    _require_based_at(p, t)
     # Overflow in an oversized step is reported as a typed error, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         e = mat_exp(p.y @ t.u)
@@ -342,13 +354,7 @@ def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
                 f"retraction step too large: e^W is numerically singular ({exc})"
             ) from exc
         x = p.x @ e
-        err = _feasibility_error(x, y)
-    feas_tol = default_feas_tol(p.n)
-    if not err <= feas_tol:
-        raise OffManifoldError(
-            f"retracted pair is not biorthogonal: fro_norm(x @ y - I) = {err:.3e} "
-            f"exceeds tolerance {feas_tol:.3e}"
-        )
+    err = _require_feasible(x, y, "retracted pair")
     return BiorthPoint._build(x, y, err, None)
 
 
@@ -361,8 +367,7 @@ def ray_velocity(p: BiorthPoint, t: TangentPair):
     ready for its ambient product with a Euclidean gradient. It is tangent
     at q by construction, x(s) (-W y(s)) + (x(s) W) y(s) = 0 up to rounding.
     """
-    if not _same_point(t.base, p):
-        raise InvalidTangentError("tangent is based at a different point")
+    _require_based_at(p, t)
     w = p.y @ t.u
 
     def velocity(q):
@@ -373,13 +378,10 @@ def ray_velocity(p: BiorthPoint, t: TangentPair):
 
 def metric(p, t1, t2) -> float:
     """Ambient Frobenius inner product of two tangents at the same point."""
-    if not (isinstance(t1, TangentPair) and isinstance(t2, TangentPair)):
-        raise InvalidTangentError("the metric takes two TangentPairs")
-    t1._require_same_base(t2)
-    if not _same_point(t1.base, p):
-        raise InvalidTangentError("tangents are not based at the given point")
+    _require_based_at(p, t1)
+    _require_based_at(p, t2)
     # No scan: a non-finite entry makes this sum non-finite, which the solvers check.
-    return float(np.vdot(t1.u, t2.u)) + float(np.vdot(t1.v, t2.v))
+    return t1.inner(t2)
 
 
 def random_point(seed, n: int, scale: float) -> BiorthPoint:
@@ -471,11 +473,10 @@ class BiorthogonalManifold:
         orthogonal projection onto the stored pair's tangent space, which
         project_tangent matches only up to the drift.
         """
-        if not (isinstance(t, TangentPair) and isinstance(s, TangentPair)):
+        _require_based_at(p, t)
+        if not isinstance(s, TangentPair):
             raise InvalidTangentError("inner_transported takes two TangentPairs")
-        if not _same_point(t.base, p):
-            raise InvalidTangentError("tangent is not based at the given point")
-        return float(np.vdot(t.u, s.u)) + float(np.vdot(t.v, s.v))
+        return t.inner(s)
 
     def random_point(self, seed, scale=0.5) -> BiorthPoint:
         return random_point(seed, self.n, scale)
@@ -485,10 +486,6 @@ class BiorthogonalManifold:
 
     def feasibility_error(self, p) -> float:
         return p.feasibility_error()
-
-    def zero_tangent(self, p) -> TangentPair:
-        z = np.zeros((self.n, self.n))
-        return TangentPair(z, z, p)
 
 
 class EuclideanManifold:
@@ -550,14 +547,10 @@ class EuclideanManifold:
             raise ValueError(f"scale must be >= 0, got {scale}")
         n = self.n
         if scale == 0:
-            return self.zero_tangent(p)
+            return AmbientPair(*np.zeros((2, n, n)))
         rng = make_rng(seed)
         t = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
         return (scale / t.norm()) * t
 
     def feasibility_error(self, p) -> float:
         return _feasibility_error(p.x, p.y)
-
-    def zero_tangent(self, p) -> AmbientPair:
-        z = np.zeros((self.n, self.n))
-        return AmbientPair(z, z)

@@ -15,6 +15,9 @@ previous direction but not the previous gradient, of which it needs only
 one inner product.
 The one finiteness check is metric(g, g) of each projected gradient: if it
 is finite, so is every entry of g; if not, the run raises NumericalError.
+A search that fails along a CG direction is retried once along -g. Along
+-g, a search with no sufficient decrease ends the run at the current
+point, and one in which no trial has a finite cost raises NumericalError.
 """
 
 from __future__ import annotations
@@ -126,8 +129,9 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
     Candidates that leave the feasible region or overflow are treated as
     infinitely bad. Returns (step, new_point, new_cost, new_egrad), where
     new_egrad is the Euclidean gradient that `problem.cost_grad` returned
-    together with new_cost at new_point. Raises LineSearchError at the
-    MIN_STEP floor.
+    together with new_cost at new_point. Below the MIN_STEP floor it raises
+    NumericalError if no trial had a finite cost, and LineSearchError if
+    some had one but none decreased enough.
     """
     if not slope < 0:
         raise ValueError(f"not a descent direction: slope = {slope!r}")
@@ -154,8 +158,10 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
         return math.isfinite(fc) and fc <= f0 + ARMIJO_C1 * s * slope
 
     s = initial_step
+    finite_seen = False
     while s >= MIN_STEP:
         q, fq, gq = evaluate(s)
+        finite_seen = finite_seen or math.isfinite(fq)
         slope_q = slope_at(q, gq)
         t = _cubic_minimizer(s, f0, slope, fq, slope_q)
         if acceptable(s, fq):
@@ -170,6 +176,9 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
             s = min(max(t, INTERPOLATE_MIN * s), BACKTRACK_FACTOR * s)
         else:
             s *= BACKTRACK_FACTOR
+    if not finite_seen:
+        raise NumericalError(f"no trial step of the line search, down to min_step = "
+                             f"{MIN_STEP:.1e}, has a finite cost")
     raise LineSearchError(f"no sufficient decrease above min_step = {MIN_STEP:.1e}")
 
 
@@ -186,11 +195,12 @@ def conjugate_gradient(problem, manifold, p0, opts=None):
     inner product with the new one, <g_new, transport(g_old)>, which
     `manifold.inner_transported` reads without transporting g_old; that one
     number gives both beta = (|g_new|^2 - <g_new, g_old>) / |g_old|^2 and
-    Powell's test. Beta is clipped at zero and the direction resets to
-    steepest descent every dim(manifold) iterations, whenever descent is
-    lost, or when successive gradients stop being near-orthogonal (Powell's
-    restart criterion), which keeps stale conjugacy information from
-    degrading the iteration below plain steepest descent.
+    Powell's test. The direction resets to steepest descent every
+    dim(manifold) iterations, when beta clips to zero, whenever descent is
+    lost, when the search along it fails, or when successive gradients stop
+    being near-orthogonal (Powell's restart criterion), which keeps stale
+    conjugacy information from degrading the iteration below plain
+    steepest descent.
     """
     return _descend(problem, manifold, p0, opts, cg=True)
 
@@ -235,35 +245,33 @@ def _descend(problem, manifold, p0, opts, cg):
     gnorm = math.sqrt(gnorm_sq)
     trace = [TraceRecord(0, f, gnorm, manifold.feasibility_error(p), elapsed_ms())]
 
-    d = -g
-    steepest = True
-    since_restart = 0
+    # The next search runs along -g when `restart` is set, else along the CG
+    # direction d; gradient descent never clears it.
+    restart = True
     last_decrease = None
 
-    for k in range(1, opts.max_iters + 1):
-        if gnorm <= opts.grad_tol:
-            break
-        slope = -gnorm_sq if steepest else manifold.metric(p, g, d)
-        if not steepest and slope >= 0:
-            d, steepest, since_restart = -g, True, 0
-            slope = -gnorm_sq
+    k = 0
+    while k < opts.max_iters and gnorm > opts.grad_tol:
+        if not restart:
+            slope = manifold.metric(p, g, d)
+            restart = slope >= 0  # descent lost
+        if restart:
+            d, since_restart, slope = -g, 0, -gnorm_sq
         try:
             step, p_new, f_new, g_new = armijo_search(
                 problem, manifold, p, d, slope, f0=f,
                 initial_step=_first_step(last_decrease, slope),
             )
-        except LineSearchError:
-            if steepest:
-                break
-            d, steepest, since_restart = -g, True, 0
-            slope = -gnorm_sq
-            try:
-                step, p_new, f_new, g_new = armijo_search(
-                    problem, manifold, p, d, slope, f0=f,
-                    initial_step=_first_step(last_decrease, slope),
-                )
-            except LineSearchError:
-                break
+        except (LineSearchError, NumericalError) as exc:
+            # A failed CG direction is retried along -g. Along -g, a search with
+            # no sufficient decrease ends the run, one with no finite cost raises.
+            if not restart:
+                restart = True
+                continue
+            if isinstance(exc, NumericalError):
+                raise
+            break
+        k += 1
         last_decrease = step * slope
 
         g_new = manifold.project(p_new, g_new)
@@ -271,16 +279,11 @@ def _descend(problem, manifold, p0, opts, cg):
         if cg:
             since_restart += 1
             overlap = manifold.inner_transported(p_new, g_new, g)
-            orthogonality_lost = abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq_new
-            if since_restart >= restart_every or orthogonality_lost:
-                d, steepest, since_restart = -g_new, True, 0
-            else:
-                d_prev = manifold.transport(p_new, d)
-                beta = max(0.0, (gnorm_sq_new - overlap) / gnorm_sq)
-                d = -g_new + beta * d_prev
-                steepest = beta == 0.0
-        else:
-            d, steepest = -g_new, True
+            beta = max(0.0, (gnorm_sq_new - overlap) / gnorm_sq)
+            restart = (since_restart >= restart_every or beta == 0.0
+                       or abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq_new)
+            if not restart:
+                d = -g_new + beta * manifold.transport(p_new, d)
 
         p, f, g = p_new, f_new, g_new
         gnorm_sq = gnorm_sq_new

@@ -83,6 +83,18 @@ class TestModelProblem:
         assert all(rec.feas_err <= 1e-8 for rec in trace)
 
 
+@pytest.mark.parametrize("command", ["model-problem", "penalty"])
+def test_run_without_a_finite_trial_is_numerical_error(command, capsys):
+    # At targets near 1e100 the start cost is finite, but every trial step of
+    # the first search, down to the step floor, overflows. The suite turns a
+    # RuntimeWarning into an exception, so no warning escapes either.
+    code = main([command, "--n", "5", "--scale", "1e100", "--max-iters", "20", "--out", "huge"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: no trial step of the line search, down to min_step = 1.0e-16, has a finite cost\n")
+    assert not os.path.exists("huge.trace.csv")
+
+
 class TestPenalty:
     def test_summary_reports_violation(self, capsys):
         code = main(["penalty", "--n", "20", "--seed", "1", "--alpha", "100",

@@ -10,6 +10,8 @@ DELETED = (
     (biorth.manifold, "_random_point"),
     (biorth.manifold, "_random_tangent"),
     (biorth.manifold, "_frozen"),
+    (biorth.manifold.BiorthogonalManifold, "zero_tangent"),
+    (biorth.manifold.EuclideanManifold, "zero_tangent"),
 )
 
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -63,12 +64,21 @@ class TestBiorthPoint:
         assert p.feasibility_error() == 0.0
 
     def test_rejects_infeasible(self):
-        with pytest.raises(OffManifoldError):
+        with pytest.raises(OffManifoldError) as exc:
             BiorthPoint(2.0 * np.eye(3), np.eye(3))
+        assert str(exc.value) == ("pair is not biorthogonal: fro_norm(x @ y - I) = 1.732e+00 "
+                                  "exceeds tolerance 3.000e-09")
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionError):
             BiorthPoint(np.eye(3), np.eye(4))
+
+    def test_overflowing_product_is_rejected_without_warning(self):
+        # Finite legs whose product overflows measure an infinite error. The
+        # suite turns warnings into errors, so this also checks that the
+        # overflow is reported by the typed error alone.
+        with pytest.raises(OffManifoldError, match=r"^pair is not .* = inf exceeds"):
+            BiorthPoint(1e200 * np.eye(2), 1e200 * np.eye(2))
 
     def test_immutable(self):
         p = identity_point(3)
@@ -360,7 +370,20 @@ class TestRetract:
         # as a warning.
         p = BiorthPoint(1e300 * np.eye(2), 1e-300 * np.eye(2))
         t = TangentPair(2e301 * np.eye(2), -2e-299 * np.eye(2), p)
-        with pytest.raises(OffManifoldError, match="nan"):
+        with pytest.raises(OffManifoldError) as exc:
+            retract(p, t)
+        assert str(exc.value) == ("retracted pair is not biorthogonal: fro_norm(x @ y - I) = nan "
+                                  "exceeds tolerance 2.000e-09")
+
+    def test_nan_feasibility_error_is_rejected(self, monkeypatch):
+        # Both feasibility checks compare with `not err <= tol`, so a NaN
+        # measurement fails them rather than passing as "not above the tolerance".
+        p = seeded_point(189, 3)
+        t = random_tangent(190, p, 1.0)
+        monkeypatch.setattr(biorth.manifold, "_feasibility_error", lambda x, y: math.nan)
+        with pytest.raises(OffManifoldError, match=r"^pair is not biorthogonal: .* = nan exceeds"):
+            BiorthPoint(p.x, p.y)
+        with pytest.raises(OffManifoldError, match=r"^retracted pair is not .* = nan exceeds"):
             retract(p, t)
 
     def test_stores_the_measured_feasibility_error(self, matrix_scans):
@@ -454,6 +477,7 @@ class TestMetric:
         t2 = random_tangent(195, p, 3.0)
         expected = float(np.sum(t1.u * t2.u) + np.sum(t1.v * t2.v))
         assert metric(p, t1, t2) == pytest.approx(expected, rel=1e-14)
+        assert t1.inner(t2) == metric(p, t1, t2) == t1.as_ambient().inner(t2.as_ambient())
 
     def test_base_mismatch_rejected(self):
         p = seeded_point(196, 4)
@@ -470,6 +494,20 @@ class TestMetric:
             metric(p, a, a)
         with pytest.raises(InvalidTangentError):
             metric(p, random_tangent(198, p, 1.0), a)
+
+    def test_one_base_point_check(self):
+        # Every operation that takes a tangent at a given point rejects a
+        # tangent based elsewhere with the same error.
+        m = BiorthogonalManifold(4)
+        p = seeded_point(200, 4)
+        t = random_tangent(201, seeded_point(202, 4), 1.0)
+        s = random_tangent(203, p, 1.0)
+        for call in (lambda: retract(p, t), lambda: m.ray_velocity(p, t),
+                     lambda: metric(p, t, s), lambda: metric(p, s, t),
+                     lambda: m.inner_transported(p, t, s), lambda: s + t, lambda: s - t):
+            with pytest.raises(InvalidTangentError,
+                               match="^expected a TangentPair based at the given point$"):
+                call()
 
 
 class TestInnerTransported:
@@ -489,6 +527,9 @@ class TestInnerTransported:
                 s = m.random_tangent(330 + seed, p, 2.0)
                 expected = m.metric(q, t, m.transport(q, s))
                 assert abs(m.inner_transported(q, t, s) - expected) <= 1e-12 * t.norm() * s.norm()
+                # s is based at p, t at q: the tangent product reads the arrays alone.
+                got = m.inner_transported(q, t, s)
+                assert got == t.inner(s) == t.as_ambient().inner(s.as_ambient())
 
     def test_drifted_base_point_gets_the_exact_product(self):
         # The drifted point of test_drifted_base_point_projects_to_a_tangent.
@@ -601,7 +642,7 @@ class TestManifoldInterfaces:
     def test_retract_at_zero_is_identity_map(self):
         m = BiorthogonalManifold(5)
         p = m.random_point(3, scale=0.4)
-        q = m.retract(p, m.zero_tangent(p))
+        q = m.retract(p, TangentPair(np.zeros((5, 5)), np.zeros((5, 5)), p))
         assert np.array_equal(q.x, p.x)
 
     def test_euclidean_bundle(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import biorth.manifold
+import biorth.solvers
 from biorth.errors import DimensionError, LineSearchError, NumericalError
 from biorth.linalg import fro_norm, svd
 from biorth.manifold import (
@@ -172,7 +173,7 @@ class TestArmijoSearch:
         n = 3
         manifold = EuclideanManifold(n)
         p = manifold.identity()
-        d = manifold.zero_tangent(p)
+        d = AmbientPair(np.zeros((n, n)), np.zeros((n, n)))
         with pytest.raises(ValueError):
             armijo_search(SquaredNorm(), manifold, p, d, 0.0)
 
@@ -278,6 +279,23 @@ class TestArmijoSearch:
         d = AmbientPair(np.eye(n), np.eye(n))
         with pytest.raises(LineSearchError):
             armijo_search(Zero(), manifold, p, d, -1.0)
+
+    @pytest.mark.parametrize("manifold_cls", [BiorthogonalManifold, EuclideanManifold],
+                             ids=["biorth", "flat"])
+    def test_no_finite_trial_cost_raises_numerical_error(self, manifold_cls):
+        # Every trial cost is infinite, and on BO(n) every trial step also
+        # overflows the retraction. With no finite cost there is nothing to
+        # decrease: a numerical failure, not a cost without descent.
+        class Overflowing:
+            def cost_grad(self, x, y):
+                return math.inf, AmbientPair(np.zeros_like(x), np.zeros_like(y))
+
+        n = 3
+        manifold = manifold_cls(n)
+        p = manifold.identity()
+        d = 1e100 * manifold.random_tangent(1, p, 1.0)
+        with pytest.raises(NumericalError, match="^no trial step .* has a finite cost$"):
+            armijo_search(Overflowing(), manifold, p, d, -1.0, f0=1.0)
 
 
 class TestRiemannianGradient:
@@ -623,6 +641,70 @@ class TestConjugateGradientKernels:
         for a, b in zip(new, direct):
             assert a.cost == pytest.approx(b.cost, rel=1e-10)
             assert abs(a.grad_norm - b.grad_norm) <= 1e-10 * scale
+
+
+class TestSearchFallback:
+    """A search that fails along a CG direction is retried once along -g."""
+
+    N = 12
+    ITERS = 12
+
+    def patch_search(self, monkeypatch, fail):
+        """Record, per armijo_search call, whether it runs along -g; `fail(calls)`
+        returns the exception to raise in place of the search, or None."""
+        calls = []
+        search = biorth.solvers.armijo_search
+
+        def patched(problem, manifold, p, d, slope, **kwargs):
+            # Along -g the solver passes slope = -metric(g, g) = -metric(d, d) exactly.
+            calls.append(slope == -manifold.metric(p, d, d))
+            exc = fail(calls)
+            if exc is not None:
+                raise exc
+            return search(problem, manifold, p, d, slope, **kwargs)
+
+        monkeypatch.setattr(biorth.solvers, "armijo_search", patched)
+        return calls
+
+    def solve(self, max_iters=ITERS):
+        manifold = BiorthogonalManifold(self.N)
+        problem = random_nearest_pair(41, self.N, 4.0)
+        return conjugate_gradient(problem, manifold, manifold.identity(),
+                                  SolverOptions(max_iters=max_iters))
+
+    @pytest.mark.parametrize("error", [LineSearchError, NumericalError])
+    def test_failed_cg_search_is_retried_along_the_gradient(self, monkeypatch, error):
+        def fail_first_cg_search(calls):
+            return error("injected") if calls.count(False) == 1 and not calls[-1] else None
+
+        calls = self.patch_search(monkeypatch, fail_first_cg_search)
+        _, trace = self.solve()
+        assert len(trace) == self.ITERS + 1
+        first = calls.index(False)
+        assert calls[first + 1] is True
+        # one search per iteration plus the one retry
+        assert len(calls) == self.ITERS + 1
+        costs = [r.cost for r in trace]
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+    def test_failure_along_the_gradient_ends_the_run_at_the_current_point(self, monkeypatch):
+        calls = self.patch_search(
+            monkeypatch, lambda calls: LineSearchError("injected") if False in calls else None)
+        point, trace = self.solve()
+        first = calls.index(False)
+        assert first >= 1 and calls[first:] == [False, True]
+        assert len(trace) == first + 1
+        monkeypatch.undo()
+        ref_point, ref_trace = self.solve(max_iters=first)
+        assert np.array_equal(point.x, ref_point.x) and np.array_equal(point.y, ref_point.y)
+        assert [r.cost for r in trace] == [r.cost for r in ref_trace]
+
+    def test_no_finite_cost_along_the_gradient_raises(self, monkeypatch):
+        calls = self.patch_search(
+            monkeypatch, lambda calls: NumericalError("injected") if False in calls else None)
+        with pytest.raises(NumericalError, match="^injected$"):
+            self.solve()
+        assert calls[-2:] == [False, True]
 
 
 class TestFdGradientCheck:

@@ -5,10 +5,12 @@ Usage: python tools/same_outputs.py BASE_SRC NEW_SRC
 BASE_SRC and NEW_SRC are directories that hold a `biorth` package, such as
 the `src` directory of two checkouts. Every command line of RUNS runs once
 per tree, in a fresh interpreter at one BLAS thread, each in its own output
-directory; the `project` runs share four n = 150 input files. The two
-output trees are then compared file by file: matrix files byte for byte,
-trace CSVs without their `elapsed_ms` column, and each run's console record
-(stdout, stderr and exit code) without its `seconds=` field. Prints
+directory. The `project` runs share the files that the benchmark's
+project-io workload writes for seed PROJECT_SEED (perfbench/invocations.py):
+four items of four n = 150 matrices. The two output trees are then compared
+file by file: matrix files byte for byte, trace CSVs without their
+`elapsed_ms` column, and each run's console record (stdout, stderr and exit
+code) without its `seconds=` field. Prints
 "identical outputs" and exits 0, or names the first file that differs and
 exits 1.
 """
@@ -23,13 +25,17 @@ import subprocess
 import sys
 import tempfile
 
-import numpy as np
-import scipy.linalg
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+# perfbench/invocations.py imports biorth.matio; this checkout's package serves
+# unless one is already on the path.
+sys.path.append(os.path.join(ROOT, "src"))
 
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-PROJECT_N = 150
-PROJECT_ITEMS = 4
+from invocations import _project_items  # noqa: E402
+from run import THREAD_PIN  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+PROJECT = WORKLOADS["project-io"]
 PROJECT_SEED = 3001
 CONSOLE = "console.txt"
 
@@ -46,7 +52,7 @@ def _runs():
         runs.append((f"funmap-{s}", ["funmap", "--synthetic", "--seed", str(s)]))
         runs.append((f"model-gd-{s}", ["model-problem", "--solver", "gd", "--n", "20",
                                        "--max-iters", "200", "--seed", str(s)]))
-    for i in range(PROJECT_ITEMS):
+    for i in range(PROJECT.items):
         argv = ["project"]
         for key in ("x0", "y0", "phi", "psi"):
             argv += [f"--{key}", os.path.join("{inputs}", f"{key}{i}.txt")]
@@ -59,30 +65,10 @@ def _runs():
 RUNS = _runs()
 
 
-def _write_matrix(path, m):
-    """biorth's text matrix format at 17 significant digits, exact for float64."""
-    rows = [f"{m.shape[0]} {m.shape[1]}"]
-    rows += [" ".join(format(float(v), ".17g") for v in row) for row in m]
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(rows) + "\n")
-
-
-def write_project_inputs(directory):
-    """A feasible base pair (e^G, e^-G) and a Gaussian ambient pair per project run."""
-    n = PROJECT_N
-    rng = np.random.Generator(np.random.PCG64(PROJECT_SEED))
-    for i in range(PROJECT_ITEMS):
-        g = (0.5 / np.sqrt(n)) * rng.standard_normal((n, n))
-        mats = {"x0": scipy.linalg.expm(g), "y0": scipy.linalg.expm(-g),
-                "phi": rng.standard_normal((n, n)), "psi": rng.standard_normal((n, n))}
-        for key, m in mats.items():
-            _write_matrix(os.path.join(directory, f"{key}{i}.txt"), m)
-
-
 def run_all(src, out_root, inputs):
     """Run every command of RUNS with `src` on the import path, one directory each."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    env.update({name: "1" for name in THREAD_VARIABLES})
+    env.update(THREAD_PIN)
     for name, argv in RUNS:
         workdir = os.path.join(out_root, name)
         os.makedirs(workdir)
@@ -135,7 +121,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         inputs = os.path.join(tmp, "inputs")
         os.makedirs(inputs)
-        write_project_inputs(inputs)
+        _project_items(PROJECT, PROJECT_SEED, inputs)
         outs = [os.path.join(tmp, label) for label in ("base", "new")]
         for src, out in zip(argv, outs):
             run_all(src, out, inputs)
