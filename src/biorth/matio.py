@@ -6,15 +6,18 @@ iterate. Reals are written with 17 significant digits, which pins every
 finite 64-bit value exactly; parsing always uses '.' as the decimal
 separator regardless of locale.
 
-Matrix rows are parsed and formatted one row per C-level call. A file that
-fails the fast parse is parsed again token by token, and that reference
-loop raises the error, so its line number and message do not depend on
-which path found the fault.
+The data lines of a matrix file are parsed by one np.loadtxt call, whose C
+reader rounds each token as float() does; rows are formatted one row per
+C-level call. A file whose parse fails, or gives the wrong shape or a
+non-finite entry, is parsed again token by token by _parse_rows, and that
+reference loop raises the error, so its line number and message do not
+depend on which path found the fault.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -72,27 +75,27 @@ def read_matrix(path) -> np.ndarray:
         raise MatrixFormatError(
             f"unexpected content after {rows} data rows", line=rows + 2
         )
-    out = np.empty((rows, cols), dtype=np.float64)
     try:
-        for i in range(rows):
-            tokens = lines[i + 1].split()
-            if len(tokens) != cols:
-                break
-            out[i] = list(map(float, tokens))
-        else:
-            if np.isfinite(out).all():
-                return out
+        # comments=None keeps '#' a bad token, not a comment. A file whose data
+        # rows are all blank makes loadtxt warn; it fails the shape test below
+        # and the fallback raises the usual error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            out = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2)
+        if out.shape == (rows, cols) and np.isfinite(out).all():
+            return out
     except ValueError:
         pass
     # The fast parse failed somewhere; the reference loop finds the first fault.
-    return _parse_rows(lines, rows, cols, out)
+    return _parse_rows(lines, rows, cols)
 
 
-def _parse_rows(lines, rows, cols, out):
-    """Reference per-token parse of the data rows into `out`.
+def _parse_rows(lines, rows, cols):
+    """Reference per-token parse of the data rows `lines[1:rows + 1]`.
 
     Raises MatrixFormatError at the first bad row or token in file order.
     """
+    out = np.empty((rows, cols), dtype=np.float64)
     for i in range(rows):
         line_no = i + 2
         tokens = lines[i + 1].split()

@@ -131,13 +131,16 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
     new_egrad is the Euclidean gradient that `problem.cost_grad` returned
     together with new_cost at new_point. Below the MIN_STEP floor it raises
     NumericalError if no trial had a finite cost, and LineSearchError if
-    some had one but none decreased enough.
+    some had one but none decreased enough. When the feasibility check
+    rejected any trial point, the NumericalError message counts those
+    rejections and the trials that failed numerically.
     """
     if not slope < 0:
         raise ValueError(f"not a descent direction: slope = {slope!r}")
     if f0 is None:
         f0 = problem.cost_grad(p.x, p.y)[0]
     velocity = manifold.ray_velocity(p, direction)
+    rejected = []  # exception type of each trial point that raised
 
     # Oversized trial steps legitimately overflow before being rejected.
     def evaluate(s):
@@ -145,7 +148,8 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
             try:
                 q = manifold.retract(p, s * direction)
                 return (q, *problem.cost_grad(q.x, q.y))
-            except (OffManifoldError, NumericalError, InvalidTangentError):
+            except (OffManifoldError, NumericalError, InvalidTangentError) as exc:
+                rejected.append(type(exc))
                 return None, math.inf, None
 
     def slope_at(q, gq):
@@ -177,8 +181,13 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
         else:
             s *= BACKTRACK_FACTOR
     if not finite_seen:
-        raise NumericalError(f"no trial step of the line search, down to min_step = "
-                             f"{MIN_STEP:.1e}, has a finite cost")
+        message = (f"no trial step of the line search, down to min_step = "
+                   f"{MIN_STEP:.1e}, has a finite cost")
+        infeasible = rejected.count(OffManifoldError)
+        if infeasible:
+            message += (f": {infeasible} trial points failed the feasibility check and "
+                        f"{rejected.count(NumericalError)} failed numerically")
+        raise NumericalError(message)
     raise LineSearchError(f"no sufficient decrease above min_step = {MIN_STEP:.1e}")
 
 

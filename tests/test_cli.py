@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,19 @@ def test_run_without_a_finite_trial_is_numerical_error(command, capsys):
     assert capsys.readouterr().err == (
         "error: no trial step of the line search, down to min_step = 1.0e-16, has a finite cost\n")
     assert not os.path.exists("huge.trace.csv")
+
+
+def test_search_rejected_by_the_feasibility_check_says_so(capsys):
+    # At targets near 1e5 the iterates' feas_err nears the absolute tolerance
+    # default_feas_tol(100), and the final search's trial points fail the
+    # feasibility check; the message counts them apart from numerical failures.
+    code = main(["model-problem", "--n", "100", "--scale", "1e5", "--max-iters", "50",
+                 "--out", "big"])
+    assert code == 1
+    assert re.fullmatch(
+        r"error: no trial step of the line search, down to min_step = 1\.0e-16, has a finite "
+        r"cost: [1-9]\d* trial points failed the feasibility check and \d+ failed numerically\n",
+        capsys.readouterr().err)
 
 
 class TestPenalty:

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import biorth.matio
 from biorth.errors import MatrixFormatError
 from biorth.matio import (
     TRACE_HEADER,
+    _parse_rows,
     _parse_real,
     format_real,
     read_matrix,
@@ -298,3 +302,103 @@ class TestRowFastPath:
         path = tmp_path / "m.txt"
         path.write_text("1 2\n1_0 2\n")
         assert read_matrix(path).tolist() == [[10.0, 2.0]]
+
+
+# Finite doubles whose exponents span +-300, for both parsers' rounding.
+wide_exponent_matrices = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.builds(
+        lambda mantissa, exponent: mantissa * 10.0**exponent,
+        st.floats(-10.0, 10.0),
+        st.integers(-300, 300),
+    ),
+)
+
+
+@pytest.fixture
+def row_fallbacks(monkeypatch):
+    """Count the calls of the per-token fallback parser."""
+    calls = []
+
+    def counted(lines, rows, cols):
+        calls.append(rows)
+        return _parse_rows(lines, rows, cols)
+
+    monkeypatch.setattr(biorth.matio, "_parse_rows", counted)
+    return calls
+
+
+def read_without_warnings(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return read_matrix(path)
+
+
+def outcome(read, *args):
+    """The bytes that `read(*args)` returns, or the (line, message) it raises."""
+    try:
+        return read(*args).tobytes()
+    except MatrixFormatError as err:
+        return err.line, str(err)
+
+
+class TestTwoParsers:
+    """read_matrix parses rows with np.loadtxt and falls back to _parse_rows.
+
+    The per-token fallback is the independent check of the numpy reader:
+    on text it accepts, both give the same bits.
+    """
+
+    @given(
+        st.one_of(finite_matrices, wide_exponent_matrices),
+        st.integers(1, 25),
+    )
+    @example(np.array(SPECIAL_VALUES).reshape(2, 5), 17)
+    @example(np.array([[1.7976931348623157e308, 2.4703282292062328e-324]]), 25)
+    @example(np.array([[1.5e308]]), 1)
+    def test_both_parsers_give_the_same_bits(self, tmp_path_factory, m, digits):
+        # Fewer or more than 17 digits gives text that both must round alike;
+        # rounding up past the largest double gives a non-finite entry.
+        rows, cols = m.shape
+        text = f"{rows} {cols}\n" + "".join(
+            " ".join(format(v, f".{digits}g") for v in row) + "\n" for row in m
+        )
+        path = tmp_path_factory.mktemp("parsers") / "m.txt"
+        path.write_text(text)
+        lines = text.split("\n")[:-1]
+        assert outcome(read_without_warnings, path) == outcome(_parse_rows, lines, rows, cols)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_well_formed_files_skip_the_fallback(self, tmp_path, row_fallbacks, newline):
+        m = make_rng(5).standard_normal((4, 3))
+        path = tmp_path / "m.txt"
+        path.write_bytes(per_entry_text(m).replace("\n", newline).encode("ascii"))
+        assert bitwise_equal(read_without_warnings(path), m)
+        assert row_fallbacks == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 3\n1\x0b2\x0c3\n",
+            "2 2\n1\x1c2\n3 4\n",
+            "2 2\n1 2\n  \t \n",
+            "2 1\n\n\n",
+            "2 2\n \n\t\n",
+            "2 2\n1 2\n1e400 4\n",
+            "2 2\n1 2 # note\n3 4\n",
+        ],
+        ids=["vt-ff", "fs", "blank-row", "all-empty", "all-blank", "overflow", "hash"],
+    )
+    def test_odd_input_reads_as_the_per_token_loop_does(self, tmp_path, text):
+        # "1_0", which loadtxt rejects, is test_underscore_digits_still_parse.
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        expected = per_token_error(path)
+        if expected is None:
+            values = [[float(t) for t in line.split()] for line in text.split("\n")[1:-1]]
+            assert read_without_warnings(path).tolist() == values
+        else:
+            with pytest.raises(MatrixFormatError) as err:
+                read_without_warnings(path)
+            assert (err.value.line, str(err.value)) == expected

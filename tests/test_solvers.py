@@ -5,7 +5,7 @@ import pytest
 
 import biorth.manifold
 import biorth.solvers
-from biorth.errors import DimensionError, LineSearchError, NumericalError
+from biorth.errors import DimensionError, LineSearchError, NumericalError, OffManifoldError
 from biorth.linalg import fro_norm, svd
 from biorth.manifold import (
     AmbientPair,
@@ -296,6 +296,29 @@ class TestArmijoSearch:
         d = 1e100 * manifold.random_tangent(1, p, 1.0)
         with pytest.raises(NumericalError, match="^no trial step .* has a finite cost$"):
             armijo_search(Overflowing(), manifold, p, d, -1.0, f0=1.0)
+
+    def test_rejections_by_the_feasibility_check_are_counted(self, monkeypatch):
+        # The first trial overflows and every later one leaves the feasible
+        # set. Halving from step 1 tries 2^0 ... 2^-53 before the step floor,
+        # 54 trials in all, and the message names both causes.
+        manifold = BiorthogonalManifold(3)
+        p = manifold.identity()
+        d = manifold.random_tangent(1, p, 1.0)
+        calls = []
+
+        def rejecting(base, t):
+            calls.append(t)
+            if len(calls) == 1:
+                raise NumericalError("injected overflow")
+            raise OffManifoldError("injected drift")
+
+        monkeypatch.setattr(manifold, "retract", rejecting)
+        with pytest.raises(NumericalError) as err:
+            armijo_search(SquaredNorm(), manifold, p, d, -1.0, f0=1.0)
+        assert len(calls) == 54
+        assert str(err.value) == (
+            "no trial step of the line search, down to min_step = 1.0e-16, has a finite cost: "
+            "53 trial points failed the feasibility check and 1 failed numerically")
 
 
 class TestRiemannianGradient:

@@ -7,7 +7,11 @@ the `src` directory of two checkouts. Every command line of RUNS runs once
 per tree, in a fresh interpreter at one BLAS thread, each in its own output
 directory. The `project` runs share the files that the benchmark's
 project-io workload writes for seed PROJECT_SEED (perfbench/invocations.py):
-four items of four n = 150 matrices. The two output trees are then compared
+four items of four n = 150 matrices. Two more runs read files that this
+tool writes with 17 significant digits: `funmap --a --b` on the data of
+synth_funmap(1, 64, 16), and `project` on a base pair and an ambient pair
+whose entries' decimal exponents reach down to -300 (see _wide_project).
+The two output trees are then compared
 file by file: matrix files byte for byte, trace CSVs without their
 `elapsed_ms` column, and each run's console record (stdout, stderr and exit
 code) without its `seconds=` field. Prints
@@ -31,12 +35,15 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 # unless one is already on the path.
 sys.path.append(os.path.join(ROOT, "src"))
 
-from invocations import _project_items  # noqa: E402
+import numpy as np  # noqa: E402
+from biorth.problems import synth_funmap  # noqa: E402
+from invocations import _project_items, write_text_matrix  # noqa: E402
 from run import THREAD_PIN  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PROJECT = WORKLOADS["project-io"]
 PROJECT_SEED = 3001
+PROJECT_KEYS = ("x0", "y0", "phi", "psi")
 CONSOLE = "console.txt"
 
 
@@ -52,17 +59,50 @@ def _runs():
         runs.append((f"funmap-{s}", ["funmap", "--synthetic", "--seed", str(s)]))
         runs.append((f"model-gd-{s}", ["model-problem", "--solver", "gd", "--n", "20",
                                        "--max-iters", "200", "--seed", str(s)]))
-    for i in range(PROJECT.items):
+
+    def project(suffix):
         argv = ["project"]
-        for key in ("x0", "y0", "phi", "psi"):
-            argv += [f"--{key}", os.path.join("{inputs}", f"{key}{i}.txt")]
-        runs.append((f"project-{i}", argv))
+        for key in PROJECT_KEYS:
+            argv += [f"--{key}", os.path.join("{inputs}", f"{key}{suffix}.txt")]
+        return argv
+
+    for i in range(PROJECT.items):
+        runs.append((f"project-{i}", project(i)))
+    runs.append(("funmap-files", ["funmap", "--a", os.path.join("{inputs}", "a.txt"),
+                                  "--b", os.path.join("{inputs}", "b.txt"), "--seed", "1"]))
+    runs.append(("project-wide", project("wide")))
     runs.append(("check", ["check"]))
     runs.append(("check-tol0", ["check", "--tol", "0"]))
     return runs
 
 
 RUNS = _runs()
+
+
+def _wide_project(n=150, seed=7):
+    """A feasible base pair and an ambient pair with widely spread exponents.
+
+    x0 = Q D and y0 = D^-1 Q^T for an orthogonal Q and D = diag(10^e), e in
+    [-30, 30], so x0 y0 = I to rounding; phi and psi hold N(0, 1) draws times
+    10^e, e in [-300, 100]. Larger exponents make the projection itself
+    overflow, which would end the run before it writes any matrix.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = 10.0 ** rng.integers(-30, 31, n)
+    wide = [rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 101, (n, n))
+            for _ in range(2)]
+    return dict(zip(PROJECT_KEYS, (q * d, (q / d).T, *wide)))
+
+
+def write_inputs(inputs):
+    """Write every input file the runs of RUNS read into the directory `inputs`."""
+    _project_items(PROJECT, PROJECT_SEED, inputs)
+    problem, _ = synth_funmap(1, 64, 16)
+    write_text_matrix(os.path.join(inputs, "a.txt"), problem.a)
+    write_text_matrix(os.path.join(inputs, "b.txt"), problem.b)
+    for key, m in _wide_project().items():
+        write_text_matrix(os.path.join(inputs, f"{key}wide.txt"), m)
 
 
 def run_all(src, out_root, inputs):
@@ -121,7 +161,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         inputs = os.path.join(tmp, "inputs")
         os.makedirs(inputs)
-        _project_items(PROJECT, PROJECT_SEED, inputs)
+        write_inputs(inputs)
         outs = [os.path.join(tmp, label) for label in ("base", "new")]
         for src, out in zip(argv, outs):
             run_all(src, out, inputs)
