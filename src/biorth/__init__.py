@@ -33,6 +33,7 @@ from .manifold import (
     project_tangent,
     random_point,
     random_tangent,
+    ray_acceleration,
     ray_velocity,
     retract,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "random_nearest_pair",
     "random_point",
     "random_tangent",
+    "ray_acceleration",
     "ray_velocity",
     "read_matrix",
     "read_trace",

@@ -24,6 +24,7 @@ from .manifold import (
     project_tangent,
     random_point,
     random_tangent,
+    ray_acceleration,
     retract,
 )
 from .problems import FunmapProblem, NearestPairProblem, PenaltyProblem, synth_funmap
@@ -221,6 +222,61 @@ def gradient_fd_suite(tol_scale=1.0):
     )
 
 
+def _curvature_error(problem, x, y, u, v, h):
+    """Relative error of problem.curvature against central differences of <grad f, xi>."""
+
+    def slope(s):
+        g = problem.cost_grad(x + s * u, y + s * v)[1]
+        return float(np.vdot(g.phi, u)) + float(np.vdot(g.psi, v))
+
+    exact = problem.curvature(x, y, u, v)
+    fd = (slope(h) - slope(-h)) / (2.0 * h)
+    return abs(exact - fd) / max(abs(exact), abs(fd), 1e-30)
+
+
+def curvature_suite(tol_scale=1.0):
+    """Hessian forms and the retraction's acceleration agree with central differences.
+
+    Each problem's curvature(x, y, u, v) is compared with the difference
+    quotient of <grad f(x + s u, y + s v), (u, v)> at s = +-h. The
+    acceleration c''(0) of the curve c(s) = retract(p, s t) is compared with
+    (c(h) - 2 c(0) + c(-h)) / h^2.
+    """
+    worst_nearest = 0.0
+    worst_penalty = 0.0
+    worst_funmap = 0.0
+    worst_accel = 0.0
+    n = 10
+    for trial in range(20):
+        rng = make_rng(97_000 + trial)
+        phi, psi, x, y, u, v = rng.standard_normal((6, n, n))
+        nearest = NearestPairProblem(phi, psi)
+        worst_nearest = max(worst_nearest, _curvature_error(nearest, x, y, u, v, 1e-5))
+        penalty = PenaltyProblem(phi, psi, alpha=100.0)
+        worst_penalty = max(worst_penalty, _curvature_error(penalty, x, y, u, v, 1e-5))
+        fun, _ = synth_funmap(97_500 + trial, q=64, k=16, noise=0.1, lam=0.1)
+        c1, c2, w1, w2 = rng.standard_normal((4, 16, 16))
+        worst_funmap = max(worst_funmap, _curvature_error(fun, c1, c2, w1, w2, 1e-5))
+
+        p = random_point(rng, n, 0.4)
+        t = random_tangent(rng, p, 1.0)
+        h = 1e-3
+        plus, minus = retract(p, h * t), retract(p, (-h) * t)
+        acc = ray_acceleration(p, t)
+        err = (fro_norm((plus.x - 2.0 * p.x + minus.x) / h**2 - acc.phi)
+               + fro_norm((plus.y - 2.0 * p.y + minus.y) / h**2 - acc.psi))
+        worst_accel = max(worst_accel, err / acc.norm())
+    return SuiteResult(
+        "curvature",
+        [
+            Check("nearest-pair worst rel err", worst_nearest, 1e-8 * tol_scale),
+            Check("penalty worst rel err", worst_penalty, 1e-8 * tol_scale),
+            Check("funmap worst rel err", worst_funmap, 1e-8 * tol_scale),
+            Check("retraction acceleration worst rel err", worst_accel, 1e-6 * tol_scale),
+        ],
+    )
+
+
 def lie_closure_suite(tol_scale=1.0):
     """Group structure: closure, inverses, identity element of the pair product."""
     worst_closure = 0.0
@@ -260,6 +316,7 @@ SUITES = {
     "retraction": retraction_suite,
     "exp-identity": exp_identity_suite,
     "gradient-fd": gradient_fd_suite,
+    "curvature": curvature_suite,
     "lie-closure": lie_closure_suite,
 }
 

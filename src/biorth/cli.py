@@ -17,8 +17,10 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from .checks import SUITES, run_suites
-from .errors import BiorthError
+from .errors import BiorthError, NumericalError
 from .linalg import fro_norm
 from .manifold import (
     AmbientPair,
@@ -218,6 +220,8 @@ def cmd_project(args):
     psi = read_matrix(args.psi)
     base = BiorthPoint(x0, y0)  # raises OffManifoldError when infeasible
     t = project_tangent(base, AmbientPair(phi, psi))
+    if not (np.isfinite(t.u).all() and np.isfinite(t.v).all()):
+        raise NumericalError("tangent projection overflowed: the result has non-finite entries")
     write_matrix(f"{args.out}.X.txt", t.u)
     write_matrix(f"{args.out}.Y.txt", t.v)
     print(f"tangent_residual={format_real(_tangent_residual(base, t.u, t.v))}")

@@ -3,11 +3,12 @@
 Provides the point and tangent types, the tangent-space projection (a
 Sylvester-type solve diagonalized by one SVD of y, cached on the point), an
 exponential-map retraction that is feasible by construction, the velocity
-of its curve along a search ray, and the flat product space used by the
-penalty baseline. All values are immutable. Public
-constructors check and copy caller data; values the package computes itself
-are finite and of the right shape by construction, so the private builder
-`_Value._build` freezes their fresh arrays in place with no scan or copy.
+of its curve along a search ray and that curve's acceleration at the start,
+and the flat product space used by the penalty baseline. All values are
+immutable. Public constructors check and copy caller data; values the
+package computes itself are finite and of the right shape by construction,
+so the private builder `_Value._build` freezes their fresh arrays in place
+with no scan or copy.
 """
 
 from __future__ import annotations
@@ -67,11 +68,16 @@ class _Value:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _freeze(self, *fields):
-        """Set the fields in __slots__ order, marking arrays read-only in place."""
+        """Set the fields in __slots__ order, marking arrays read-only in place.
+
+        Slots after the given fields, the lazily filled caches, start as None.
+        """
         for name, value in zip(self.__slots__, fields):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
+        for name in self.__slots__[len(fields):]:
+            object.__setattr__(self, name, None)
 
     @classmethod
     def _build(cls, *fields):
@@ -95,7 +101,7 @@ class BiorthPoint(_Value):
     def __init__(self, x, y):
         x, y = square_pair(x, y)
         err = _require_feasible(x, y, "pair")
-        self._freeze(np.array(x), np.array(y), err, None)
+        self._freeze(np.array(x), np.array(y), err)
 
     @property
     def n(self) -> int:
@@ -146,9 +152,11 @@ class TangentPair(_Value):
     of tangents at one base stay in its tangent space. Scalar `*` checks
     only that the scalar is finite. The base point is stored so that
     cross-base arithmetic is rejected instead of silently re-projected.
+    The generator W = base.y @ u is computed on first use and kept, so the
+    velocity and the acceleration of one search ray share one product.
     """
 
-    __slots__ = ("u", "v", "base")
+    __slots__ = ("u", "v", "base", "_w")
 
     def __init__(self, u, v, base: BiorthPoint):
         u, v = square_pair(u, v, ("u", "v"))
@@ -168,6 +176,14 @@ class TangentPair(_Value):
     def inner(self, other) -> float:
         """Ambient Frobenius inner product with another TangentPair, based anywhere."""
         return float(np.vdot(self.u, other.u)) + float(np.vdot(self.v, other.v))
+
+    def generator(self) -> np.ndarray:
+        """Read-only W = base.y @ u, the tangent translated to the identity; cached."""
+        if self._w is None:
+            w = self.base.y @ self.u
+            w.setflags(write=False)
+            object.__setattr__(self, "_w", w)
+        return self._w
 
     def norm(self) -> float:
         return float(np.sqrt(self.inner(self)))
@@ -219,6 +235,10 @@ class AmbientPair(_Value):
     def inner(self, other) -> float:
         """Ambient Frobenius inner product with another AmbientPair."""
         return float(np.vdot(self.phi, other.phi)) + float(np.vdot(self.psi, other.psi))
+
+    def as_ambient(self) -> "AmbientPair":
+        """The pair itself, as TangentPair.as_ambient gives a tangent's arrays."""
+        return self
 
     def norm(self) -> float:
         return float(np.sqrt(self.inner(self)))
@@ -310,6 +330,9 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
     sign/ordering conventions of its factors. The result is tangent by this
     construction, so its residual is not measured again; the tangency and
     projection-oracle suites of `biorth check` measure it independently.
+    On a base so badly scaled that this arithmetic overflows, entries come
+    out infinite or NaN without a warning; the solvers catch them through
+    metric(g, g), and the `project` command scans the result.
     """
     if a.phi.shape != p.x.shape:
         raise DimensionError(
@@ -317,17 +340,18 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
         )
     f = p.y_svd()
     s = f.s
-    ss = s[:, None] * s[None, :]
-    den = 1.0 + ss * ss
-    phih = f.v.T @ a.phi @ f.u
-    psih = f.u.T @ a.psi @ f.v
-    uh = (phih - ss * psih) / den
-    vh = -ss * uh
-    rh = (f.v.T @ p.x @ f.u) @ vh + uh * s
-    w = -(s[:, None] * rh) / den
-    uh = uh + ss * w
-    vh = vh + w
-    return TangentPair._build(f.v @ uh @ f.u.T, f.u @ vh @ f.v.T, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss = s[:, None] * s[None, :]
+        den = 1.0 + ss * ss
+        phih = f.v.T @ a.phi @ f.u
+        psih = f.u.T @ a.psi @ f.v
+        uh = (phih - ss * psih) / den
+        vh = -ss * uh
+        rh = (f.v.T @ p.x @ f.u) @ vh + uh * s
+        w = -(s[:, None] * rh) / den
+        uh = uh + ss * w
+        vh = vh + w
+        return TangentPair._build(f.v @ uh @ f.u.T, f.u @ vh @ f.v.T, p)
 
 
 def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
@@ -346,7 +370,7 @@ def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
     _require_based_at(p, t)
     # Overflow in an oversized step is reported as a typed error, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        e = mat_exp(p.y @ t.u)
+        e = mat_exp(t.generator())
         try:
             y = np.linalg.solve(e, p.y)
         except np.linalg.LinAlgError as exc:
@@ -355,25 +379,40 @@ def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
             ) from exc
         x = p.x @ e
     err = _require_feasible(x, y, "retracted pair")
-    return BiorthPoint._build(x, y, err, None)
+    return BiorthPoint._build(x, y, err)
 
 
 def ray_velocity(p: BiorthPoint, t: TangentPair):
     """Velocity of the retraction curve c(s) = retract(p, s * t), as a function of c(s).
 
     With W = y0 @ u, c(s) = (x0 e^{sW}, e^{-sW} y0), so c'(s) = (x(s) @ W,
-    -W @ y(s)). W is formed once here; the returned function maps a point
-    q = c(s) to the AmbientPair (q.x @ W, -(W @ q.y)), two n x n products,
-    ready for its ambient product with a Euclidean gradient. It is tangent
-    at q by construction, x(s) (-W y(s)) + (x(s) W) y(s) = 0 up to rounding.
+    -W @ y(s)). W is the tangent's cached generator; the returned function
+    maps a point q = c(s) to the AmbientPair (q.x @ W, -(W @ q.y)), two n x n
+    products, ready for its ambient product with a Euclidean gradient. It is
+    tangent at q by construction, x(s) (-W y(s)) + (x(s) W) y(s) = 0 up to
+    rounding.
     """
     _require_based_at(p, t)
-    w = p.y @ t.u
+    w = t.generator()
 
     def velocity(q):
         return AmbientPair._build(q.x @ w, -(w @ q.y))
 
     return velocity
+
+
+def ray_acceleration(p: BiorthPoint, t: TangentPair) -> AmbientPair:
+    """Acceleration c''(0) = (x0 @ W^2, W^2 @ y0) of c(s) = retract(p, s * t).
+
+    W = y0 @ u is the tangent's cached generator, shared with ray_velocity,
+    so this costs three n x n products. Its ambient product with the
+    Euclidean gradient at p is the term of the ray's second derivative that
+    the curve's bending adds to the objective's Hessian form along t.
+    """
+    _require_based_at(p, t)
+    w = t.generator()
+    w2 = w @ w
+    return AmbientPair._build(p.x @ w2, w2 @ p.y)
 
 
 def metric(p, t1, t2) -> float:
@@ -456,6 +495,9 @@ class BiorthogonalManifold:
     def ray_velocity(self, p, t):
         return ray_velocity(p, t)
 
+    def ray_acceleration(self, p, t) -> AmbientPair:
+        return ray_acceleration(p, t)
+
     def metric(self, p, t1, t2) -> float:
         return metric(p, t1, t2)
 
@@ -523,6 +565,10 @@ class EuclideanManifold:
     def ray_velocity(self, p, t):
         """Velocity of s -> retract(p, s * t) at any of its points: `t` itself."""
         return lambda q: t
+
+    def ray_acceleration(self, p, t):
+        """None: the curve s -> retract(p, s * t) is a straight line, c'' = 0."""
+        return None
 
     def metric(self, p, t1, t2) -> float:
         return t1.inner(t2)

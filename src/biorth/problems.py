@@ -3,9 +3,11 @@
 Nearest biorthogonal pair to a given (phi, psi), its quadratic penalty
 relaxation on the flat product space, and bidirectional functional-map
 recovery with a funnel-shaped off-diagonal regularizer. Each problem
-implements ``cost_grad(x, y) -> (cost, AmbientPair)``, which is the whole
-protocol the solvers call: one evaluation gives the cost and the Euclidean
-gradient together.
+implements ``cost_grad(x, y) -> (cost, AmbientPair)``: one evaluation gives
+the cost and the Euclidean gradient together. Each also implements the
+optional ``curvature(x, y, u, v) -> float``, the Euclidean Hessian form
+<xi, Hess f(x, y) xi> along xi = (u, v), with which the solvers seed each
+line search at a Newton step.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ class NearestPairProblem:
         cost = float(np.sum(rx * rx) + np.sum(ry * ry))
         return cost, AmbientPair(2.0 * rx, 2.0 * ry)
 
+    def curvature(self, x, y, u, v):
+        """<xi, Hess f xi> = 2 (|u|^2 + |v|^2) along xi = (u, v)."""
+        return 2.0 * (float(np.vdot(u, u)) + float(np.vdot(v, v)))
+
 
 class PenaltyProblem(NearestPairProblem):
     """Nearest-pair cost plus alpha * |x @ y - I|_F^2.
@@ -59,6 +65,18 @@ class PenaltyProblem(NearestPairProblem):
         gx = 2.0 * rx + 2.0 * self.alpha * (r @ y.T)
         gy = 2.0 * ry + 2.0 * self.alpha * (x.T @ r)
         return cost, AmbientPair(gx, gy)
+
+    def curvature(self, x, y, u, v):
+        """<xi, Hess f xi> along xi = (u, v), with r = x @ y - I:
+
+        2 (|u|^2 + |v|^2) + 2 alpha (|u @ y + x @ v|^2 + 2 <r, u @ v>).
+        """
+        dr = u @ y + x @ v
+        uv = u @ v
+        # <r, u v> = <x y, u v> - trace(u v), without forming r.
+        r_uv = float(np.vdot(x @ y, uv)) - float(np.trace(uv))
+        penalty = float(np.vdot(dr, dr)) + 2.0 * r_uv
+        return super().curvature(x, y, u, v) + 2.0 * self.alpha * penalty
 
 
 class FunmapProblem:
@@ -110,6 +128,19 @@ class FunmapProblem:
             g1 = g1 + 2.0 * self.lam * c1 * ww
             g2 = g2 + 2.0 * self.lam * c2 * ww
         return cost, AmbientPair(g1, g2)
+
+    def curvature(self, c1, c2, u, v):
+        """<xi, Hess f xi> along xi = (u, v):
+
+        2 |a u|^2 + 2 |b v|^2 + 2 lam (|u . w|^2 + |v . w|^2).
+        """
+        au = self.a @ u
+        bv = self.b @ v
+        value = 2.0 * (float(np.vdot(au, au)) + float(np.vdot(bv, bv)))
+        if self.lam > 0:
+            ww = self.w * self.w
+            value += 2.0 * self.lam * float(np.sum(u * u * ww) + np.sum(v * v * ww))
+        return value
 
 
 def funnel_weights(k: int) -> np.ndarray:

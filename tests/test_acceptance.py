@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from biorth.checks import (
+    curvature_suite,
     exp_identity_suite,
     gradient_fd_suite,
     lie_closure_suite,
@@ -166,3 +167,8 @@ def test_09_io_roundtrips_and_diagnostics(tmp_path):
         read_matrix(bad)
     assert err.value.line == 1
     report(9, "matrix and trace file formats")
+
+
+def test_10_curvatures_match_finite_differences():
+    assert_suite(curvature_suite())
+    report(10, "Hessian forms and retraction acceleration")

@@ -241,6 +241,27 @@ class TestProject:
         assert code == 1
         assert "not biorthogonal" in capsys.readouterr().err
 
+    def test_overflowing_projection_is_numerical_error_without_warning(self, capsys):
+        # x0 = Q D, y0 = D^-1 Q^T with D = diag(10^e), e in [-75, 300], is
+        # feasible to rounding, but with ambient entries N(0, 1) * 10^[-300, 0]
+        # the projection's products overflow. The suite turns a RuntimeWarning
+        # into an exception, so this also checks that no warning escapes.
+        n = 150
+        rng = make_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        d = 10.0 ** rng.integers(-75, 301, n)
+        write_matrix("x0.txt", q * d)
+        write_matrix("y0.txt", (q / d).T)
+        for name in ("phi", "psi"):
+            write_matrix(f"{name}.txt", rng.standard_normal((n, n))
+                         * 10.0 ** rng.integers(-300, 1, (n, n)))
+        code = main(["project", "--x0", "x0.txt", "--y0", "y0.txt",
+                     "--phi", "phi.txt", "--psi", "psi.txt", "--out", "wide"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: tangent projection overflowed: the result has non-finite entries\n")
+        assert not os.path.exists("wide.X.txt")
+
 
 class TestCheck:
     def test_single_suite_passes(self, capsys):

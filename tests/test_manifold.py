@@ -456,6 +456,35 @@ class TestRayVelocity:
             BiorthogonalManifold(4).ray_velocity(p, t)
 
 
+class TestRayAcceleration:
+    """ray_acceleration(p, t) is c''(0) of c(s) = retract(p, s t); the curvature suite checks its values."""
+
+    def test_velocity_and_acceleration_share_one_generator(self):
+        # W = y0 @ u is one n x n product, formed once per tangent.
+        n = 5
+        m = BiorthogonalManifold(n)
+        p = seeded_point(397, n)
+        t = random_tangent(398, p, 1.0)
+        m.ray_velocity(p, t)
+        w = t.generator()
+        assert not w.flags.writeable
+        assert np.array_equal(w, p.y @ t.u)
+        a = m.ray_acceleration(p, t)
+        assert t.generator() is w
+        assert np.allclose(a.phi, p.x @ w @ w) and np.allclose(a.psi, w @ w @ p.y)
+
+    def test_flat_ray_is_straight(self):
+        m = EuclideanManifold(4)
+        p = m.random_point(399)
+        assert m.ray_acceleration(p, m.random_tangent(400, p, 1.0)) is None
+
+    def test_foreign_base_rejected(self):
+        p = seeded_point(401, 4)
+        t = random_tangent(402, seeded_point(403, 4), 1.0)
+        with pytest.raises(InvalidTangentError):
+            BiorthogonalManifold(4).ray_acceleration(p, t)
+
+
 class TestMetric:
     def test_positive_definite(self):
         p = seeded_point(190, 5)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +29,13 @@ def test_subset_meets_its_targets(capsys, monkeypatch):
     assert code == 0
     assert out[0].startswith("model-n100 seed 1: target met at iteration ")
     assert out[1].startswith("funmap-k16 seed 2: target met at iteration ")
+    # One summary line per workload: the sum of iterations to target and the
+    # worst final gap, which for one instance are that instance's numbers.
+    iters, gap = re.match(r".*target met at iteration (\d+) of \d+, final gap (\S+) ",
+                          out[0]).groups()
+    assert out[2] == (f"model-n100: 1 of 1 met, {iters} iterations to target in all, "
+                      f"worst final gap {gap} (target 3e-03)")
+    assert out[3].startswith("funmap-k16: 1 of 1 met, ")
     assert out[-1] == "2 of 2 instances met their targets"
 
 
@@ -39,4 +47,5 @@ def test_a_miss_exits_1(capsys, monkeypatch):
     assert pool_targets.main([SRC]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("model-n100 seed 1: MISSED: target ")
+    assert out[1] == "model-n100: 0 of 1 met"
     assert out[-1] == "0 of 1 instances met their targets"

@@ -14,7 +14,9 @@ Prints, per instance, the iteration at which the trace first meets its
 target and the final gap, (final cost - reference) / scale, where the
 target is a gap of the workload's `gap` in the same units: the scale is
 |reference| for model-n100 and penalty-n100 and |A|^2 + |B|^2 for
-funmap-k16, whose optimum is 0. Exits 1 if any instance misses.
+funmap-k16, whose optimum is 0. Then prints one summary line per workload:
+the sum over its instances of the iterations to target and the worst final
+gap. Exits 1 if any instance misses.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ def main(argv=None):
 
     tasks = instances()
     missed = 0
+    met = {}  # workload name -> (iterations to target, final gap) of each instance that met it
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed in tasks:
             workload = WORKLOADS[name]
@@ -84,12 +87,22 @@ def main(argv=None):
             outcome, gap, err = run_instance(workload, seed, workdir)
             head = f"{name} seed {seed}:"
             if outcome.ok:
+                met.setdefault(name, []).append((outcome.iter_to_target, gap))
                 print(f"{head} target met at iteration {outcome.iter_to_target} of "
                       f"{workload.max_iters}, final gap {gap:.3e} (target {workload.gap:.0e})")
             else:
                 missed += 1
                 detail = f" ({err})" if err else ""
                 print(f"{head} MISSED: {outcome.reason}{detail}")
+    for name in dict.fromkeys(name for name, _ in tasks):
+        runs = met.get(name, [])
+        total = sum(1 for other, _ in tasks if other == name)
+        summary = f"{name}: {len(runs)} of {total} met"
+        if runs:
+            summary += (f", {sum(i for i, _ in runs)} iterations to target in all, "
+                        f"worst final gap {max(g for _, g in runs):.3e} "
+                        f"(target {WORKLOADS[name].gap:.0e})")
+        print(summary)
     print(f"{len(tasks) - missed} of {len(tasks)} instances met their targets")
     return 1 if missed else 0
 
