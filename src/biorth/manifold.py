@@ -165,8 +165,10 @@ class TangentPair(_Value):
                 f"tangent shape {u.shape} does not match base point n={base.n}"
             )
         tan_tol = default_tan_tol(base.n)
-        resid = _tangent_residual(base, u, v)
-        if resid > tan_tol:
+        # Products that overflow give an inf or NaN residual, reported by the raise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = _tangent_residual(base, u, v)
+        if not resid <= tan_tol:
             raise InvalidTangentError(
                 f"pair is not tangent at the base point: fro_norm(x0 @ v + u @ y0) "
                 f"= {resid:.3e} exceeds tolerance {tan_tol:.3e}"

@@ -11,14 +11,17 @@ inner_transported. Each line-search trial point is evaluated once. Its
 gradient gives the slope of the ray there, which drives a cubic
 interpolation and a curvature test (Nocedal & Wright, Numerical
 Optimization, section 3.5), and the accepted point's gradient is the one
-the solver projects. Each search starts at the Newton step on its ray,
--phi'(0) / phi''(0): phi''(0) is the problem's curvature along the
-direction plus the Euclidean gradient's product with the ray's
-acceleration, so it costs a few products and no retraction. Without a
-curvature, or where phi''(0) is not positive and finite, the search starts
-from the slope-ratio step of the previous one. Conjugate gradient
-transports the previous direction but not the previous gradient, of which
-it needs only one inner product.
+the solver projects. The curvature test runs on every search along -g:
+all of gradient descent's and each CG restart's. A search along a
+conjugate direction stops at its first trial with sufficient decrease,
+since Powell's restart test already guards CG against inexact steps.
+Each search starts at the Newton step on its ray, -phi'(0) / phi''(0):
+phi''(0) is the problem's curvature along the direction plus the
+Euclidean gradient's product with the ray's acceleration, so it costs a
+few products and no retraction. Without a curvature, or where phi''(0) is
+not positive and finite, the search starts from the slope-ratio step of
+the previous one. Conjugate gradient transports the previous direction
+but not the previous gradient, of which it needs only one inner product.
 The one finiteness check is metric(g, g) of each projected gradient: if it
 is finite, so is every entry of g; if not, the run raises NumericalError.
 A search that fails along a CG direction is retried once along -g. Along
@@ -114,7 +117,8 @@ def _cubic_minimizer(s, f0, slope0, fs, slope_s):
     return s - s * (slope_s + d2 - d1) / den
 
 
-def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=INITIAL_STEP):
+def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=INITIAL_STEP,
+                  curvature_test=True):
     """Line search with sufficient decrease along the retraction curve from `p`.
 
     `slope` is the metric inner product of the Riemannian gradient with the
@@ -122,10 +126,11 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
     q = retract(p, s * direction) and one `problem.cost_grad` at q. Its
     gradient also gives the slope of the ray there, phi'(s) = <egrad(q),
     c'(s)>, the ambient product with the curve's velocity from
-    `manifold.ray_velocity`. The first trial is `initial_step`; the solvers
-    pass the Newton step on the ray from _first_step, which is near the
-    minimizer when phi is near quadratic, so with WOLFE_C2 = 0.3 most
-    searches accept their first trial.
+    `manifold.ray_velocity`. The first trial is `initial_step`, at least
+    MIN_STEP and finite, and `slope` must be finite; ValueError otherwise.
+    The solvers pass the Newton step on the ray from _first_step, which is
+    near the minimizer when phi is near quadratic, so with WOLFE_C2 = 0.3
+    most searches accept their first trial.
 
     - A trial that fails sufficient decrease moves to the minimizer of the
       Hermite cubic through (0, f0, slope) and (s, phi(s), phi'(s)), clipped
@@ -133,9 +138,11 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
       is not finite, or the cubic has no minimizer, the step is multiplied
       by BACKTRACK_FACTOR.
     - A trial with sufficient decrease, new_cost <= f0 + ARMIJO_C1 * s *
-      slope, is accepted at once when it also passes the curvature test
-      |phi'(s)| <= WOLFE_C2 * |slope|. Otherwise the cubic's minimizer is
-      tried once and kept when it is both lower and still acceptable.
+      slope, is accepted at once when `curvature_test` is false, or when it
+      also passes the curvature test |phi'(s)| <= WOLFE_C2 * |slope|.
+      Otherwise the cubic's minimizer is tried once and kept when it is
+      both lower and still acceptable. Without the curvature test, phi'(s)
+      is computed only at trials that fail sufficient decrease.
 
     Candidates that leave the feasible region or overflow are treated as
     infinitely bad. Returns (step, new_point, new_cost, new_egrad), where
@@ -146,8 +153,11 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
     rejected any trial point, the NumericalError message counts those
     rejections and the trials that failed numerically.
     """
-    if not slope < 0:
-        raise ValueError(f"not a descent direction: slope = {slope!r}")
+    if not -math.inf < slope < 0:
+        raise ValueError(f"not a descent direction with a finite slope: slope = {slope!r}")
+    if not MIN_STEP <= initial_step < math.inf:
+        raise ValueError(f"initial_step must be finite and >= min_step = {MIN_STEP:.1e}, "
+                         f"got {initial_step!r}")
     if f0 is None:
         f0 = problem.cost_grad(p.x, p.y)[0]
     velocity = manifold.ray_velocity(p, direction)
@@ -177,9 +187,12 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
     while s >= MIN_STEP:
         q, fq, gq = evaluate(s)
         finite_seen = finite_seen or math.isfinite(fq)
+        decreased = acceptable(s, fq)
+        if decreased and not curvature_test:
+            return s, q, fq, gq
         slope_q = slope_at(q, gq)
         t = _cubic_minimizer(s, f0, slope, fq, slope_q)
-        if acceptable(s, fq):
+        if decreased:
             if abs(slope_q) <= WOLFE_C2 * -slope:
                 return s, q, fq, gq
             if 0 < t < 4.0 * s and abs(t - s) > 1e-3 * s:
@@ -220,7 +233,10 @@ def conjugate_gradient(problem, manifold, p0, opts=None):
     lost, when the search along it fails, or when successive gradients stop
     being near-orthogonal (Powell's restart criterion), which keeps stale
     conjugacy information from degrading the iteration below plain
-    steepest descent.
+    steepest descent. Only a search along steepest descent applies the
+    curvature test and its refine; a search along a conjugate direction
+    accepts its first trial with sufficient decrease, and an inexact step
+    there shows up in Powell's test, which restarts.
     """
     return _descend(problem, manifold, p0, opts, cg=True)
 
@@ -302,14 +318,14 @@ def _descend(problem, manifold, p0, opts, cg):
     while k < opts.max_iters and gnorm > opts.grad_tol:
         if not restart:
             slope = manifold.metric(p, g, d)
-            restart = slope >= 0  # descent lost
+            restart = not -math.inf < slope < 0  # descent lost, or the slope overflowed
         if restart:
             d, since_restart, slope = -g, 0, -gnorm_sq
         phi2 = _ray_curvature(curvature, manifold, p, d, egrad)
         try:
             step, p_new, f_new, egrad_new = armijo_search(
                 problem, manifold, p, d, slope, f0=f,
-                initial_step=_first_step(last_decrease, slope, phi2),
+                initial_step=_first_step(last_decrease, slope, phi2), curvature_test=restart,
             )
         except (LineSearchError, NumericalError) as exc:
             # A failed CG direction is retried along -g. Along -g, a search with

@@ -101,6 +101,14 @@ class TestTangentPair:
         with pytest.raises(InvalidTangentError):
             TangentPair(np.eye(3), np.eye(3), p)  # needs v = -u at identity
 
+    def test_overflowing_residual_is_rejected_without_warning(self):
+        # Both products overflow in the same entry, to -inf and +inf, so the
+        # residual is NaN. The suite turns warnings into errors.
+        p = BiorthPoint(np.diag([1e200, 1e-200]), np.diag([1e-200, 1e200]))
+        u = np.array([[0.0, 1e200], [0.0, 0.0]])
+        with pytest.raises(InvalidTangentError, match=r"^pair is not tangent .* = nan exceeds"):
+            TangentPair(u, -u, p)
+
     def test_cross_base_arithmetic_rejected(self):
         p = seeded_point(3, 4)
         q = seeded_point(4, 4)

@@ -15,8 +15,8 @@ TRACE = "iter,cost,grad_norm,feas_err,elapsed_ms\n0,2,1,0,0.125\n1,1,0.5,1e-16,3
 CONSOLE = "final_cost=1 feas_err=1e-16 iters=1 seconds=0.004\n--- stderr\n--- exit 0\n"
 
 
-def write_run(root, matrix=MATRIX, trace=TRACE, console=CONSOLE):
-    run = root / "model-cg-1"
+def write_run(root, matrix=MATRIX, trace=TRACE, console=CONSOLE, name="model-cg-1"):
+    run = root / name
     run.mkdir(parents=True)
     (run / "run.X.txt").write_text(matrix)
     (run / "run.trace.csv").write_text(trace)
@@ -25,14 +25,14 @@ def write_run(root, matrix=MATRIX, trace=TRACE, console=CONSOLE):
 
 
 def test_identical_trees_match(tmp_path):
-    assert same_outputs.first_difference(write_run(tmp_path / "a"), write_run(tmp_path / "b")) is None
+    assert same_outputs.differences(write_run(tmp_path / "a"), write_run(tmp_path / "b")) == []
 
 
 def test_timings_are_ignored(tmp_path):
     a = write_run(tmp_path / "a")
     b = write_run(tmp_path / "b", trace=TRACE.replace("0.125", "9.75").replace("3.5", "12"),
                   console=CONSOLE.replace("seconds=0.004", "seconds=1.250"))
-    assert same_outputs.first_difference(a, b) is None
+    assert same_outputs.differences(a, b) == []
 
 
 @pytest.mark.parametrize(
@@ -48,11 +48,24 @@ def test_timings_are_ignored(tmp_path):
 def test_first_changed_file_is_named(tmp_path, changed, name):
     a = write_run(tmp_path / "a")
     b = write_run(tmp_path / "b", **changed)
-    assert same_outputs.first_difference(a, b) == str(Path("model-cg-1") / name)
+    assert same_outputs.differences(a, b) == [str(Path("model-cg-1") / name)]
 
 
 def test_a_missing_file_differs(tmp_path):
     a = write_run(tmp_path / "a")
     b = write_run(tmp_path / "b")
     (b / "model-cg-1" / "run.X.txt").unlink()
-    assert same_outputs.first_difference(a, b) == str(Path("model-cg-1") / "run.X.txt")
+    assert same_outputs.differences(a, b) == [str(Path("model-cg-1") / "run.X.txt")]
+
+
+def test_every_differing_run_is_named_once(tmp_path):
+    # model-cg-1 differs in two files and names its first; model-gd-1 matches.
+    a, b = tmp_path / "a", tmp_path / "b"
+    for name in ("model-cg-1", "model-gd-1", "penalty-1"):
+        write_run(a, name=name)
+    write_run(b, name="model-cg-1", matrix=MATRIX.replace("0.5", "0.6"),
+              trace=TRACE.replace("1e-16", "2e-16"))
+    write_run(b, name="model-gd-1")
+    write_run(b, name="penalty-1", console=CONSOLE.replace("exit 0", "exit 1"))
+    assert same_outputs.differences(a, b) == [str(Path("model-cg-1") / "run.X.txt"),
+                                              str(Path("penalty-1") / same_outputs.CONSOLE)]

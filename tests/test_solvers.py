@@ -185,6 +185,26 @@ class TestArmijoSearch:
         with pytest.raises(ValueError):
             armijo_search(SquaredNorm(), manifold, p, d, 1.0)
 
+    @pytest.mark.parametrize("initial_step", [math.inf, 0.0, math.nan, -1.0, 0.5 * MIN_STEP])
+    def test_rejects_a_first_step_outside_the_floor_and_infinity(self, initial_step):
+        # An infinite step would be halved forever; the others would end
+        # below the floor without a single trial.
+        manifold = CountingEuclidean(3)
+        p = manifold.identity()
+        d = AmbientPair(-np.eye(3), -np.eye(3))
+        with pytest.raises(ValueError, match="^initial_step must be finite"):
+            armijo_search(SquaredNorm(), manifold, p, d, -12.0, initial_step=initial_step)
+        assert manifold.trials == 0
+
+    @pytest.mark.parametrize("slope", [-math.inf, math.nan])
+    def test_rejects_a_non_finite_slope(self, slope):
+        manifold = CountingEuclidean(3)
+        p = manifold.identity()
+        d = AmbientPair(-np.eye(3), -np.eye(3))
+        with pytest.raises(ValueError, match="^not a descent direction"):
+            armijo_search(SquaredNorm(), manifold, p, d, slope)
+        assert manifold.trials == 0
+
     def test_accepted_step_satisfies_sufficient_decrease(self):
         for seed in range(5):
             n = 6
@@ -250,6 +270,36 @@ class TestArmijoSearch:
                     assert not (refined[1] < armijo_point[1] and acceptable(refined))
                     outcomes.add("refine rejected")
         assert {"curvature", "refined"} <= outcomes
+
+    def test_without_the_curvature_test_the_first_sufficient_decrease_is_returned(self):
+        # The search never refines, and it asks for the ray's slope only at
+        # trials that fail sufficient decrease, for the cubic backtrack. The
+        # same searches with the curvature test refine at least once, and
+        # some backtrack.
+        refined = backtracked = 0
+        for manifold, problem, p in self.searches():
+            g = riemannian_gradient(problem, manifold, p)
+            d = -g
+            slope = manifold.metric(p, g, d)
+            f0 = problem.cost_grad(p.x, p.y)[0]
+            for initial_step in (1e-3, 0.2, 1.0, 4.0):
+                rec = SlopeRecorder(manifold, problem, p, d)
+                step, point, cost, _ = armijo_search(
+                    rec, rec, p, d, slope, f0=f0, initial_step=initial_step,
+                    curvature_test=False)
+                decreased = [c <= f0 + ARMIJO_C1 * s * slope for s, c, _, _ in rec.trials]
+                assert decreased.index(True) == len(rec.trials) - 1
+                last = rec.trials[-1]
+                assert last[3] is point and last[1] == cost
+                assert last[0] == pytest.approx(step, rel=1e-12)
+                failed = [t[3] for t in rec.trials[:-1]]
+                assert len(rec.slopes_at) == len(failed)
+                assert all(a is b for a, b in zip(rec.slopes_at, failed))
+                backtracked += bool(failed)
+                tested = TrialRecorder(manifold, problem, p, d)
+                armijo_search(tested, tested, p, d, slope, f0=f0, initial_step=initial_step)
+                refined += len(tested.trials) > len(rec.trials)
+        assert refined > 0 and backtracked > 0
 
     @staticmethod
     def searches():
@@ -546,6 +596,24 @@ class TrialRecorder:
         return cost, egrad
 
 
+class SlopeRecorder(TrialRecorder):
+    """A TrialRecorder that also records each point at which the search asks
+    the ray's velocity for a slope."""
+
+    def __init__(self, manifold, problem, p, d):
+        super().__init__(manifold, problem, p, d)
+        self.slopes_at = []
+
+    def ray_velocity(self, p, d):
+        velocity = self.manifold.ray_velocity(p, d)
+
+        def recorded(q):
+            self.slopes_at.append(q)
+            return velocity(q)
+
+        return recorded
+
+
 class CountingProblem:
     """Exposes only cost_grad, and counts its calls."""
 
@@ -588,7 +656,8 @@ class TestTrialPoints:
     # Searches seeded with the slope-ratio step and a strict curvature test
     # made 2.13 retractions per iteration on the nearest-pair run and 2.37 on
     # the funmap run. The Newton step on the ray makes 1.33 and 1.00: most
-    # searches end at their first trial.
+    # searches end at their first trial. Without the curvature test along
+    # conjugate directions the nearest-pair run makes 1.20.
 
     @staticmethod
     def trials_in_30_iterations(manifold, problem, p0):
@@ -599,7 +668,7 @@ class TestTrialPoints:
     def test_few_trial_points_per_iteration(self):
         manifold = CountingManifold(12)
         problem = random_nearest_pair(41, 12, 4.0)
-        assert self.trials_in_30_iterations(manifold, problem, manifold.identity()) <= 1.5 * 30
+        assert self.trials_in_30_iterations(manifold, problem, manifold.identity()) <= 1.25 * 30
 
     def test_one_trial_point_per_iteration_on_funmap(self):
         manifold = CountingManifold(16)
@@ -790,6 +859,29 @@ class TestSearchFallback:
         with pytest.raises(NumericalError, match="^injected$"):
             self.solve()
         assert calls[-2:] == [False, True]
+
+
+class TestCurvatureTestOnRestartsOnly:
+    """A search applies the curvature test exactly when it runs along -g."""
+
+    @pytest.mark.parametrize("solve", [conjugate_gradient, gradient_descent], ids=["cg", "gd"])
+    def test_curvature_test_is_the_restart_flag(self, monkeypatch, solve):
+        calls = []
+        search = biorth.solvers.armijo_search
+
+        def patched(problem, manifold, p, d, slope, **kwargs):
+            # Along -g the solver passes slope = -metric(g, g) = -metric(d, d) exactly.
+            calls.append((slope == -manifold.metric(p, d, d), kwargs["curvature_test"]))
+            return search(problem, manifold, p, d, slope, **kwargs)
+
+        monkeypatch.setattr(biorth.solvers, "armijo_search", patched)
+        manifold = BiorthogonalManifold(12)
+        problem = random_nearest_pair(41, 12, 4.0)
+        _, trace = solve(problem, manifold, manifold.identity(), SolverOptions(max_iters=30))
+        assert len(calls) == len(trace) - 1 == 30
+        assert all(along_gradient is tested for along_gradient, tested in calls)
+        restarts = {along_gradient for along_gradient, _ in calls}
+        assert restarts == ({True, False} if solve is conjugate_gradient else {True})
 
 
 class TestFdGradientCheck:

@@ -15,8 +15,8 @@ The two output trees are then compared
 file by file: matrix files byte for byte, trace CSVs without their
 `elapsed_ms` column, and each run's console record (stdout, stderr and exit
 code) without its `seconds=` field. Prints
-"identical outputs" and exits 0, or names the first file that differs and
-exits 1.
+"identical outputs" and exits 0, or prints one line for each run whose
+outputs differ, naming that run's first differing file, and exits 1.
 """
 
 from __future__ import annotations
@@ -144,13 +144,17 @@ def _files(root):
     return out
 
 
-def first_difference(base_dir, new_dir):
-    """Relative path of the first output file that differs, or None if all match."""
+def differences(base_dir, new_dir):
+    """Relative path of the first differing output file of each run, in sorted order."""
+    diffs = {}
     for rel in sorted(set(_files(base_dir)) | set(_files(new_dir))):
+        run = rel.split(os.sep)[0]
+        if run in diffs:
+            continue
         a, b = os.path.join(base_dir, rel), os.path.join(new_dir, rel)
         if not (os.path.isfile(a) and os.path.isfile(b)) or _normalized(a) != _normalized(b):
-            return rel
-    return None
+            diffs[run] = rel
+    return list(diffs.values())
 
 
 def main(argv=None):
@@ -165,9 +169,10 @@ def main(argv=None):
         outs = [os.path.join(tmp, label) for label in ("base", "new")]
         for src, out in zip(argv, outs):
             run_all(src, out, inputs)
-        diff = first_difference(*outs)
-    if diff is not None:
+        diffs = differences(*outs)
+    for diff in diffs:
         print(f"outputs differ: {diff}")
+    if diffs:
         return 1
     print(f"identical outputs: {len(RUNS)} runs")
     return 0
