@@ -155,14 +155,13 @@ def _run_solver(args, problem, manifold, p0):
     return point, trace, seconds
 
 
-def _emit_run(out, point, trace, seconds, manifold, x_name="X", y_name="Y"):
+def _emit_run(out, point, trace, seconds, x_name="X", y_name="Y"):
     write_trace(f"{out}.trace.csv", trace)
     write_matrix(f"{out}.{x_name}.txt", point.x)
     write_matrix(f"{out}.{y_name}.txt", point.y)
-    final = trace[-1]
-    feas = manifold.feasibility_error(point)
+    final = trace[-1]  # the record of `point`, feasibility error included
     print(
-        f"final_cost={format_real(final.cost)} feas_err={format_real(feas)} "
+        f"final_cost={format_real(final.cost)} feas_err={format_real(final.feas_err)} "
         f"iters={final.iter} seconds={seconds:.3f}"
     )
 
@@ -172,7 +171,7 @@ def cmd_model_problem(args):
     problem = random_nearest_pair(args.seed, args.n, args.scale)
     manifold = BiorthogonalManifold(args.n)
     point, trace, seconds = _run_solver(args, problem, manifold, manifold.identity())
-    _emit_run(out, point, trace, seconds, manifold)
+    _emit_run(out, point, trace, seconds)
     return 0
 
 
@@ -183,7 +182,7 @@ def cmd_penalty(args):
     problem = PenaltyProblem(targets.phi, targets.psi, args.alpha)
     manifold = EuclideanManifold(args.n)
     point, trace, seconds = _run_solver(args, problem, manifold, manifold.identity())
-    _emit_run(out, point, trace, seconds, manifold)
+    _emit_run(out, point, trace, seconds)
     return 0
 
 
@@ -209,7 +208,7 @@ def cmd_funmap(args):
         rec1 = fro_norm(point.x - truth.x)
         rec2 = fro_norm(point.y - truth.y)
         print(f"recovery_c1={format_real(rec1)} recovery_c2={format_real(rec2)}")
-    _emit_run(out, point, trace, seconds, manifold, x_name="C1", y_name="C2")
+    _emit_run(out, point, trace, seconds, x_name="C1", y_name="C2")
     return 0
 
 

@@ -79,11 +79,11 @@ def mat_exp(m) -> np.ndarray:
 
     Uses scaling-and-squaring with a Pade core. Accuracy contract for the
     norms this package works at: ``fro_norm(mat_exp(g) @ mat_exp(-g) - I)``
-    stays below ``1e-11 * n`` for ``fro_norm(g) <= 10``.
+    stays below ``1e-11 * n`` for ``fro_norm(g) <= 10``. A zero matrix,
+    signed zeros included, takes scipy's diagonal path, whose e^0 = 1 gives
+    exactly ``np.eye(n)``.
     """
     m = require_square(as_matrix(m))
-    if not m.any():
-        return np.eye(m.shape[0])
     # Overflow is reported as NumericalError below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         out = scipy.linalg.expm(m)

@@ -426,13 +426,14 @@ def metric(p, t1, t2) -> float:
 
 
 def random_point(seed, n: int, scale: float) -> BiorthPoint:
-    """Random point (e^{scale G}, e^{-scale G}), G Gaussian drawn by make_rng(seed)."""
+    """Random point (e^{scale G}, e^{-scale G}); scale 0 gives the identity pair.
+
+    G is Gaussian, drawn by make_rng(seed) at every scale.
+    """
     if n < 1:
         raise DimensionError(f"n must be >= 1, got {n}")
     if not scale >= 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
-    if scale == 0:
-        return identity_point(n)
     g = scale * make_rng(seed).standard_normal((n, n))
     return BiorthPoint(mat_exp(g), mat_exp(-g))
 
@@ -442,13 +443,11 @@ def random_tangent(seed, p: BiorthPoint, scale: float) -> TangentPair:
 
     Draws Gaussian u by make_rng(seed) and completes it with the unique
     v = -y0 @ u @ y0 satisfying the tangent constraint at a feasible base point.
+    u is drawn at every scale; scale 0 gives a tangent equal to zero.
     """
     if not scale >= 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     n = p.n
-    if scale == 0:
-        z = np.zeros((n, n))
-        return TangentPair(z, z, p)
     u = make_rng(seed).standard_normal((n, n))
     v = -(p.y @ u @ p.y)
     nrm = np.sqrt(np.sum(u * u) + np.sum(v * v))
@@ -591,11 +590,10 @@ class EuclideanManifold:
         )
 
     def random_tangent(self, seed, p, scale=1.0) -> AmbientPair:
+        """Gaussian pair drawn by make_rng(seed) at every scale, scaled to norm `scale`."""
         if not scale >= 0:
             raise ValueError(f"scale must be >= 0, got {scale}")
         n = self.n
-        if scale == 0:
-            return AmbientPair(*np.zeros((2, n, n)))
         rng = make_rng(seed)
         t = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
         return (scale / t.norm()) * t

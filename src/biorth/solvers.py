@@ -19,9 +19,10 @@ Each search starts at the Newton step on its ray, -phi'(0) / phi''(0):
 phi''(0) is the problem's curvature along the direction plus the
 Euclidean gradient's product with the ray's acceleration, so it costs a
 few products and no retraction. Without a curvature, or where phi''(0) is
-not positive and finite, the search starts from the slope-ratio step of
-the previous one. Conjugate gradient transports the previous direction
-but not the previous gradient, of which it needs only one inner product.
+not positive and finite, it starts from the slope-ratio step of the
+previous one (INITIAL_STEP on the first search). Conjugate gradient
+transports the previous direction but not the previous gradient, of which
+it needs only one inner product.
 The one finiteness check is metric(g, g) of each projected gradient: if it
 is finite, so is every entry of g; if not, the run raises NumericalError.
 A search that fails along a CG direction is retried once along -g. Along
@@ -246,7 +247,7 @@ POWELL_RESTART_THRESHOLD = 0.1
 
 
 def _ray_curvature(curvature, manifold, p, d, egrad):
-    """phi''(0) of s -> f(retract(p, s * d)); None if the problem has no curvature.
+    """phi''(0) of s -> f(retract(p, s * d)); NaN if the problem has no curvature.
 
     phi''(0) = <c'(0), Hess f c'(0)> + <egrad, c''(0)>, where c'(0) = d for
     every retraction, `curvature` is the problem's Hessian form, `egrad` is
@@ -255,7 +256,7 @@ def _ray_curvature(curvature, manifold, p, d, egrad):
     to overflow gives an infinite or NaN value, which _first_step rejects.
     """
     if curvature is None:
-        return None
+        return math.nan
     xi = d.as_ambient()
     with np.errstate(over="ignore", invalid="ignore"):
         value = curvature(p.x, p.y, xi.phi, xi.psi)
@@ -269,17 +270,14 @@ def _first_step(last_decrease, slope, phi2):
     """First trial step of a search whose ray has phi'(0) = `slope` and phi''(0) = `phi2`.
 
     The Newton step on the ray, -slope / phi2, when `phi2` (from
-    _ray_curvature) is positive and finite. Otherwise the slope ratio of
-    Nocedal & Wright, Numerical Optimization, section 3.5: the step that
-    predicts the same first-order decrease as the last accepted step,
+    _ray_curvature) is positive and finite, which a NaN is not. Otherwise the
+    slope ratio of Nocedal & Wright, Numerical Optimization, section 3.5:
     alpha_prev * slope_prev / slope, where `last_decrease` is alpha_prev *
-    slope_prev, or INITIAL_STEP when it is None, before the first search.
-    Both steps are clipped to [MIN_STEP, 4 * INITIAL_STEP].
+    slope_prev; before the first search it is INITIAL_STEP * slope, giving
+    INITIAL_STEP. Both steps are clipped to [MIN_STEP, 4 * INITIAL_STEP].
     """
-    if phi2 is not None and 0 < phi2 < math.inf:
+    if 0 < phi2 < math.inf:
         step = -slope / phi2
-    elif last_decrease is None:
-        return INITIAL_STEP
     else:
         step = last_decrease / slope
     return min(max(step, MIN_STEP), 4.0 * INITIAL_STEP)
@@ -310,9 +308,10 @@ def _descend(problem, manifold, p0, opts, cg):
     trace = [TraceRecord(0, f, gnorm, manifold.feasibility_error(p), elapsed_ms())]
 
     # The next search runs along -g when `restart` is set, else along the CG
-    # direction d; gradient descent never clears it.
+    # direction d; gradient descent never clears it. The first search, along
+    # -g, has slope -gnorm_sq.
     restart = True
-    last_decrease = None
+    last_decrease = -INITIAL_STEP * gnorm_sq
 
     k = 0
     while k < opts.max_iters and gnorm > opts.grad_tol:

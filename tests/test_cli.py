@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from biorth.cli import main
-from biorth.matio import read_matrix, read_trace, write_matrix
+from biorth.matio import format_real, read_matrix, read_trace, write_matrix
 from biorth.problems import synth_funmap
 from biorth.rng import make_rng
 from biorth_launcher import THREAD_VARIABLES
@@ -33,6 +33,7 @@ class TestModelProblem:
         assert "final_cost=" in out and "feas_err=" in out
         assert "iters=" in out and "seconds=" in out
         trace = read_trace("run.trace.csv")
+        assert f" feas_err={format_real(trace[-1].feas_err)} " in out
         assert len(trace) <= 31
         assert all(rec.feas_err <= 1e-8 for rec in trace)
         x = read_matrix("run.X.txt")
@@ -117,6 +118,7 @@ class TestPenalty:
         trace = read_trace("pen.trace.csv")
         # relaxed runs drift off the constraint set
         assert trace[-1].feas_err > 1e-6
+        assert f" feas_err={format_real(trace[-1].feas_err)} " in capsys.readouterr().out
         costs = [r.cost for r in trace]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 

@@ -67,7 +67,11 @@ class TestSvd:
 
 class TestMatExp:
     def test_zero_matrix(self):
-        assert np.array_equal(mat_exp(np.zeros((4, 4))), np.eye(4))
+        # Signed zeros included, e^0 is the identity bit for bit: no -0.0 entry.
+        signed = np.zeros((4, 4))
+        signed[::2, 1::2] = -0.0
+        for m in (np.zeros((4, 4)), -np.zeros((4, 4)), signed):
+            assert mat_exp(m).tobytes() == np.eye(4).tobytes()
 
     def test_nilpotent(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])

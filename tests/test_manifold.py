@@ -639,6 +639,19 @@ class TestRandomTangent:
         p = seeded_point(210, 5)
         t = random_tangent(211, p, 0.0)
         assert t.norm() == 0.0
+        assert EuclideanManifold(5).random_tangent(211, p, 0.0).norm() == 0.0
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng, scale: random_point(rng, 4, scale),
+        lambda rng, scale: random_tangent(rng, seeded_point(214, 4), scale),
+        lambda rng, scale: EuclideanManifold(4).random_tangent(rng, None, scale),
+    ], ids=["random_point", "random_tangent", "euclidean_random_tangent"])
+    def test_zero_scale_draws_from_a_shared_generator_as_any_scale(self, draw):
+        zero, other = make_rng(215), make_rng(215)
+        draw(zero, 0.0)
+        draw(other, 0.3)
+        assert zero.bit_generator.state == other.bit_generator.state
+        assert zero.standard_normal() == other.standard_normal()
 
     def test_norm_matches_scale(self):
         p = seeded_point(212, 5)

@@ -15,13 +15,15 @@ target and the final gap, (final cost - reference) / scale, where the
 target is a gap of the workload's `gap` in the same units: the scale is
 |reference| for model-n100 and penalty-n100 and |A|^2 + |B|^2 for
 funmap-k16, whose optimum is 0. Then prints one summary line per workload:
-the sum over its instances of the iterations to target and the worst final
-gap. Exits 1 if any instance misses.
+the sum over its instances of the iterations to target, the worst final
+gap, its line searches split by trial points (1 / 2 / 3 / >=4) and its
+trial points per iteration. Exits 1 if any instance misses.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import math
@@ -44,8 +46,69 @@ def instances(names=SOLVER_WORKLOADS):
     return [(name, seed) for name in names for seed in (*WORKLOADS[name].pool, HELDOUT)]
 
 
+@contextlib.contextmanager
+def counting_searches():
+    """Yield a list of (trial points, returned a step), one per line search run inside.
+
+    Wraps `biorth.solvers.armijo_search`, which the solvers look up by
+    module name, and the `retract` methods of both manifolds, through which
+    every trial point passes, and restores them on exit. The solvers
+    retract only inside a search, and every search that returns a step is
+    one solver iteration.
+    """
+    import biorth.solvers
+    from biorth.manifold import BiorthogonalManifold, EuclideanManifold
+
+    searches = []
+    search = biorth.solvers.armijo_search
+    retracts = {cls: cls.retract for cls in (BiorthogonalManifold, EuclideanManifold)}
+    trials = 0  # trial points so far of the search in progress
+
+    def counted_search(*args, **kwargs):
+        nonlocal trials
+        trials, returned = 0, False
+        try:
+            result = search(*args, **kwargs)
+            returned = True
+            return result
+        finally:
+            searches.append((trials, returned))
+
+    def counted(retract):
+        def counted_retract(self, p, t):
+            nonlocal trials
+            trials += 1
+            return retract(self, p, t)
+        return counted_retract
+
+    biorth.solvers.armijo_search = counted_search
+    for cls, retract in retracts.items():
+        cls.retract = counted(retract)
+    try:
+        yield searches
+    finally:
+        biorth.solvers.armijo_search = search
+        for cls, retract in retracts.items():
+            cls.retract = retract
+
+
+def search_summary(searches):
+    """Searches split by trial points 1 / 2 / 3 / >=4, and trial points per iteration."""
+    counts = collections.Counter(min(trials, 4) for trials, _ in searches)
+    split = [counts[k] for k in (1, 2, 3, 4)]
+    iterations = sum(returned for _, returned in searches)
+    per_iter = sum(trials for trials, _ in searches) / iterations if iterations else math.nan
+    return (f"searches by trial points (1 / 2 / 3 / >=4) {' / '.join(map(str, split))}, "
+            f"{per_iter:.3f} trial points per iteration")
+
+
 def run_instance(workload, seed, workdir):
-    """Run one instance as the benchmark does; returns (Outcome, final gap, stderr)."""
+    """Run one instance as the benchmark does.
+
+    Returns (Outcome, final gap, stderr, searches), where `searches` holds
+    (trial points, returned a step) of each line search, as counted by
+    counting_searches.
+    """
     # Imported here, after main has put SRC on the import path.
     import biorth.cli
     from invocations import (check, funmap_item, load_references, read_trace_columns,
@@ -58,7 +121,8 @@ def run_instance(workload, seed, workdir):
         reference = load_references()[workload.name]["optima"][str(seed)]
         item = solver_item(workload, seed, reference, workdir, 0)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          counting_searches() as searches):
         rc = biorth.cli.main(item.argv)
     outcome = check(workload, item, rc, out.getvalue())
     gap = math.nan
@@ -66,7 +130,7 @@ def run_instance(workload, seed, workdir):
         final = read_trace_columns(f"{item.out}.trace.csv")["cost"][-1]
         scale = (item.target - reference) / workload.gap
         gap = (final - reference) / scale
-    return outcome, gap, err.getvalue().strip()
+    return outcome, gap, err.getvalue().strip(), searches
 
 
 def main(argv=None):
@@ -79,12 +143,14 @@ def main(argv=None):
     tasks = instances()
     missed = 0
     met = {}  # workload name -> (iterations to target, final gap) of each instance that met it
+    searches = {}  # workload name -> (trial points, returned a step) of each of its searches
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed in tasks:
             workload = WORKLOADS[name]
             workdir = os.path.join(tmp, f"{name}-{seed}")
             os.makedirs(workdir)
-            outcome, gap, err = run_instance(workload, seed, workdir)
+            outcome, gap, err, instance_searches = run_instance(workload, seed, workdir)
+            searches.setdefault(name, []).extend(instance_searches)
             head = f"{name} seed {seed}:"
             if outcome.ok:
                 met.setdefault(name, []).append((outcome.iter_to_target, gap))
@@ -102,7 +168,7 @@ def main(argv=None):
             summary += (f", {sum(i for i, _ in runs)} iterations to target in all, "
                         f"worst final gap {max(g for _, g in runs):.3e} "
                         f"(target {WORKLOADS[name].gap:.0e})")
-        print(summary)
+        print(f"{summary}, {search_summary(searches[name])}")
     print(f"{len(tasks) - missed} of {len(tasks)} instances met their targets")
     return 1 if missed else 0
 
