@@ -277,6 +277,10 @@ class EuclideanPoint(_Value):
     def n(self) -> int:
         return self.x.shape[0]
 
+    def feasibility_error(self) -> float:
+        """fro_norm(x @ y - I): a diagnostic here, since nothing enforces it."""
+        return _feasibility_error(self.x, self.y)
+
     def __repr__(self):
         return f"EuclideanPoint(n={self.n})"
 
@@ -334,7 +338,7 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
     projection-oracle suites of `biorth check` measure it independently.
     On a base so badly scaled that this arithmetic overflows, entries come
     out infinite or NaN without a warning; the solvers catch them through
-    metric(g, g), and the `project` command scans the result.
+    g.inner(g), and the `project` command scans the result.
     """
     if a.phi.shape != p.x.shape:
         raise DimensionError(
@@ -418,7 +422,11 @@ def ray_acceleration(p: BiorthPoint, t: TangentPair) -> AmbientPair:
 
 
 def metric(p, t1, t2) -> float:
-    """Ambient Frobenius inner product of two tangents at the same point."""
+    """t1.inner(t2), after checking that both tangents are based at `p`.
+
+    The manifold is embedded, so its metric is the ambient Frobenius inner
+    product, which `TangentPair.inner` computes for tangents at any base.
+    """
     _require_based_at(p, t1)
     _require_based_at(p, t2)
     # No scan: a non-finite entry makes this sum non-finite, which the solvers check.
@@ -499,27 +507,9 @@ class BiorthogonalManifold:
     def ray_acceleration(self, p, t) -> AmbientPair:
         return ray_acceleration(p, t)
 
-    def metric(self, p, t1, t2) -> float:
-        return metric(p, t1, t2)
-
     def transport(self, p, t) -> TangentPair:
         """Carry a tangent to the tangent space at `p` by projection."""
         return self.project(p, t.as_ambient())
-
-    def inner_transported(self, p, t, s) -> float:
-        """metric(p, t, transport(p, s)) for a tangent `t` at `p`, with no projection.
-
-        `s` may be based anywhere. The projection is orthogonal in the
-        ambient Frobenius metric, so it is self-adjoint and fixes `t`:
-        <t, P(s)> = <P(t), s> = <t, s>, the ambient product of the arrays.
-        At a base point that has drifted, this is the product with the exact
-        orthogonal projection onto the stored pair's tangent space, which
-        project_tangent matches only up to the drift.
-        """
-        _require_based_at(p, t)
-        if not isinstance(s, TangentPair):
-            raise InvalidTangentError("inner_transported takes two TangentPairs")
-        return t.inner(s)
 
     def random_point(self, seed, scale=0.5) -> BiorthPoint:
         return random_point(seed, self.n, scale)
@@ -527,16 +517,12 @@ class BiorthogonalManifold:
     def random_tangent(self, seed, p, scale=1.0) -> TangentPair:
         return random_tangent(seed, p, scale)
 
-    def feasibility_error(self, p) -> float:
-        return p.feasibility_error()
-
 
 class EuclideanManifold:
     """The flat product space of matrix pairs, used by the penalty baseline.
 
-    Projection is the identity, retraction is addition, and the metric is
-    the ambient Frobenius inner product. `feasibility_error` still reports
-    fro_norm(x @ y - I) as a diagnostic; nothing enforces it.
+    Projection is the identity and retraction is addition. The metric is
+    the ambient Frobenius inner product, AmbientPair.inner.
     """
 
     def __init__(self, n: int):
@@ -571,17 +557,12 @@ class EuclideanManifold:
         """None: the curve s -> retract(p, s * t) is a straight line, c'' = 0."""
         return None
 
-    def metric(self, p, t1, t2) -> float:
-        return t1.inner(t2)
-
     def transport(self, p, t) -> AmbientPair:
         return t
 
-    def inner_transported(self, p, t, s) -> float:
-        """metric(p, t, transport(p, s)); transport is the identity here."""
-        return self.metric(p, t, s)
-
     def random_point(self, seed, scale=0.5) -> EuclideanPoint:
+        if not scale >= 0:
+            raise ValueError(f"scale must be >= 0, got {scale}")
         rng = make_rng(seed)
         n = self.n
         return EuclideanPoint(
@@ -597,6 +578,3 @@ class EuclideanManifold:
         rng = make_rng(seed)
         t = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
         return (scale / t.norm()) * t
-
-    def feasibility_error(self, p) -> float:
-        return _feasibility_error(p.x, p.y)

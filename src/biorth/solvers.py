@@ -6,15 +6,19 @@ finite-difference gradient checker. A problem is any object with
 ``cost_grad(x, y) -> (float, AmbientPair)``, the cost and the Euclidean
 gradient from one evaluation, and optionally ``curvature(x, y, u, v)``, the
 Euclidean Hessian form along (u, v); the manifold supplies
-project/retract/ray_velocity/ray_acceleration/metric/transport/
-inner_transported. Each line-search trial point is evaluated once. Its
-gradient gives the slope of the ray there, which drives a cubic
-interpolation and a curvature test (Nocedal & Wright, Numerical
-Optimization, section 3.5), and the accepted point's gradient is the one
-the solver projects. The curvature test runs on every search along -g:
-all of gradient descent's and each CG restart's. A search along a
-conjugate direction stops at its first trial with sufficient decrease,
-since Powell's restart test already guards CG against inexact steps.
+check_point/dim/project/retract/ray_velocity/ray_acceleration/transport,
+and random_tangent for the gradient checker. Both spaces are embedded in
+the ambient space of matrix pairs and take its Frobenius product as their
+metric, so every inner product comes from the values, `g.inner(d)`, and
+each trace row reads `p.feasibility_error()`. Each line-search trial
+point is evaluated once. Its gradient gives the slope of the ray there,
+which drives a cubic interpolation and a curvature test (Nocedal &
+Wright, Numerical Optimization, section 3.5), and the accepted point's
+gradient is the one the solver projects. The curvature test runs on every
+search along -g: all of gradient descent's and each CG restart's. A search
+along a conjugate direction stops at its first trial with sufficient
+decrease, since Powell's restart test already guards CG against inexact
+steps.
 Each search starts at the Newton step on its ray, -phi'(0) / phi''(0):
 phi''(0) is the problem's curvature along the direction plus the
 Euclidean gradient's product with the ray's acceleration, so it costs a
@@ -23,7 +27,7 @@ not positive and finite, it starts from the slope-ratio step of the
 previous one (INITIAL_STEP on the first search). Conjugate gradient
 transports the previous direction but not the previous gradient, of which
 it needs only one inner product.
-The one finiteness check is metric(g, g) of each projected gradient: if it
+The one finiteness check is g.inner(g) of each projected gradient: if it
 is finite, so is every entry of g; if not, the run raises NumericalError.
 A search that fails along a CG direction is retried once along -g. Along
 -g, a search with no sufficient decrease ends the run at the current
@@ -84,9 +88,9 @@ class TraceRecord:
     elapsed_ms: float
 
 
-def _gradient_norm_sq(manifold, p, g, k):
-    """metric(p, g, g) of the gradient at iteration `k`; NumericalError if not finite."""
-    gnorm_sq = manifold.metric(p, g, g)
+def _gradient_norm_sq(g, k):
+    """g.inner(g) of the gradient at iteration `k`; NumericalError if not finite."""
+    gnorm_sq = g.inner(g)
     if not math.isfinite(gnorm_sq):
         raise NumericalError(
             f"gradient norm is not finite at iteration {k}: metric(g, g) = {gnorm_sq!r}"
@@ -226,8 +230,10 @@ def conjugate_gradient(problem, manifold, p0, opts=None):
 
     The previous direction is carried to the new tangent space by
     `manifold.transport`. The previous gradient enters only through its
-    inner product with the new one, <g_new, transport(g_old)>, which
-    `manifold.inner_transported` reads without transporting g_old; that one
+    inner product with the new one, <g_new, transport(g_old)>. Transport is
+    the orthogonal projection onto the new tangent space, which is
+    self-adjoint and fixes g_new, so that product is g_new.inner(g_old), the
+    ambient product of the arrays, read without transporting g_old. That one
     number gives both beta = (|g_new|^2 - <g_new, g_old>) / |g_old|^2 and
     Powell's test. The direction resets to steepest descent every
     dim(manifold) iterations, when beta clips to zero, whenever descent is
@@ -303,9 +309,9 @@ def _descend(problem, manifold, p0, opts, cg):
     # product with the ray's acceleration.
     g = manifold.project(p, egrad)
     curvature = getattr(problem, "curvature", None)  # optional in the problem protocol
-    gnorm_sq = _gradient_norm_sq(manifold, p, g, 0)
+    gnorm_sq = _gradient_norm_sq(g, 0)
     gnorm = math.sqrt(gnorm_sq)
-    trace = [TraceRecord(0, f, gnorm, manifold.feasibility_error(p), elapsed_ms())]
+    trace = [TraceRecord(0, f, gnorm, p.feasibility_error(), elapsed_ms())]
 
     # The next search runs along -g when `restart` is set, else along the CG
     # direction d; gradient descent never clears it. The first search, along
@@ -316,7 +322,7 @@ def _descend(problem, manifold, p0, opts, cg):
     k = 0
     while k < opts.max_iters and gnorm > opts.grad_tol:
         if not restart:
-            slope = manifold.metric(p, g, d)
+            slope = g.inner(d)
             restart = not -math.inf < slope < 0  # descent lost, or the slope overflowed
         if restart:
             d, since_restart, slope = -g, 0, -gnorm_sq
@@ -339,10 +345,10 @@ def _descend(problem, manifold, p0, opts, cg):
         last_decrease = step * slope
 
         g_new = manifold.project(p_new, egrad_new)
-        gnorm_sq_new = _gradient_norm_sq(manifold, p_new, g_new, k)
+        gnorm_sq_new = _gradient_norm_sq(g_new, k)
         if cg:
             since_restart += 1
-            overlap = manifold.inner_transported(p_new, g_new, g)
+            overlap = g_new.inner(g)
             beta = max(0.0, (gnorm_sq_new - overlap) / gnorm_sq)
             restart = (since_restart >= restart_every or beta == 0.0
                        or abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq_new)
@@ -353,7 +359,7 @@ def _descend(problem, manifold, p0, opts, cg):
         gnorm_sq = gnorm_sq_new
         gnorm = math.sqrt(gnorm_sq)
         trace.append(
-            TraceRecord(k, f, gnorm, manifold.feasibility_error(p), elapsed_ms())
+            TraceRecord(k, f, gnorm, p.feasibility_error(), elapsed_ms())
         )
 
     return p, trace
@@ -362,7 +368,7 @@ def _descend(problem, manifold, p0, opts, cg):
 def fd_gradient_check(problem, manifold, p, n_dirs=10, h=1e-6, seed=0):
     """Worst relative error of the projected gradient against central differences.
 
-    Compares metric(grad, t) with (f(R(h t)) - f(R(-h t))) / 2h along
+    Compares grad.inner(t) with (f(R(h t)) - f(R(-h t))) / 2h along
     `n_dirs` >= 1 seeded unit tangents t at `p`.
     """
     if n_dirs < 1:
@@ -373,7 +379,7 @@ def fd_gradient_check(problem, manifold, p, n_dirs=10, h=1e-6, seed=0):
     worst = 0.0
     for i in range(n_dirs):
         t = manifold.random_tangent(seed + i, p, 1.0)
-        analytic = manifold.metric(p, g, t)
+        analytic = g.inner(t)
         q = manifold.retract(p, h * t)
         fp = problem.cost_grad(q.x, q.y)[0]
         q = manifold.retract(p, (-h) * t)

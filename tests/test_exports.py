@@ -2,7 +2,7 @@ import biorth
 import biorth.manifold
 import biorth.problems
 
-# Names deleted from the package: nothing inside it called them.
+# Names deleted from the package: nothing inside it calls them any more.
 DELETED = (
     (biorth, "is_on_manifold"),
     (biorth.manifold, "is_on_manifold"),
@@ -12,6 +12,12 @@ DELETED = (
     (biorth.manifold, "_frozen"),
     (biorth.manifold.BiorthogonalManifold, "zero_tangent"),
     (biorth.manifold.EuclideanManifold, "zero_tangent"),
+    (biorth.manifold.BiorthogonalManifold, "metric"),
+    (biorth.manifold.EuclideanManifold, "metric"),
+    (biorth.manifold.BiorthogonalManifold, "inner_transported"),
+    (biorth.manifold.EuclideanManifold, "inner_transported"),
+    (biorth.manifold.BiorthogonalManifold, "feasibility_error"),
+    (biorth.manifold.EuclideanManifold, "feasibility_error"),
 )
 
 

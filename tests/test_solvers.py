@@ -94,11 +94,13 @@ NAN = float("nan")
         ("scale", lambda: random_point(1, 3, NAN)),
         ("scale", lambda: random_tangent(1, identity_point(3), NAN)),
         ("scale", lambda: EuclideanManifold(3).random_tangent(1, None, NAN)),
+        ("scale", lambda: EuclideanManifold(3).random_point(1, NAN)),
         ("h", lambda: fd_gradient_check(ConstantProblem(), BiorthogonalManifold(3),
                                         identity_point(3), h=NAN)),
     ],
     ids=["SolverOptions", "PenaltyProblem", "FunmapProblem", "synth_funmap", "random_point",
-         "random_tangent", "EuclideanManifold.random_tangent", "fd_gradient_check"],
+         "random_tangent", "EuclideanManifold.random_tangent", "EuclideanManifold.random_point",
+         "fd_gradient_check"],
 )
 def test_range_checks_reject_nan(name, build):
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -162,7 +164,7 @@ class TestArmijoSearch:
         problem = SquaredNorm()
         p = manifold.identity()
         d = AmbientPair(-2.0 * np.eye(n), -2.0 * np.eye(n))
-        slope = manifold.metric(p, problem.euclidean_gradient(p.x, p.y), d)
+        slope = problem.euclidean_gradient(p.x, p.y).inner(d)
         assert slope == -8.0 * n
         step, point, cost, _ = armijo_search(problem, manifold, p, d, slope)
         assert step == 0.5
@@ -214,7 +216,7 @@ class TestArmijoSearch:
             f0 = problem.cost_grad(p.x, p.y)[0]
             g = riemannian_gradient(problem, manifold, p)
             d = -g
-            slope = manifold.metric(p, g, d)
+            slope = g.inner(d)
             step, _, cost, _ = armijo_search(problem, manifold, p, d, slope, f0=f0)
             assert cost <= f0 + ARMIJO_C1 * step * slope
             assert step >= MIN_STEP
@@ -231,7 +233,7 @@ class TestArmijoSearch:
         for manifold, problem, p in self.searches():
             g = riemannian_gradient(problem, manifold, p)
             d = -g
-            slope = manifold.metric(p, g, d)
+            slope = g.inner(d)
             f0 = problem.cost_grad(p.x, p.y)[0]
             for initial_step in (1e-3, 0.2, 1.0, 4.0):
                 rec = TrialRecorder(manifold, problem, p, d)
@@ -280,7 +282,7 @@ class TestArmijoSearch:
         for manifold, problem, p in self.searches():
             g = riemannian_gradient(problem, manifold, p)
             d = -g
-            slope = manifold.metric(p, g, d)
+            slope = g.inner(d)
             f0 = problem.cost_grad(p.x, p.y)[0]
             for initial_step in (1e-3, 0.2, 1.0, 4.0):
                 rec = SlopeRecorder(manifold, problem, p, d)
@@ -379,7 +381,7 @@ class TestRiemannianGradient:
         manifold = BiorthogonalManifold(n)
         problem = NearestPairProblem(np.eye(n), np.eye(n))
         g = riemannian_gradient(problem, manifold, identity_point(n))
-        assert math.sqrt(manifold.metric(identity_point(n), g, g)) <= 1e-8
+        assert math.sqrt(g.inner(g)) <= 1e-8
 
     def test_tangent_gradient_passes_through(self):
         # with psi = 2I - phi the Euclidean gradient at (I, I) is already
@@ -401,12 +403,12 @@ class TestRiemannianGradient:
         problem = random_nearest_pair(3, n, 2.0)
         p = manifold.random_point(4, scale=0.3)
         g = riemannian_gradient(problem, manifold, p)
-        gnorm = math.sqrt(manifold.metric(p, g, g))
+        gnorm = math.sqrt(g.inner(g))
         f0 = problem.cost_grad(p.x, p.y)[0]
         h = 1e-6
         for seed in range(10):
             t = manifold.random_tangent(seed, p, 1.0)
-            analytic = manifold.metric(p, g, t)
+            analytic = g.inner(t)
             q = manifold.retract(p, h * t)
             fd = (problem.cost_grad(q.x, q.y)[0] - f0) / h
             # forward differences carry O(h) truncation; slopes along random
@@ -649,7 +651,7 @@ class TestEvaluateOnce:
         assert problem.calls == manifold.trials + 1
         # the gradient the solver kept belongs to the point it returned
         g = riemannian_gradient(problem.problem, manifold, point)
-        assert trace[-1].grad_norm == math.sqrt(manifold.metric(point, g, g))
+        assert trace[-1].grad_norm == math.sqrt(g.inner(g))
 
 
 class TestTrialPoints:
@@ -738,13 +740,6 @@ class CountingTransport(BiorthogonalManifold):
         return super().transport(p, t)
 
 
-class InnerThroughTransport(BiorthogonalManifold):
-    """Computes the CG inner product the direct way: transport, then metric."""
-
-    def inner_transported(self, p, t, s):
-        return self.metric(p, t, self.transport(p, s))
-
-
 class TestConjugateGradientKernels:
     def test_one_transport_per_iteration_and_one_svd_per_point(self, monkeypatch):
         svds = []
@@ -777,24 +772,34 @@ class TestConjugateGradientKernels:
         assert len(trace) == 31
         assert residual_checks == []
 
-    def test_trace_matches_the_product_through_transport(self):
-        n = 12
-        problem = random_nearest_pair(21, n, 3.0)
-        traces = []
-        for manifold in (BiorthogonalManifold(n), InnerThroughTransport(n)):
-            _, trace = conjugate_gradient(
-                problem, manifold, manifold.identity(), SolverOptions(max_iters=30)
-            )
-            traces.append(trace)
-        new, direct = traces
-        assert len(new) == len(direct) == 31
-        # The gradient falls 1e4-fold over the run, and rounding in its last
-        # rows is relative to the gradients it was computed from, so gradient
-        # norms are compared at the scale of the first one.
-        scale = direct[0].grad_norm
-        for a, b in zip(new, direct):
-            assert a.cost == pytest.approx(b.cost, rel=1e-10)
-            assert abs(a.grad_norm - b.grad_norm) <= 1e-10 * scale
+
+class ReadRecorder:
+    """Forwards attribute reads to `manifold` and adds each name to `reads`."""
+
+    def __init__(self, manifold, reads):
+        self._manifold = manifold
+        self._reads = reads
+
+    def __getattr__(self, name):
+        self._reads.add(name)
+        return getattr(self._manifold, name)
+
+
+def test_solvers_read_only_the_manifold_interface():
+    # Inner products and the feasibility error come from the values, so the
+    # solvers ask the manifold for no metric and no feasibility measure.
+    reads = set()
+    targets = random_nearest_pair(41, 6, 4.0)
+    penalty = PenaltyProblem(targets.phi, targets.psi, 10.0)
+    for manifold, problem in ((BiorthogonalManifold(6), targets), (EuclideanManifold(6), penalty)):
+        proxy = ReadRecorder(manifold, reads)
+        p0 = manifold.identity()
+        for solve in (gradient_descent, conjugate_gradient):
+            _, trace = solve(problem, proxy, p0, SolverOptions(max_iters=10))
+            assert len(trace) == 11
+        fd_gradient_check(problem, proxy, p0, n_dirs=2)
+    assert reads == {"check_point", "dim", "project", "retract", "ray_velocity",
+                     "ray_acceleration", "transport", "random_tangent"}
 
 
 class TestSearchFallback:
@@ -810,8 +815,8 @@ class TestSearchFallback:
         search = biorth.solvers.armijo_search
 
         def patched(problem, manifold, p, d, slope, **kwargs):
-            # Along -g the solver passes slope = -metric(g, g) = -metric(d, d) exactly.
-            calls.append(slope == -manifold.metric(p, d, d))
+            # Along -g the solver passes slope = -g.inner(g) = -d.inner(d) exactly.
+            calls.append(slope == -d.inner(d))
             exc = fail(calls)
             if exc is not None:
                 raise exc
@@ -870,8 +875,8 @@ class TestCurvatureTestOnRestartsOnly:
         search = biorth.solvers.armijo_search
 
         def patched(problem, manifold, p, d, slope, **kwargs):
-            # Along -g the solver passes slope = -metric(g, g) = -metric(d, d) exactly.
-            calls.append((slope == -manifold.metric(p, d, d), kwargs["curvature_test"]))
+            # Along -g the solver passes slope = -g.inner(g) = -d.inner(d) exactly.
+            calls.append((slope == -d.inner(d), kwargs["curvature_test"]))
             return search(problem, manifold, p, d, slope, **kwargs)
 
         monkeypatch.setattr(biorth.solvers, "armijo_search", patched)
