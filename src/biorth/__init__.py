@@ -27,7 +27,6 @@ from .manifold import (
     default_feas_tol,
     default_tan_tol,
     identity_point,
-    metric,
     pair_inverse,
     pair_product,
     project_tangent,
@@ -89,7 +88,6 @@ __all__ = [
     "gradient_descent",
     "identity_point",
     "mat_exp",
-    "metric",
     "pair_inverse",
     "pair_product",
     "project_tangent",

@@ -108,7 +108,7 @@ def tangency_suite(tol_scale=1.0):
             a_norm = a.norm()
             t = project_tangent(p, a)
             worst_resid = max(worst_resid, fro_norm(p.x @ t.v + t.u @ p.y) / n)
-            t2 = project_tangent(p, t.as_ambient())
+            t2 = project_tangent(p, t)
             worst_idem = max(
                 worst_idem,
                 (fro_norm(t2.u - t.u) + fro_norm(t2.v - t.v)) / a_norm,

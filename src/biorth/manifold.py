@@ -4,7 +4,10 @@ Provides the point and tangent types, the tangent-space projection (a
 Sylvester-type solve diagonalized by one SVD of y, cached on the point), an
 exponential-map retraction that is feasible by construction, the velocity
 of its curve along a search ray and that curve's acceleration at the start,
-and the flat product space used by the penalty baseline. All values are
+and the flat product space used by the penalty baseline. BO(n) is embedded
+in the ambient space of matrix pairs: a tangent is an ambient pair with a
+base point, the metric is the ambient Frobenius product `inner`, and a
+tangent is carried to another point by projecting it there. All values are
 immutable. Public constructors check and copy caller data; values the
 package computes itself are finite and of the right shape by construction,
 so the private builder `_Value._build` freezes their fresh arrays in place
@@ -63,20 +66,25 @@ class _Value:
     """Immutable base of the value types: fields are set once, arrays read-only."""
 
     __slots__ = ()
+    _fields = ()  # the slots of a class and of its bases, bases first
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _freeze(self, *fields):
-        """Set the fields in __slots__ order, marking arrays read-only in place.
+        """Set the fields in `_fields` order, marking arrays read-only in place.
 
         Slots after the given fields, the lazily filled caches, start as None.
         """
-        for name, value in zip(self.__slots__, fields):
+        for name, value in zip(self._fields, fields):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
-        for name in self.__slots__[len(fields):]:
+        for name in self._fields[len(fields):]:
             object.__setattr__(self, name, None)
 
     @classmethod
@@ -142,21 +150,80 @@ def _require_based_at(p, t):
     raise InvalidTangentError("expected a TangentPair based at the given point")
 
 
-class TangentPair(_Value):
-    """Tangent vector (u, v) at `base`: base.x @ v + u @ base.y = 0.
+class AmbientPair(_Value):
+    """An unconstrained pair (phi, psi) of square matrices of equal size.
 
-    The constructor is where caller data enters, so it checks finiteness and
+    Carrier for Euclidean gradients and for projection inputs, the tangent
+    type of the flat product space, and the base of TangentPair. The
+    constructor, through which every problem's `cost_grad` returns its
+    gradient, checks finiteness. The one copy of the linear arithmetic
+    builds its unchecked results through `_like`, so a tangent's `+`, `-`
+    and scalar `*` give a tangent at its base; `+` and `-` first pass their
+    operand to `_check_operand`, and scalar `*` checks only that the scalar
+    is finite. `inner` is the metric of both manifolds.
+    """
+
+    __slots__ = ("phi", "psi")
+
+    def __init__(self, phi, psi):
+        phi, psi = square_pair(phi, psi, ("phi", "psi"))
+        self._freeze(np.array(phi), np.array(psi))
+
+    @property
+    def n(self) -> int:
+        return self.phi.shape[0]
+
+    def _like(self, phi, psi):
+        """The pair (phi, psi), of the same kind as `self`."""
+        return AmbientPair._build(phi, psi)
+
+    def _check_operand(self, other):
+        """Nothing: any pair of the same size may be added to an ambient pair."""
+
+    def inner(self, other) -> float:
+        """Ambient Frobenius inner product with another pair, tangent or not, based anywhere."""
+        return float(np.vdot(self.phi, other.phi)) + float(np.vdot(self.psi, other.psi))
+
+    def norm(self) -> float:
+        return float(np.sqrt(self.inner(self)))
+
+    def __add__(self, other):
+        self._check_operand(other)
+        return self._like(self.phi + other.phi, self.psi + other.psi)
+
+    def __sub__(self, other):
+        self._check_operand(other)
+        return self._like(self.phi - other.phi, self.psi - other.psi)
+
+    def __neg__(self):
+        return self._like(-self.phi, -self.psi)
+
+    def __mul__(self, s):
+        s = _scalar(s)
+        return self._like(s * self.phi, s * self.psi)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, norm={self.norm():.2e})"
+
+
+class TangentPair(AmbientPair):
+    """Tangent vector (u, v) at `base`: an ambient pair with base.x @ v + u @ base.y = 0.
+
+    The legs are the inherited `phi` and `psi`, read as `u` and `v`. The
+    constructor is where caller data enters, so it checks finiteness and
     rejects a residual fro_norm(x0 @ v + u @ y0) above default_tan_tol(n).
     Tangents built inside the package go through the unchecked builder:
     project_tangent solves for a tangent pair, and `+`, `-` and scalar `*`
-    of tangents at one base stay in its tangent space. Scalar `*` checks
-    only that the scalar is finite. The base point is stored so that
-    cross-base arithmetic is rejected instead of silently re-projected.
-    The generator W = base.y @ u is computed on first use and kept, so the
-    velocity and the acceleration of one search ray share one product.
+    of tangents at one base stay in its tangent space. The base point is
+    stored so that `+` and `-` with an operand based elsewhere are rejected
+    instead of silently re-projected. The generator W = base.y @ u is
+    computed on first use and kept, so the velocity and the acceleration of
+    one search ray share one product.
     """
 
-    __slots__ = ("u", "v", "base", "_w")
+    __slots__ = ("base", "_w")
 
     def __init__(self, u, v, base: BiorthPoint):
         u, v = square_pair(u, v, ("u", "v"))
@@ -175,9 +242,21 @@ class TangentPair(_Value):
             )
         self._freeze(np.array(u), np.array(v), base)
 
-    def inner(self, other) -> float:
-        """Ambient Frobenius inner product with another TangentPair, based anywhere."""
-        return float(np.vdot(self.u, other.u)) + float(np.vdot(self.v, other.v))
+    @property
+    def u(self) -> np.ndarray:
+        return self.phi
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.psi
+
+    def _like(self, phi, psi):
+        """The tangent (phi, psi) at this base."""
+        return TangentPair._build(phi, psi, self.base)
+
+    def _check_operand(self, other):
+        """InvalidTangentError unless `other` is a TangentPair at this base."""
+        _require_based_at(self.base, other)
 
     def generator(self) -> np.ndarray:
         """Read-only W = base.y @ u, the tangent translated to the identity; cached."""
@@ -186,82 +265,6 @@ class TangentPair(_Value):
             w.setflags(write=False)
             object.__setattr__(self, "_w", w)
         return self._w
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.inner(self)))
-
-    def as_ambient(self) -> "AmbientPair":
-        """The same arrays as an AmbientPair; both are frozen, so nothing is copied."""
-        return AmbientPair._build(self.u, self.v)
-
-    def __add__(self, other):
-        _require_based_at(self.base, other)
-        return TangentPair._build(self.u + other.u, self.v + other.v, self.base)
-
-    def __sub__(self, other):
-        _require_based_at(self.base, other)
-        return TangentPair._build(self.u - other.u, self.v - other.v, self.base)
-
-    def __neg__(self):
-        return TangentPair._build(-self.u, -self.v, self.base)
-
-    def __mul__(self, s):
-        s = _scalar(s)
-        return TangentPair._build(s * self.u, s * self.v, self.base)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"TangentPair(n={self.base.n}, norm={self.norm():.2e})"
-
-
-class AmbientPair(_Value):
-    """An unconstrained pair (phi, psi) of square matrices of equal size.
-
-    Carrier for Euclidean gradients and for projection inputs; also the
-    tangent type of the flat product space. The constructor, through which
-    every problem's `cost_grad` returns its gradient, checks finiteness; the
-    same linear arithmetic as TangentPair goes through the unchecked builder.
-    """
-
-    __slots__ = ("phi", "psi")
-
-    def __init__(self, phi, psi):
-        phi, psi = square_pair(phi, psi, ("phi", "psi"))
-        self._freeze(np.array(phi), np.array(psi))
-
-    @property
-    def n(self) -> int:
-        return self.phi.shape[0]
-
-    def inner(self, other) -> float:
-        """Ambient Frobenius inner product with another AmbientPair."""
-        return float(np.vdot(self.phi, other.phi)) + float(np.vdot(self.psi, other.psi))
-
-    def as_ambient(self) -> "AmbientPair":
-        """The pair itself, as TangentPair.as_ambient gives a tangent's arrays."""
-        return self
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.inner(self)))
-
-    def __add__(self, other):
-        return AmbientPair._build(self.phi + other.phi, self.psi + other.psi)
-
-    def __sub__(self, other):
-        return AmbientPair._build(self.phi - other.phi, self.psi - other.psi)
-
-    def __neg__(self):
-        return AmbientPair._build(-self.phi, -self.psi)
-
-    def __mul__(self, s):
-        s = _scalar(s)
-        return AmbientPair._build(s * self.phi, s * self.psi)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"AmbientPair(n={self.n}, norm={self.norm():.2e})"
 
 
 class EuclideanPoint(_Value):
@@ -307,7 +310,7 @@ def pair_inverse(p: BiorthPoint) -> BiorthPoint:
 def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
     """Orthogonal projection of an ambient pair onto the tangent space at `p`.
 
-    Returns the minimizer (u, v) of ``|u - phi|_F^2 + |v - psi|_F^2`` over
+    `a` may be a TangentPair based anywhere, which carries it to `p`. Returns the minimizer (u, v) of ``|u - phi|_F^2 + |v - psi|_F^2`` over
     the tangent space. Since x0 = y0^-1, the tangents are exactly the pairs
     (u, -y0 @ u @ y0), so setting the gradient in u to zero gives
 
@@ -421,18 +424,6 @@ def ray_acceleration(p: BiorthPoint, t: TangentPair) -> AmbientPair:
     return AmbientPair._build(p.x @ w2, w2 @ p.y)
 
 
-def metric(p, t1, t2) -> float:
-    """t1.inner(t2), after checking that both tangents are based at `p`.
-
-    The manifold is embedded, so its metric is the ambient Frobenius inner
-    product, which `TangentPair.inner` computes for tangents at any base.
-    """
-    _require_based_at(p, t1)
-    _require_based_at(p, t2)
-    # No scan: a non-finite entry makes this sum non-finite, which the solvers check.
-    return t1.inner(t2)
-
-
 def random_point(seed, n: int, scale: float) -> BiorthPoint:
     """Random point (e^{scale G}, e^{-scale G}); scale 0 gives the identity pair.
 
@@ -507,10 +498,6 @@ class BiorthogonalManifold:
     def ray_acceleration(self, p, t) -> AmbientPair:
         return ray_acceleration(p, t)
 
-    def transport(self, p, t) -> TangentPair:
-        """Carry a tangent to the tangent space at `p` by projection."""
-        return self.project(p, t.as_ambient())
-
     def random_point(self, seed, scale=0.5) -> BiorthPoint:
         return random_point(seed, self.n, scale)
 
@@ -521,8 +508,9 @@ class BiorthogonalManifold:
 class EuclideanManifold:
     """The flat product space of matrix pairs, used by the penalty baseline.
 
-    Projection is the identity and retraction is addition. The metric is
-    the ambient Frobenius inner product, AmbientPair.inner.
+    Projection is the identity, so it also carries a tangent from one point
+    to another, and retraction is addition. Tangents are AmbientPairs, with
+    the ambient Frobenius inner product AmbientPair.inner as the metric.
     """
 
     def __init__(self, n: int):
@@ -556,9 +544,6 @@ class EuclideanManifold:
     def ray_acceleration(self, p, t):
         """None: the curve s -> retract(p, s * t) is a straight line, c'' = 0."""
         return None
-
-    def transport(self, p, t) -> AmbientPair:
-        return t
 
     def random_point(self, seed, scale=0.5) -> EuclideanPoint:
         if not scale >= 0:

@@ -6,11 +6,12 @@ finite-difference gradient checker. A problem is any object with
 ``cost_grad(x, y) -> (float, AmbientPair)``, the cost and the Euclidean
 gradient from one evaluation, and optionally ``curvature(x, y, u, v)``, the
 Euclidean Hessian form along (u, v); the manifold supplies
-check_point/dim/project/retract/ray_velocity/ray_acceleration/transport,
-and random_tangent for the gradient checker. Both spaces are embedded in
-the ambient space of matrix pairs and take its Frobenius product as their
-metric, so every inner product comes from the values, `g.inner(d)`, and
-each trace row reads `p.feasibility_error()`. Each line-search trial
+check_point/dim/project/retract/ray_velocity/ray_acceleration, and
+random_tangent for the gradient checker. Both spaces are embedded in the
+ambient space of matrix pairs, and a tangent is an ambient pair with a
+base point. They take the ambient Frobenius product as their metric, so
+every inner product comes from the values, `g.inner(d)`, and each trace
+row reads `p.feasibility_error()`. Each line-search trial
 point is evaluated once. Its gradient gives the slope of the ray there,
 which drives a cubic interpolation and a curvature test (Nocedal &
 Wright, Numerical Optimization, section 3.5), and the accepted point's
@@ -25,8 +26,8 @@ Euclidean gradient's product with the ray's acceleration, so it costs a
 few products and no retraction. Without a curvature, or where phi''(0) is
 not positive and finite, it starts from the slope-ratio step of the
 previous one (INITIAL_STEP on the first search). Conjugate gradient
-transports the previous direction but not the previous gradient, of which
-it needs only one inner product.
+carries the previous direction to the new point by `project`, but not the
+previous gradient, of which it needs only one inner product.
 The one finiteness check is g.inner(g) of each projected gradient: if it
 is finite, so is every entry of g; if not, the run raises NumericalError.
 A search that fails along a CG direction is retried once along -g. Along
@@ -93,7 +94,7 @@ def _gradient_norm_sq(g, k):
     gnorm_sq = g.inner(g)
     if not math.isfinite(gnorm_sq):
         raise NumericalError(
-            f"gradient norm is not finite at iteration {k}: metric(g, g) = {gnorm_sq!r}"
+            f"gradient norm is not finite at iteration {k}: g.inner(g) = {gnorm_sq!r}"
         )
     return gnorm_sq
 
@@ -229,12 +230,11 @@ def conjugate_gradient(problem, manifold, p0, opts=None):
     """Nonlinear conjugate gradient with Polak-Ribiere(+) directions.
 
     The previous direction is carried to the new tangent space by
-    `manifold.transport`. The previous gradient enters only through its
-    inner product with the new one, <g_new, transport(g_old)>. Transport is
-    the orthogonal projection onto the new tangent space, which is
-    self-adjoint and fixes g_new, so that product is g_new.inner(g_old), the
-    ambient product of the arrays, read without transporting g_old. That one
-    number gives both beta = (|g_new|^2 - <g_new, g_old>) / |g_old|^2 and
+    `manifold.project`, the orthogonal projection there. The previous
+    gradient enters only through its inner product with the new one,
+    <g_new, project(p_new, g_old)>. The projection is self-adjoint and fixes
+    g_new, so that product is g_new.inner(g_old), the ambient product of the
+    arrays, read without projecting g_old. That one number gives both beta = (|g_new|^2 - <g_new, g_old>) / |g_old|^2 and
     Powell's test. The direction resets to steepest descent every
     dim(manifold) iterations, when beta clips to zero, whenever descent is
     lost, when the search along it fails, or when successive gradients stop
@@ -263,9 +263,8 @@ def _ray_curvature(curvature, manifold, p, d, egrad):
     """
     if curvature is None:
         return math.nan
-    xi = d.as_ambient()
     with np.errstate(over="ignore", invalid="ignore"):
-        value = curvature(p.x, p.y, xi.phi, xi.psi)
+        value = curvature(p.x, p.y, d.phi, d.psi)
         acceleration = manifold.ray_acceleration(p, d)
         if acceleration is not None:
             value += egrad.inner(acceleration)
@@ -353,7 +352,7 @@ def _descend(problem, manifold, p0, opts, cg):
             restart = (since_restart >= restart_every or beta == 0.0
                        or abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq_new)
             if not restart:
-                d = -g_new + beta * manifold.transport(p_new, d)
+                d = -g_new + beta * manifold.project(p_new, d)
 
         p, f, g, egrad = p_new, f_new, g_new, egrad_new
         gnorm_sq = gnorm_sq_new

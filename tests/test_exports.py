@@ -18,6 +18,12 @@ DELETED = (
     (biorth.manifold.EuclideanManifold, "inner_transported"),
     (biorth.manifold.BiorthogonalManifold, "feasibility_error"),
     (biorth.manifold.EuclideanManifold, "feasibility_error"),
+    (biorth.manifold.TangentPair, "as_ambient"),
+    (biorth.manifold.AmbientPair, "as_ambient"),
+    (biorth.manifold.BiorthogonalManifold, "transport"),
+    (biorth.manifold.EuclideanManifold, "transport"),
+    (biorth, "metric"),
+    (biorth.manifold, "metric"),
 )
 
 

@@ -25,7 +25,6 @@ from biorth.manifold import (
     default_feas_tol,
     default_tan_tol,
     identity_point,
-    metric,
     pair_inverse,
     pair_product,
     project_tangent,
@@ -213,7 +212,7 @@ class TestProjectTangent:
         for scale in BASE_SCALES:
             p = seeded_point(71, 7, scale)
             t = random_tangent(72, p, 2.0)
-            back = project_tangent(p, t.as_ambient())
+            back = project_tangent(p, t)
             assert fro_norm(back.u - t.u) + fro_norm(back.v - t.v) <= 1e-12
 
     def test_idempotent(self):
@@ -225,7 +224,7 @@ class TestProjectTangent:
                 a = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
                 t1 = project_tangent(p, a)
                 assert fro_norm(p.x @ t1.v + t1.u @ p.y) <= default_tan_tol(n)
-                t2 = project_tangent(p, t1.as_ambient())
+                t2 = project_tangent(p, t1)
                 err = fro_norm(t2.u - t1.u) + fro_norm(t2.v - t1.v)
                 assert err <= 1e-10 * a.norm()
 
@@ -258,7 +257,7 @@ class TestProjectTangent:
         t = project_tangent(p, a)
         assert t.u[0, 0] == pytest.approx(5.0, rel=1e-8)
         assert fro_norm(p.x @ t.v + t.u @ p.y) <= 1e-15
-        back = project_tangent(p, t.as_ambient())
+        back = project_tangent(p, t)
         assert fro_norm(back.u - t.u) + fro_norm(back.v - t.v) <= 1e-10 * a.norm()
 
     def test_dimension_mismatch(self):
@@ -498,57 +497,44 @@ class TestMetric:
         p = seeded_point(190, 5)
         t = random_tangent(191, p, 2.0)
         z = TangentPair(np.zeros((5, 5)), np.zeros((5, 5)), p)
-        assert metric(p, t, t) > 0
-        assert metric(p, z, z) == 0.0
+        assert t.inner(t) > 0
+        assert z.inner(z) == 0.0
 
     def test_identity_base_doubles_single_leg(self):
         n = 4
         p = identity_point(n)
         u = make_rng(192).standard_normal((n, n))
         t = TangentPair(u, -u, p)
-        assert metric(p, t, t) == pytest.approx(2.0 * float(np.vdot(u, u)), rel=1e-14)
+        assert t.inner(t) == pytest.approx(2.0 * float(np.vdot(u, u)), rel=1e-14)
 
     def test_matches_elementwise_sum(self):
         p = seeded_point(193, 5)
         t1 = random_tangent(194, p, 1.0)
         t2 = random_tangent(195, p, 3.0)
         expected = float(np.sum(t1.u * t2.u) + np.sum(t1.v * t2.v))
-        assert metric(p, t1, t2) == pytest.approx(expected, rel=1e-14)
-        assert t1.inner(t2) == metric(p, t1, t2) == t1.as_ambient().inner(t2.as_ambient())
-
-    def test_base_mismatch_rejected(self):
-        p = seeded_point(196, 4)
-        q = seeded_point(197, 4)
-        t1 = random_tangent(198, p, 1.0)
-        t2 = random_tangent(199, q, 1.0)
-        with pytest.raises(InvalidTangentError):
-            metric(p, t1, t2)
-
-    def test_ambient_pairs_rejected(self):
-        p = seeded_point(196, 4)
-        a = AmbientPair(np.eye(4), np.eye(4))
-        with pytest.raises(InvalidTangentError):
-            metric(p, a, a)
-        with pytest.raises(InvalidTangentError):
-            metric(p, random_tangent(198, p, 1.0), a)
+        assert t1.inner(t2) == pytest.approx(expected, rel=1e-14)
+        assert t1.inner(t2) == AmbientPair(t1.u, t1.v).inner(AmbientPair(t2.u, t2.v))
 
     def test_one_base_point_check(self):
         # Every operation that takes a tangent at a given point rejects a
-        # tangent based elsewhere with the same error.
+        # tangent based elsewhere, of another size, or an ambient pair, with
+        # the same error.
         m = BiorthogonalManifold(4)
         p = seeded_point(200, 4)
         t = random_tangent(201, seeded_point(202, 4), 1.0)
         s = random_tangent(203, p, 1.0)
+        a = AmbientPair(np.eye(4), np.eye(4))
+        r = random_tangent(204, seeded_point(205, 5), 1.0)
         for call in (lambda: retract(p, t), lambda: m.ray_velocity(p, t),
-                     lambda: m.ray_acceleration(p, t), lambda: metric(p, t, s),
-                     lambda: metric(p, s, t), lambda: s + t, lambda: s - t):
+                     lambda: m.ray_acceleration(p, t), lambda: s + t, lambda: s - t,
+                     lambda: s + a, lambda: s - a, lambda: s + r, lambda: s - r):
             with pytest.raises(InvalidTangentError,
                                match="^expected a TangentPair based at the given point$"):
                 call()
 
 
 class TestInnerTransported:
-    """t.inner(s) is metric(p, t, transport(p, s)) for `t` at `p`, without the projection.
+    """t.inner(s) is t.inner(project(p, s)) for `t` at `p`, without the projection.
 
     `s` may be based anywhere. The projection is orthogonal in the ambient
     Frobenius metric, so it is self-adjoint and fixes `t`: <t, P(s)> =
@@ -566,15 +552,15 @@ class TestInnerTransported:
                 q = m.retract(p, m.random_tangent(310 + seed, p, 0.1))
                 t = m.project(q, AmbientPair(*make_rng(320 + seed).standard_normal((2, n, n))))
                 s = m.random_tangent(330 + seed, p, 2.0)
-                expected = metric(q, t, m.transport(q, s))
+                expected = t.inner(m.project(q, s))
                 assert abs(t.inner(s) - expected) <= 1e-12 * t.norm() * s.norm()
                 # s is based at p, t at q: the tangent product reads the arrays alone.
-                assert t.inner(s) == t.as_ambient().inner(s.as_ambient())
+                assert t.inner(s) == float(np.vdot(t.u, s.u)) + float(np.vdot(t.v, s.v))
 
     def test_drifted_base_point_gets_the_exact_product(self):
         # The drifted point of test_drifted_base_point_projects_to_a_tangent.
         # project_tangent is orthogonal there only up to the drift, so the
-        # product through transport is off by O(drift) |t| |s|. The product
+        # product through the projection is off by O(drift) |t| |s|. The product
         # without it equals <t, P(s)> for the exact orthogonal projection P
         # onto the stored pair's tangent space, as the Kronecker oracle gives it.
         p = BiorthPoint(np.eye(2), np.diag([1.0 + 1.8e-9, 1.0]))
@@ -583,19 +569,19 @@ class TestInnerTransported:
         for seed in range(5):
             s = m.random_tangent(340 + seed, seeded_point(350 + seed, 2, 0.5), 1.0)
             got = t.inner(s)
-            u_ref, v_ref = min_norm_tangent_oracle(p, s.as_ambient())
+            u_ref, v_ref = min_norm_tangent_oracle(p, s)
             exact = float(np.vdot(t.u, u_ref)) + float(np.vdot(t.v, v_ref))
             scale = t.norm() * s.norm()
             assert abs(got - exact) <= 1e-12 * scale
-            through_transport = metric(p, t, m.transport(p, s))
-            assert abs(got - through_transport) <= p.feasibility_error() * scale
+            through_projection = t.inner(m.project(p, s))
+            assert abs(got - through_projection) <= p.feasibility_error() * scale
 
     def test_flat_manifold(self):
         m = EuclideanManifold(5)
         p = m.identity()
         t = m.random_tangent(360, p, 1.0)
         s = m.random_tangent(361, p, 2.0)
-        assert t.inner(s) == t.inner(m.transport(p, s))
+        assert t.inner(s) == t.inner(m.project(p, s))
 
 
 class TestRandomPoint:
@@ -767,6 +753,47 @@ def matrix_scans(monkeypatch):
     return calls
 
 
+class TestTangentIsAnAmbientPair:
+    """A tangent is an ambient pair with a base point: one arithmetic, one inner product."""
+
+    def test_legs_are_the_ambient_slots(self):
+        t = random_tangent(270, seeded_point(271, 4), 1.0)
+        assert isinstance(t, AmbientPair)
+        assert t.u is t.phi and t.v is t.psi
+        assert t.n == 4
+        with pytest.raises(AttributeError):
+            t.u = np.eye(4)
+
+    def test_arithmetic_keeps_the_base(self):
+        p = seeded_point(272, 4)
+        t = random_tangent(273, p, 1.0)
+        for r in (-t, 2.0 * t, t * 2.0, t + t, t - t):
+            assert type(r) is TangentPair and r.base is p
+            assert r._w is None
+            assert r.u is r.phi and not r.u.flags.writeable
+        assert np.array_equal((t + t).u, 2.0 * t.u)
+        assert t._w is None
+        w = t.generator()
+        assert t._w is w
+
+    def test_ambient_plus_tangent_is_ambient(self):
+        p = seeded_point(274, 4)
+        t = random_tangent(275, p, 1.0)
+        a = AmbientPair(*make_rng(276).standard_normal((2, 4, 4)))
+        for r in (a + t, a - t):
+            assert type(r) is AmbientPair
+        assert np.array_equal((a + t).phi, a.phi + t.u)
+        assert np.array_equal((a - t).psi, a.psi - t.v)
+
+    def test_projection_takes_a_tangent(self):
+        p = seeded_point(279, 5)
+        t = random_tangent(280, seeded_point(281, 5), 1.0)
+        got = project_tangent(p, t)
+        expected = project_tangent(p, AmbientPair(t.u, t.v))
+        assert got.base is p
+        assert np.array_equal(got.u, expected.u) and np.array_equal(got.v, expected.v)
+
+
 class TestPackageBuiltValues:
     """Values the package computes are frozen in place without a scan."""
 
@@ -778,18 +805,13 @@ class TestPackageBuiltValues:
         del matrix_scans[:]
         c = -(a + 3.0 * b) - a * 0.5
         h = 2.0 * (-(g + g) - g * 0.5)
-        amb = c.as_ambient()
+        amb = g + c
         assert matrix_scans == []
         for value, arrays in ((c, (c.u, c.v)), (h, (h.phi, h.psi)), (amb, (amb.phi, amb.psi))):
             for arr in arrays:
                 assert not arr.flags.writeable
             with pytest.raises(AttributeError, match="immutable"):
                 value.extra = 1
-
-    def test_as_ambient_shares_the_frozen_arrays(self):
-        t = random_tangent(264, seeded_point(265, 4), 1.0)
-        a = t.as_ambient()
-        assert a.phi is t.u and a.psi is t.v
 
     def test_projection_and_flat_retraction_run_no_scan(self, matrix_scans):
         p = seeded_point(266, 5)

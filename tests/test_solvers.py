@@ -731,13 +731,13 @@ class TestNewtonStep:
 
 
 class CountingTransport(BiorthogonalManifold):
-    """Counts transports; conjugate gradient carries only the direction."""
+    """Counts projections; conjugate gradient carries only the direction, by projection."""
 
-    transports = 0
+    projections = 0
 
-    def transport(self, p, t):
-        self.transports += 1
-        return super().transport(p, t)
+    def project(self, p, a):
+        self.projections += 1
+        return super().project(p, a)
 
 
 class TestConjugateGradientKernels:
@@ -756,7 +756,8 @@ class TestConjugateGradientKernels:
             problem, manifold, manifold.identity(), SolverOptions(max_iters=30)
         )
         assert len(trace) == 31
-        assert manifold.transports <= 30
+        # the start gradient, then per iteration one gradient and at most one direction
+        assert manifold.projections <= 1 + 2 * (len(trace) - 1)
         # one factorization per accepted point: the start and each iterate
         assert len(svds) == len(trace)
 
@@ -799,7 +800,7 @@ def test_solvers_read_only_the_manifold_interface():
             assert len(trace) == 11
         fd_gradient_check(problem, proxy, p0, n_dirs=2)
     assert reads == {"check_point", "dim", "project", "retract", "ray_velocity",
-                     "ray_acceleration", "transport", "random_tangent"}
+                     "ray_acceleration", "random_tangent"}
 
 
 class TestSearchFallback:
