@@ -3,13 +3,15 @@
 Each suite measures worst-case errors of one subsystem against an
 independent route (vectorized minimum-norm solve, finite differences,
 Taylor ratios, algebraic identities) and compares them to fixed bounds.
-Suites are deterministic; `tol_scale` multiplies every bound so a
-deliberately corrupted run (tol_scale = 0) must fail.
+Each suite is a function of no arguments that returns its `Check`s with
+their unscaled bounds, and suites are deterministic. `run_suites` alone
+names the suites, by their `SUITES` key, and multiplies every bound by its
+`tol_scale`, so a deliberately corrupted run (tol_scale = 0) must fail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .manifold import (
     ray_acceleration,
     retract,
 )
-from .problems import FunmapProblem, NearestPairProblem, PenaltyProblem, synth_funmap
+from .problems import NearestPairProblem, PenaltyProblem, synth_funmap
 from .rng import make_rng
 from .solvers import fd_gradient_check
 
@@ -46,7 +48,7 @@ class Check:
 @dataclass
 class SuiteResult:
     name: str
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check]
 
     @property
     def passed(self) -> bool:
@@ -75,7 +77,7 @@ def min_norm_tangent_oracle(p, a):
     return a.phi + xt, a.psi + yt
 
 
-def projection_oracle_suite(tol_scale=1.0):
+def projection_oracle_suite():
     """Projection agrees with the vectorized minimum-norm oracle."""
     worst = 0.0
     for n in range(2, 9):
@@ -89,13 +91,10 @@ def projection_oracle_suite(tol_scale=1.0):
                 fro_norm(u_ref) + fro_norm(v_ref), 1e-30
             )
             worst = max(worst, rel)
-    return SuiteResult(
-        "projection-oracle",
-        [Check("worst rel err vs vectorized solve", worst, 1e-8 * tol_scale)],
-    )
+    return [Check("worst rel err vs vectorized solve", worst, 1e-8)]
 
 
-def tangency_suite(tol_scale=1.0):
+def tangency_suite():
     """Projected pairs are tangent, projection is idempotent, residual is normal."""
     worst_resid = 0.0  # scaled by 1/n to compare against a per-dim bound
     worst_idem = 0.0
@@ -119,17 +118,14 @@ def tangency_suite(tol_scale=1.0):
                 w = random_tangent(rng, p, 1.0)
                 ip = abs(float(np.vdot(ru, w.u) + np.vdot(rv, w.v)))
                 worst_orth = max(worst_orth, ip / a_norm)
-    return SuiteResult(
-        "tangency",
-        [
-            Check("worst tangent residual / n", worst_resid, 1e-10 * tol_scale),
-            Check("worst idempotence err / |input|", worst_idem, 1e-10 * tol_scale),
-            Check("worst residual-tangent inner / |input|", worst_orth, 1e-8 * tol_scale),
-        ],
-    )
+    return [
+        Check("worst tangent residual / n", worst_resid, 1e-10),
+        Check("worst idempotence err / |input|", worst_idem, 1e-10),
+        Check("worst residual-tangent inner / |input|", worst_orth, 1e-8),
+    ]
 
 
-def retraction_suite(tol_scale=1.0):
+def retraction_suite():
     """Retraction stays feasible and matches the tangent line to first order."""
     worst_feas = 0.0  # scaled by 1/n
     worst_ratio_dev = 0.0
@@ -146,13 +142,10 @@ def retraction_suite(tol_scale=1.0):
         e1 = _linearization_error(p, unit, 0.1)
         e2 = _linearization_error(p, unit, 0.05)
         worst_ratio_dev = max(worst_ratio_dev, abs(e1 / e2 - 4.0))
-    return SuiteResult(
-        "retraction",
-        [
-            Check("worst feasibility err / n", worst_feas, 1e-11 * tol_scale),
-            Check("worst |step-halving ratio - 4|", worst_ratio_dev, 0.5 * tol_scale),
-        ],
-    )
+    return [
+        Check("worst feasibility err / n", worst_feas, 1e-11),
+        Check("worst |step-halving ratio - 4|", worst_ratio_dev, 0.5),
+    ]
 
 
 def _linearization_error(p, t, s):
@@ -162,7 +155,7 @@ def _linearization_error(p, t, s):
     return float(np.sqrt(fro_norm(du) ** 2 + fro_norm(dv) ** 2))
 
 
-def exp_identity_suite(tol_scale=1.0):
+def exp_identity_suite():
     """e^G e^-G recovers the identity for Gaussian G with fro norm capped at 10."""
     worst = 0.0  # scaled by 1/n
     for n in (2, 3, 5, 10, 20, 50, 100):
@@ -174,13 +167,10 @@ def exp_identity_suite(tol_scale=1.0):
                 g *= 10.0 / nrm
             err = fro_norm(mat_exp(g) @ mat_exp(-g) - np.eye(n))
             worst = max(worst, err / n)
-    return SuiteResult(
-        "exp-identity",
-        [Check("worst identity err / n", worst, 1e-11 * tol_scale)],
-    )
+    return [Check("worst identity err / n", worst, 1e-11)]
 
 
-def gradient_fd_suite(tol_scale=1.0):
+def gradient_fd_suite():
     """All three objective gradients agree with central finite differences."""
     worst_nearest = 0.0
     worst_penalty = 0.0
@@ -194,32 +184,20 @@ def gradient_fd_suite(tol_scale=1.0):
         psi = rng.standard_normal((n, n))
         p = random_point(rng, n, 0.4)
         nearest = NearestPairProblem(phi, psi)
-        worst_nearest = max(
-            worst_nearest,
-            fd_gradient_check(nearest, bo, p, n_dirs=10, h=1e-6, seed=7 * trial),
-        )
+        worst_nearest = max(worst_nearest, fd_gradient_check(nearest, bo, p, seed=7 * trial))
         penalty = PenaltyProblem(phi, psi, alpha=100.0)
         q = flat.random_point(94_500 + trial, scale=0.4)
-        worst_penalty = max(
-            worst_penalty,
-            fd_gradient_check(penalty, flat, q, n_dirs=10, h=1e-6, seed=11 * trial),
-        )
+        worst_penalty = max(worst_penalty, fd_gradient_check(penalty, flat, q, seed=11 * trial))
         fun, _ = synth_funmap(94_900 + trial, q=64, k=16, noise=0.1, lam=0.1)
         bo_k = BiorthogonalManifold(16)
         pk = bo_k.random_point(95_300 + trial, scale=0.3)
-        worst_funmap = max(
-            worst_funmap,
-            fd_gradient_check(fun, bo_k, pk, n_dirs=10, h=1e-6, seed=13 * trial),
-        )
-    bound = 1e-5 * tol_scale
-    return SuiteResult(
-        "gradient-fd",
-        [
-            Check("nearest-pair worst rel err", worst_nearest, bound),
-            Check("penalty worst rel err", worst_penalty, bound),
-            Check("funmap worst rel err", worst_funmap, bound),
-        ],
-    )
+        worst_funmap = max(worst_funmap, fd_gradient_check(fun, bo_k, pk, seed=13 * trial))
+    bound = 1e-5
+    return [
+        Check("nearest-pair worst rel err", worst_nearest, bound),
+        Check("penalty worst rel err", worst_penalty, bound),
+        Check("funmap worst rel err", worst_funmap, bound),
+    ]
 
 
 def _curvature_error(problem, x, y, u, v, h):
@@ -234,7 +212,7 @@ def _curvature_error(problem, x, y, u, v, h):
     return abs(exact - fd) / max(abs(exact), abs(fd), 1e-30)
 
 
-def curvature_suite(tol_scale=1.0):
+def curvature_suite():
     """Hessian forms and the retraction's acceleration agree with central differences.
 
     Each problem's curvature(x, y, u, v) is compared with the difference
@@ -266,18 +244,15 @@ def curvature_suite(tol_scale=1.0):
         err = (fro_norm((plus.x - 2.0 * p.x + minus.x) / h**2 - acc.phi)
                + fro_norm((plus.y - 2.0 * p.y + minus.y) / h**2 - acc.psi))
         worst_accel = max(worst_accel, err / acc.norm())
-    return SuiteResult(
-        "curvature",
-        [
-            Check("nearest-pair worst rel err", worst_nearest, 1e-8 * tol_scale),
-            Check("penalty worst rel err", worst_penalty, 1e-8 * tol_scale),
-            Check("funmap worst rel err", worst_funmap, 1e-8 * tol_scale),
-            Check("retraction acceleration worst rel err", worst_accel, 1e-6 * tol_scale),
-        ],
-    )
+    return [
+        Check("nearest-pair worst rel err", worst_nearest, 1e-8),
+        Check("penalty worst rel err", worst_penalty, 1e-8),
+        Check("funmap worst rel err", worst_funmap, 1e-8),
+        Check("retraction acceleration worst rel err", worst_accel, 1e-6),
+    ]
 
 
-def lie_closure_suite(tol_scale=1.0):
+def lie_closure_suite():
     """Group structure: closure, inverses, identity element of the pair product."""
     worst_closure = 0.0
     worst_inverse = 0.0
@@ -299,15 +274,12 @@ def lie_closure_suite(tol_scale=1.0):
         worst_identity = max(
             worst_identity, fro_norm(ep.x - p.x) + fro_norm(ep.y - p.y)
         )
-    bound = 1e-10 * tol_scale
-    return SuiteResult(
-        "lie-closure",
-        [
-            Check("worst product feasibility err", worst_closure, bound),
-            Check("worst inverse-product err", worst_inverse, bound),
-            Check("worst identity-product err", worst_identity, bound),
-        ],
-    )
+    bound = 1e-10
+    return [
+        Check("worst product feasibility err", worst_closure, bound),
+        Check("worst inverse-product err", worst_inverse, bound),
+        Check("worst identity-product err", worst_identity, bound),
+    ]
 
 
 SUITES = {
@@ -322,11 +294,13 @@ SUITES = {
 
 
 def run_suites(names=None, tol_scale=1.0):
+    """Run the named suites (all by default), each bound multiplied once by `tol_scale`."""
     if names is None:
         names = list(SUITES)
     results = []
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        results.append(SUITES[name](tol_scale=tol_scale))
+        checks = [Check(c.label, c.value, c.bound * tol_scale) for c in SUITES[name]()]
+        results.append(SuiteResult(name, checks))
     return results

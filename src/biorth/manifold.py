@@ -178,7 +178,12 @@ class AmbientPair(_Value):
         return AmbientPair._build(phi, psi)
 
     def _check_operand(self, other):
-        """Nothing: any pair of the same size may be added to an ambient pair."""
+        """TypeError unless `other` is a pair, DimensionError unless it has this size."""
+        if not isinstance(other, AmbientPair):
+            raise TypeError(f"expected a matrix pair operand, got {type(other).__name__}")
+        if other.n != self.n:
+            raise DimensionError(f"cannot combine a pair of size {self.n} with one of size "
+                                 f"{other.n}")
 
     def inner(self, other) -> float:
         """Ambient Frobenius inner product with another pair, tangent or not, based anywhere."""

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTangentError, LineSearchError, NumericalError, OffManifoldError
+from .errors import LineSearchError, NumericalError, OffManifoldError
 
 
 # Line-search constants: sufficient-decrease coefficient, curvature
@@ -123,16 +123,16 @@ def _cubic_minimizer(s, f0, slope0, fs, slope_s):
     return s - s * (slope_s + d2 - d1) / den
 
 
-def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=INITIAL_STEP,
+def armijo_search(problem, manifold, p, direction, slope, f0, initial_step=INITIAL_STEP,
                   curvature_test=True):
     """Line search with sufficient decrease along the retraction curve from `p`.
 
-    `slope` is the metric inner product of the Riemannian gradient with the
-    direction and must be negative. Each trial step s is one retraction
-    q = retract(p, s * direction) and one `problem.cost_grad` at q. Its
-    gradient also gives the slope of the ray there, phi'(s) = <egrad(q),
-    c'(s)>, the ambient product with the curve's velocity from
-    `manifold.ray_velocity`. The first trial is `initial_step`, at least
+    `f0` is the cost at `p`. `slope` is the metric inner product of the
+    Riemannian gradient with the direction and must be negative. Each trial
+    step s is one retraction q = retract(p, s * direction) and one
+    `problem.cost_grad` at q. Its gradient also gives the slope of the ray
+    there, phi'(s) = <egrad(q), c'(s)>, the ambient product with the
+    curve's velocity from `manifold.ray_velocity`. The first trial is `initial_step`, at least
     MIN_STEP and finite, and `slope` must be finite; ValueError otherwise.
     The solvers pass the Newton step on the ray from _first_step, which is
     near the minimizer when phi is near quadratic, so with WOLFE_C2 = 0.3
@@ -150,10 +150,11 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
       both lower and still acceptable. Without the curvature test, phi'(s)
       is computed only at trials that fail sufficient decrease.
 
-    Candidates that leave the feasible region or overflow are treated as
-    infinitely bad. Returns (step, new_point, new_cost, new_egrad), where
-    new_egrad is the Euclidean gradient that `problem.cost_grad` returned
-    together with new_cost at new_point. Below the MIN_STEP floor it raises
+    Candidates that leave the feasible region or overflow, an
+    OffManifoldError or a NumericalError, are treated as infinitely bad;
+    any other error propagates. Returns (step, new_point, new_cost,
+    new_egrad), where new_egrad is the Euclidean gradient that
+    `problem.cost_grad` returned together with new_cost at new_point. Below the MIN_STEP floor it raises
     NumericalError if no trial had a finite cost, and LineSearchError if
     some had one but none decreased enough. When the feasibility check
     rejected any trial point, the NumericalError message counts those
@@ -164,8 +165,6 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
     if not MIN_STEP <= initial_step < math.inf:
         raise ValueError(f"initial_step must be finite and >= min_step = {MIN_STEP:.1e}, "
                          f"got {initial_step!r}")
-    if f0 is None:
-        f0 = problem.cost_grad(p.x, p.y)[0]
     velocity = manifold.ray_velocity(p, direction)
     rejected = []  # exception type of each trial point that raised
 
@@ -175,7 +174,7 @@ def armijo_search(problem, manifold, p, direction, slope, f0=None, initial_step=
             try:
                 q = manifold.retract(p, s * direction)
                 return (q, *problem.cost_grad(q.x, q.y))
-            except (OffManifoldError, NumericalError, InvalidTangentError) as exc:
+            except (OffManifoldError, NumericalError) as exc:
                 rejected.append(type(exc))
                 return None, math.inf, None
 
@@ -292,7 +291,7 @@ def _descend(problem, manifold, p0, opts, cg):
     if opts is None:
         opts = SolverOptions()
     p = manifold.check_point(p0)
-    restart_every = max(manifold.dim, 1)
+    restart_every = manifold.dim
 
     started = time.perf_counter()
 
@@ -364,26 +363,28 @@ def _descend(problem, manifold, p0, opts, cg):
     return p, trace
 
 
-def fd_gradient_check(problem, manifold, p, n_dirs=10, h=1e-6, seed=0):
+# Finite-difference gradient check: number of directions and difference step.
+FD_DIRECTIONS = 10
+FD_STEP = 1e-6
+
+
+def fd_gradient_check(problem, manifold, p, seed=0):
     """Worst relative error of the projected gradient against central differences.
 
-    Compares grad.inner(t) with (f(R(h t)) - f(R(-h t))) / 2h along
-    `n_dirs` >= 1 seeded unit tangents t at `p`.
+    Compares grad.inner(t) with (f(R(h t)) - f(R(-h t))) / 2h, at h =
+    FD_STEP, along FD_DIRECTIONS unit tangents t at `p`, drawn by
+    `manifold.random_tangent` from the seeds seed, seed + 1, ...
     """
-    if n_dirs < 1:
-        raise ValueError(f"n_dirs must be >= 1, got {n_dirs}")
-    if not h > 0:
-        raise ValueError(f"h must be > 0, got {h}")
     g = riemannian_gradient(problem, manifold, p)
     worst = 0.0
-    for i in range(n_dirs):
+    for i in range(FD_DIRECTIONS):
         t = manifold.random_tangent(seed + i, p, 1.0)
         analytic = g.inner(t)
-        q = manifold.retract(p, h * t)
+        q = manifold.retract(p, FD_STEP * t)
         fp = problem.cost_grad(q.x, q.y)[0]
-        q = manifold.retract(p, (-h) * t)
+        q = manifold.retract(p, (-FD_STEP) * t)
         fm = problem.cost_grad(q.x, q.y)[0]
-        fd = (fp - fm) / (2.0 * h)
+        fd = (fp - fm) / (2.0 * FD_STEP)
         denom = max(abs(analytic), abs(fd), 1e-12)
         worst = max(worst, abs(analytic - fd) / denom)
     return worst

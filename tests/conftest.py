@@ -5,12 +5,20 @@ the same examples, no example database is kept between runs, and there is
 no per-example deadline, so results depend neither on earlier runs nor on
 how fast the machine is at the moment. The `residual_checks` fixture
 counts the tangency measurements of the manifold module.
+
+Tests run at one BLAS thread, the `biorth` command's own policy, unless one
+of the thread variables is already set: the policy is applied here, before
+anything loads numpy, because BLAS reads the variables once, at load.
 """
 
-import pytest
-from hypothesis import settings
+from biorth_launcher import single_thread_default
 
-import biorth.manifold
+single_thread_default()
+
+import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+import biorth.manifold  # noqa: E402
 
 settings.register_profile("biorth", derandomize=True, deadline=None, database=None)
 settings.load_profile("biorth")

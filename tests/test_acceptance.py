@@ -32,15 +32,16 @@ def report(num, name):
     print(f"acceptance {num} ({name}): PASS")
 
 
-def assert_suite(result):
-    assert result.passed, f"{result.name} failed: {result.summary()}"
+def assert_suite(checks):
+    failed = [c for c in checks if not c.passed]
+    assert not failed, f"failed: {failed}"
 
 
 def test_01_projection_matches_vectorized_oracle():
     started = time.perf_counter()
-    result = projection_oracle_suite()
+    checks = projection_oracle_suite()
     elapsed = time.perf_counter() - started
-    assert_suite(result)
+    assert_suite(checks)
     assert elapsed < 5.0, f"oracle sweep took {elapsed:.2f}s, budget is 5s"
     report(1, "projection oracle equivalence")
 

@@ -785,6 +785,19 @@ class TestTangentIsAnAmbientPair:
         assert np.array_equal((a + t).phi, a.phi + t.u)
         assert np.array_equal((a - t).psi, a.psi - t.v)
 
+    def test_ambient_operand_of_another_size_or_kind_is_a_typed_error(self):
+        a = AmbientPair(np.eye(3), np.eye(3))
+        b = AmbientPair(np.eye(4), np.eye(4))
+        r = random_tangent(277, seeded_point(278, 4), 1.0)
+        for call in (lambda: a + b, lambda: a - b, lambda: a + r, lambda: a - r):
+            with pytest.raises(DimensionError,
+                               match="^cannot combine a pair of size 3 with one of size 4$"):
+                call()
+        for operand in (3, np.eye(3), None):
+            for call in (lambda: a + operand, lambda: a - operand):
+                with pytest.raises(TypeError, match="^expected a matrix pair operand, got "):
+                    call()
+
     def test_projection_takes_a_tangent(self):
         p = seeded_point(279, 5)
         t = random_tangent(280, seeded_point(281, 5), 1.0)

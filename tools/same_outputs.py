@@ -73,6 +73,8 @@ def _runs():
     runs.append(("project-wide", project("wide")))
     runs.append(("check", ["check"]))
     runs.append(("check-tol0", ["check", "--tol", "0"]))
+    # At --tol 1 and 0 a bound scaled twice prints as one scaled once; at 0.5 it does not.
+    runs.append(("check-half", ["check", "--suite", "exp-identity", "--tol", "0.5"]))
     return runs
 
 
