@@ -16,6 +16,8 @@ with no scan or copy.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionError, InvalidTangentError, OffManifoldError, NumericalError
@@ -52,6 +54,17 @@ def _require_feasible(x, y, what) -> float:
             f"exceeds tolerance {feas_tol:.3e}"
         )
     return err
+
+
+def _require_size(n) -> int:
+    """`n` as an int; DimensionError unless it is an integer >= 1."""
+    try:
+        size = operator.index(n)
+    except TypeError:
+        size = 0
+    if size < 1:
+        raise DimensionError(f"n must be an integer >= 1, got {n!r}")
+    return size
 
 
 def _scalar(s) -> float:
@@ -160,7 +173,8 @@ class AmbientPair(_Value):
     builds its unchecked results through `_like`, so a tangent's `+`, `-`
     and scalar `*` give a tangent at its base; `+` and `-` first pass their
     operand to `_check_operand`, and scalar `*` checks only that the scalar
-    is finite. `inner` is the metric of both manifolds.
+    is finite. `inner` is the metric of both manifolds; it pairs tangents at
+    any bases, so it passes its operand to the ambient `_check_operand`.
     """
 
     __slots__ = ("phi", "psi")
@@ -187,6 +201,7 @@ class AmbientPair(_Value):
 
     def inner(self, other) -> float:
         """Ambient Frobenius inner product with another pair, tangent or not, based anywhere."""
+        AmbientPair._check_operand(self, other)
         return float(np.vdot(self.phi, other.phi)) + float(np.vdot(self.psi, other.psi))
 
     def norm(self) -> float:
@@ -434,8 +449,7 @@ def random_point(seed, n: int, scale: float) -> BiorthPoint:
 
     G is Gaussian, drawn by make_rng(seed) at every scale.
     """
-    if n < 1:
-        raise DimensionError(f"n must be >= 1, got {n}")
+    n = _require_size(n)
     if not scale >= 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     g = scale * make_rng(seed).standard_normal((n, n))
@@ -467,9 +481,7 @@ class BiorthogonalManifold:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise DimensionError(f"n must be >= 1, got {n}")
-        self.n = n
+        self.n = _require_size(n)
 
     @property
     def dim(self) -> int:
@@ -506,22 +518,18 @@ class BiorthogonalManifold:
     def random_point(self, seed, scale=0.5) -> BiorthPoint:
         return random_point(seed, self.n, scale)
 
-    def random_tangent(self, seed, p, scale=1.0) -> TangentPair:
-        return random_tangent(seed, p, scale)
-
 
 class EuclideanManifold:
     """The flat product space of matrix pairs, used by the penalty baseline.
 
     Projection is the identity, so it also carries a tangent from one point
-    to another, and retraction is addition. Tangents are AmbientPairs, with
-    the ambient Frobenius inner product AmbientPair.inner as the metric.
+    to another and leaves a Gaussian ambient pair a random tangent, and
+    retraction is addition. Tangents are AmbientPairs, with the ambient
+    Frobenius inner product AmbientPair.inner as the metric.
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise DimensionError(f"n must be >= 1, got {n}")
-        self.n = n
+        self.n = _require_size(n)
 
     @property
     def dim(self) -> int:
@@ -559,12 +567,3 @@ class EuclideanManifold:
             np.eye(n) + scale * rng.standard_normal((n, n)),
             np.eye(n) + scale * rng.standard_normal((n, n)),
         )
-
-    def random_tangent(self, seed, p, scale=1.0) -> AmbientPair:
-        """Gaussian pair drawn by make_rng(seed) at every scale, scaled to norm `scale`."""
-        if not scale >= 0:
-            raise ValueError(f"scale must be >= 0, got {scale}")
-        n = self.n
-        rng = make_rng(seed)
-        t = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-        return (scale / t.norm()) * t

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import as_matrix, mat_exp, require_same_shape, require_square, square_pair
-from .manifold import AmbientPair, BiorthPoint
+from .linalg import as_matrix, require_same_shape, require_square, square_pair
+from .manifold import AmbientPair, random_point
 from .rng import make_rng
 
 
@@ -108,6 +108,7 @@ class FunmapProblem:
         self.a = a
         self.b = b
         self.w = w
+        self._ww = w * w
         self.lam = float(lam)
         self.q = q
         self.k = k
@@ -123,10 +124,9 @@ class FunmapProblem:
         g1 = 2.0 * (self.a.T @ r1)
         g2 = -2.0 * (self.b.T @ r2)
         if self.lam > 0:
-            ww = self.w * self.w
-            cost += self.lam * float(np.sum(c1 * c1 * ww) + np.sum(c2 * c2 * ww))
-            g1 = g1 + 2.0 * self.lam * c1 * ww
-            g2 = g2 + 2.0 * self.lam * c2 * ww
+            cost += self.lam * float(np.sum(c1 * c1 * self._ww) + np.sum(c2 * c2 * self._ww))
+            g1 = g1 + 2.0 * self.lam * c1 * self._ww
+            g2 = g2 + 2.0 * self.lam * c2 * self._ww
         return cost, AmbientPair(g1, g2)
 
     def curvature(self, c1, c2, u, v):
@@ -138,8 +138,7 @@ class FunmapProblem:
         bv = self.b @ v
         value = 2.0 * (float(np.vdot(au, au)) + float(np.vdot(bv, bv)))
         if self.lam > 0:
-            ww = self.w * self.w
-            value += 2.0 * self.lam * float(np.sum(u * u * ww) + np.sum(v * v * ww))
+            value += 2.0 * self.lam * float(np.sum(u * u * self._ww) + np.sum(v * v * self._ww))
         return value
 
 
@@ -152,9 +151,9 @@ def funnel_weights(k: int) -> np.ndarray:
 def synth_funmap(seed, q, k, noise=0.0, lam=0.0):
     """Synthetic functional-map instance with known ground truth.
 
-    Draws a well-conditioned map c* = e^{0.3 G}, Gaussian data a, and
-    b = a @ c* plus optional Gaussian noise. Returns (problem, truth) where
-    truth is the biorthogonal pair (c*, c*^-1). Deterministic per seed.
+    Draws truth = (c*, c*^-1) = (e^{0.3 G}, e^{-0.3 G}) by random_point, then
+    Gaussian data a, and b = a @ c* plus optional Gaussian noise, all from one
+    stream. Returns (problem, truth). Deterministic per seed.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -163,16 +162,12 @@ def synth_funmap(seed, q, k, noise=0.0, lam=0.0):
     if not noise >= 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
     rng = make_rng(seed)
-    g = 0.3 * rng.standard_normal((k, k))
-    c_star = mat_exp(g)
-    c_star_inv = mat_exp(-g)
+    truth = random_point(rng, k, 0.3)
     a = rng.standard_normal((q, k))
-    b = a @ c_star
+    b = a @ truth.x
     if noise > 0:
         b = b + noise * rng.standard_normal((q, k))
-    problem = FunmapProblem(a, b, funnel_weights(k), lam=lam)
-    truth = BiorthPoint(c_star, c_star_inv)
-    return problem, truth
+    return FunmapProblem(a, b, funnel_weights(k), lam=lam), truth
 
 
 def random_nearest_pair(seed, n, scale=5.0):

@@ -6,8 +6,8 @@ finite-difference gradient checker. A problem is any object with
 ``cost_grad(x, y) -> (float, AmbientPair)``, the cost and the Euclidean
 gradient from one evaluation, and optionally ``curvature(x, y, u, v)``, the
 Euclidean Hessian form along (u, v); the manifold supplies
-check_point/dim/project/retract/ray_velocity/ray_acceleration, and
-random_tangent for the gradient checker. Both spaces are embedded in the
+check_point/dim/project/retract/ray_velocity/ray_acceleration, the
+gradient checker included. Both spaces are embedded in the
 ambient space of matrix pairs, and a tangent is an ambient pair with a
 base point. They take the ambient Frobenius product as their metric, so
 every inner product comes from the values, `g.inner(d)`, and each trace
@@ -44,6 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LineSearchError, NumericalError, OffManifoldError
+from .manifold import AmbientPair
+from .rng import make_rng
 
 
 # Line-search constants: sufficient-decrease coefficient, curvature
@@ -372,13 +374,15 @@ def fd_gradient_check(problem, manifold, p, seed=0):
     """Worst relative error of the projected gradient against central differences.
 
     Compares grad.inner(t) with (f(R(h t)) - f(R(-h t))) / 2h, at h =
-    FD_STEP, along FD_DIRECTIONS unit tangents t at `p`, drawn by
-    `manifold.random_tangent` from the seeds seed, seed + 1, ...
+    FD_STEP, along FD_DIRECTIONS unit tangents t at `p`: direction i is the
+    `manifold.project` of a Gaussian ambient pair drawn by make_rng(seed + i),
+    scaled to unit norm.
     """
     g = riemannian_gradient(problem, manifold, p)
     worst = 0.0
     for i in range(FD_DIRECTIONS):
-        t = manifold.random_tangent(seed + i, p, 1.0)
+        t = manifold.project(p, AmbientPair(*make_rng(seed + i).standard_normal((2, p.n, p.n))))
+        t = (1.0 / t.norm()) * t
         analytic = g.inner(t)
         q = manifold.retract(p, FD_STEP * t)
         fp = problem.cost_grad(q.x, q.y)[0]

@@ -24,6 +24,8 @@ DELETED = (
     (biorth.manifold.EuclideanManifold, "transport"),
     (biorth, "metric"),
     (biorth.manifold, "metric"),
+    (biorth.manifold.BiorthogonalManifold, "random_tangent"),
+    (biorth.manifold.EuclideanManifold, "random_tangent"),
 )
 
 

@@ -44,6 +44,12 @@ def seeded_point(seed, n, scale=0.4):
     return random_point(seed, n, scale)
 
 
+def flat_tangent(seed, n, scale):
+    """Random tangent of the flat space: a Gaussian pair by make_rng(seed), of norm `scale`."""
+    t = AmbientPair(*make_rng(seed).standard_normal((2, n, n)))
+    return (scale / t.norm()) * t
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Record every matrix that the manifold module factorizes."""
@@ -452,7 +458,7 @@ class TestRayVelocity:
     def test_flat_manifold(self):
         m = EuclideanManifold(4)
         p = m.random_point(392)
-        t = m.random_tangent(393, p, 1.0)
+        t = flat_tangent(393, 4, 1.0)
         self.assert_matches_the_curve(m, p, t, (0.0, 0.3, 1.5))
         assert m.ray_velocity(p, t)(m.retract(p, 0.3 * t)) is t
 
@@ -483,7 +489,7 @@ class TestRayAcceleration:
     def test_flat_ray_is_straight(self):
         m = EuclideanManifold(4)
         p = m.random_point(399)
-        assert m.ray_acceleration(p, m.random_tangent(400, p, 1.0)) is None
+        assert m.ray_acceleration(p, flat_tangent(400, 4, 1.0)) is None
 
     def test_foreign_base_rejected(self):
         p = seeded_point(401, 4)
@@ -549,9 +555,9 @@ class TestInnerTransported:
         for scale in BASE_SCALES:
             for seed in range(5):
                 p = seeded_point(300 + seed, n, scale)
-                q = m.retract(p, m.random_tangent(310 + seed, p, 0.1))
+                q = m.retract(p, random_tangent(310 + seed, p, 0.1))
                 t = m.project(q, AmbientPair(*make_rng(320 + seed).standard_normal((2, n, n))))
-                s = m.random_tangent(330 + seed, p, 2.0)
+                s = random_tangent(330 + seed, p, 2.0)
                 expected = t.inner(m.project(q, s))
                 assert abs(t.inner(s) - expected) <= 1e-12 * t.norm() * s.norm()
                 # s is based at p, t at q: the tangent product reads the arrays alone.
@@ -567,7 +573,7 @@ class TestInnerTransported:
         m = BiorthogonalManifold(2)
         t = m.project(p, AmbientPair(np.diag([10.0, 0.0]), np.zeros((2, 2))))
         for seed in range(5):
-            s = m.random_tangent(340 + seed, seeded_point(350 + seed, 2, 0.5), 1.0)
+            s = random_tangent(340 + seed, seeded_point(350 + seed, 2, 0.5), 1.0)
             got = t.inner(s)
             u_ref, v_ref = min_norm_tangent_oracle(p, s)
             exact = float(np.vdot(t.u, u_ref)) + float(np.vdot(t.v, v_ref))
@@ -579,8 +585,8 @@ class TestInnerTransported:
     def test_flat_manifold(self):
         m = EuclideanManifold(5)
         p = m.identity()
-        t = m.random_tangent(360, p, 1.0)
-        s = m.random_tangent(361, p, 2.0)
+        t = flat_tangent(360, 5, 1.0)
+        s = flat_tangent(361, 5, 2.0)
         assert t.inner(s) == t.inner(m.project(p, s))
 
 
@@ -617,13 +623,11 @@ class TestRandomTangent:
         p = seeded_point(210, 5)
         t = random_tangent(211, p, 0.0)
         assert t.norm() == 0.0
-        assert EuclideanManifold(5).random_tangent(211, p, 0.0).norm() == 0.0
 
     @pytest.mark.parametrize("draw", [
         lambda rng, scale: random_point(rng, 4, scale),
         lambda rng, scale: random_tangent(rng, seeded_point(214, 4), scale),
-        lambda rng, scale: EuclideanManifold(4).random_tangent(rng, None, scale),
-    ], ids=["random_point", "random_tangent", "euclidean_random_tangent"])
+    ], ids=["random_point", "random_tangent"])
     def test_zero_scale_draws_from_a_shared_generator_as_any_scale(self, draw):
         zero, other = make_rng(215), make_rng(215)
         draw(zero, 0.0)
@@ -691,12 +695,21 @@ class TestManifoldInterfaces:
         # x = 2I, y = I: the reported violation is |2I - I| = sqrt(3)
         assert p.feasibility_error() == pytest.approx(np.sqrt(3.0), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2.5, np.float64(3.0), "3", None, 0, -1, np.int64(0)],
+                             ids=["2.5", "float64", "str", "None", "0", "-1", "int64-0"])
+    def test_size_must_be_an_integer_of_at_least_one(self, n):
+        for build in (BiorthogonalManifold, EuclideanManifold, lambda n: random_point(1, n, 0.3)):
+            with pytest.raises(DimensionError, match=r"^n must be an integer >= 1, got "):
+                build(n)
+
+    def test_integer_sizes_of_any_integer_type_are_python_ints(self):
+        for m in (BiorthogonalManifold(np.int64(3)), EuclideanManifold(np.int32(3))):
+            assert type(m.n) is int and type(m.dim) is int
+        assert random_point(1, np.int64(3), 0.3).n == 3
+
     def test_euclidean_random_draws_deterministic(self):
         m = EuclideanManifold(4)
         assert np.array_equal(m.random_point(9, 0.5).x, m.random_point(9, 0.5).x)
-        p = m.identity()
-        t1 = m.random_tangent(10, p, 2.0)
-        assert t1.norm() == pytest.approx(2.0, rel=1e-12)
 
 
 class TestTangentArithmeticBound:
@@ -789,12 +802,17 @@ class TestTangentIsAnAmbientPair:
         a = AmbientPair(np.eye(3), np.eye(3))
         b = AmbientPair(np.eye(4), np.eye(4))
         r = random_tangent(277, seeded_point(278, 4), 1.0)
-        for call in (lambda: a + b, lambda: a - b, lambda: a + r, lambda: a - r):
+        # `inner` pairs tangents at any bases, so a tangent's runs the ambient check too.
+        t = random_tangent(282, seeded_point(283, 3), 1.0)
+        for call in (lambda: a + b, lambda: a - b, lambda: a + r, lambda: a - r,
+                     lambda: a.inner(b), lambda: a.inner(r), lambda: t.inner(b),
+                     lambda: t.inner(r)):
             with pytest.raises(DimensionError,
                                match="^cannot combine a pair of size 3 with one of size 4$"):
                 call()
         for operand in (3, np.eye(3), None):
-            for call in (lambda: a + operand, lambda: a - operand):
+            for call in (lambda: a + operand, lambda: a - operand, lambda: a.inner(operand),
+                         lambda: t.inner(operand)):
                 with pytest.raises(TypeError, match="^expected a matrix pair operand, got "):
                     call()
 
