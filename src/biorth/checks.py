@@ -20,6 +20,7 @@ from .manifold import (
     AmbientPair,
     BiorthogonalManifold,
     EuclideanManifold,
+    EuclideanPoint,
     identity_point,
     pair_inverse,
     pair_product,
@@ -177,6 +178,7 @@ def gradient_fd_suite():
     worst_funmap = 0.0
     n = 10
     bo = BiorthogonalManifold(n)
+    bo_k = BiorthogonalManifold(16)
     flat = EuclideanManifold(n)
     for trial in range(20):
         rng = make_rng(94_000 + trial)
@@ -186,11 +188,11 @@ def gradient_fd_suite():
         nearest = NearestPairProblem(phi, psi)
         worst_nearest = max(worst_nearest, fd_gradient_check(nearest, bo, p, seed=7 * trial))
         penalty = PenaltyProblem(phi, psi, alpha=100.0)
-        q = flat.random_point(94_500 + trial, scale=0.4)
+        legs = np.eye(n) + 0.4 * make_rng(94_500 + trial).standard_normal((2, n, n))
+        q = EuclideanPoint(*legs)
         worst_penalty = max(worst_penalty, fd_gradient_check(penalty, flat, q, seed=11 * trial))
         fun, _ = synth_funmap(94_900 + trial, q=64, k=16, noise=0.1, lam=0.1)
-        bo_k = BiorthogonalManifold(16)
-        pk = bo_k.random_point(95_300 + trial, scale=0.3)
+        pk = random_point(95_300 + trial, 16, 0.3)
         worst_funmap = max(worst_funmap, fd_gradient_check(fun, bo_k, pk, seed=13 * trial))
     bound = 1e-5
     return [

@@ -29,6 +29,7 @@ from .manifold import (
     EuclideanManifold,
     _tangent_residual,
     project_tangent,
+    random_point,
 )
 from .matio import format_real, read_matrix, write_matrix, write_trace
 from .problems import FunmapProblem, PenaltyProblem, funnel_weights, random_nearest_pair, synth_funmap
@@ -201,9 +202,8 @@ def cmd_funmap(args):
         w = read_matrix(args.w_path) if args.w_path else funnel_weights(a.shape[1])
         problem = FunmapProblem(a, b, w, lam=args.lam)
     k = problem.k
-    manifold = BiorthogonalManifold(k)
-    p0 = manifold.random_point(args.seed + START_SEED_OFFSET, scale=0.3)
-    point, trace, seconds = _run_solver(args, problem, manifold, p0)
+    p0 = random_point(args.seed + START_SEED_OFFSET, k, 0.3)
+    point, trace, seconds = _run_solver(args, problem, BiorthogonalManifold(k), p0)
     if truth is not None:
         rec1 = fro_norm(point.x - truth.x)
         rec2 = fro_norm(point.y - truth.y)

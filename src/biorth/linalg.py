@@ -7,6 +7,7 @@ numpy/scipy behind the contracts below.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,22 @@ def require_square(m: np.ndarray, name="matrix") -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got {m.shape}")
     return m
+
+
+def require_size(n, name="n") -> int:
+    """`n` as an int; DimensionError unless it is an integer >= 1.
+
+    Integers of any type pass through operator.index, so numpy integers
+    become Python ints; a float or a string does not, even one with an
+    integral value.
+    """
+    try:
+        size = operator.index(n)
+    except TypeError:
+        size = 0
+    if size < 1:
+        raise DimensionError(f"{name} must be an integer >= 1, got {n!r}")
+    return size
 
 
 def require_same_shape(a: np.ndarray, b: np.ndarray, what="operands"):

@@ -5,9 +5,12 @@ Sylvester-type solve diagonalized by one SVD of y, cached on the point), an
 exponential-map retraction that is feasible by construction, the velocity
 of its curve along a search ray and that curve's acceleration at the start,
 and the flat product space used by the penalty baseline. BO(n) is embedded
-in the ambient space of matrix pairs: a tangent is an ambient pair with a
-base point, the metric is the ambient Frobenius product `inner`, and a
-tangent is carried to another point by projecting it there. All values are
+in the ambient space of matrix pairs: a point of BO(n) is a flat point
+with a feasibility certificate, a tangent is an ambient pair with a base
+point, the metric is the ambient Frobenius product `inner`, and a tangent
+is carried to another point by projecting it there. The manifold classes
+are only the solvers' interface; points and tangents are drawn by the
+module functions `random_point` and `random_tangent`. All values are
 immutable. Public constructors check and copy caller data; values the
 package computes itself are finite and of the right shape by construction,
 so the private builder `_Value._build` freezes their fresh arrays in place
@@ -16,12 +19,10 @@ with no scan or copy.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .errors import DimensionError, InvalidTangentError, OffManifoldError, NumericalError
-from .linalg import fro_norm, mat_exp, square_pair, svd
+from .linalg import fro_norm, mat_exp, require_size, square_pair, svd
 from .rng import make_rng
 
 # Rounding in n x n products accumulates roughly linearly in n.
@@ -54,17 +55,6 @@ def _require_feasible(x, y, what) -> float:
             f"exceeds tolerance {feas_tol:.3e}"
         )
     return err
-
-
-def _require_size(n) -> int:
-    """`n` as an int; DimensionError unless it is an integer >= 1."""
-    try:
-        size = operator.index(n)
-    except TypeError:
-        size = 0
-    if size < 1:
-        raise DimensionError(f"n must be an integer >= 1, got {n!r}")
-    return size
 
 
 def _scalar(s) -> float:
@@ -108,25 +98,49 @@ class _Value:
         return obj
 
 
-class BiorthPoint(_Value):
-    """A pair (x, y) of square matrices with x @ y = I within default_feas_tol(n).
+class EuclideanPoint(_Value):
+    """A point (x, y) of the flat product space of n x n matrix pairs.
 
-    Arrays are copied and marked read-only; points are safe to share. The
-    feasibility error measured by the constructor is kept, and the SVD of y
-    is computed on first use and kept, so every projection at the point
-    shares one factorization.
+    Arrays are copied and marked read-only; points are safe to share.
+    Nothing constrains x @ y, so feasibility_error measures it on every
+    call; it is a diagnostic here. Every point of BO(n) is also a point of
+    this space: BiorthPoint is the subclass that certifies x @ y = I.
     """
 
-    __slots__ = ("x", "y", "_feas_err", "_y_svd")
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        x, y = square_pair(x, y)
+        self._freeze(np.array(x), np.array(y))
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
+
+    def feasibility_error(self) -> float:
+        """fro_norm(x @ y - I), one n x n product; inf or NaN, not a warning, on overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _feasibility_error(self.x, self.y)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, feas_err={self.feasibility_error():.2e})"
+
+
+class BiorthPoint(EuclideanPoint):
+    """A flat point (x, y) certified to have x @ y = I within default_feas_tol(n).
+
+    The constructor copies, checks feasibility and keeps the error it
+    measured, so feasibility_error costs nothing; it does not call the
+    flat point's constructor. The SVD of y is computed on first use and
+    kept, so every projection at the point shares one factorization.
+    """
+
+    __slots__ = ("_feas_err", "_y_svd")
 
     def __init__(self, x, y):
         x, y = square_pair(x, y)
         err = _require_feasible(x, y, "pair")
         self._freeze(np.array(x), np.array(y), err)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
 
     def y_svd(self):
         """Read-only SvdResult of y, computed on the first call and cached."""
@@ -140,9 +154,6 @@ class BiorthPoint(_Value):
     def feasibility_error(self) -> float:
         """fro_norm(x @ y - I), as measured by the constructor."""
         return self._feas_err
-
-    def __repr__(self):
-        return f"BiorthPoint(n={self.n}, feas_err={self.feasibility_error():.2e})"
 
 
 def identity_point(n: int) -> BiorthPoint:
@@ -287,27 +298,6 @@ class TangentPair(AmbientPair):
         return self._w
 
 
-class EuclideanPoint(_Value):
-    """Unconstrained point (x, y) in the flat product space of matrix pairs."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        x, y = square_pair(x, y)
-        self._freeze(np.array(x), np.array(y))
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    def feasibility_error(self) -> float:
-        """fro_norm(x @ y - I): a diagnostic here, since nothing enforces it."""
-        return _feasibility_error(self.x, self.y)
-
-    def __repr__(self):
-        return f"EuclideanPoint(n={self.n})"
-
-
 def pair_product(a: BiorthPoint, b: BiorthPoint) -> BiorthPoint:
     """Group product (a1, a2) * (b1, b2) = (a1 @ b1, b2 @ a2).
 
@@ -449,7 +439,7 @@ def random_point(seed, n: int, scale: float) -> BiorthPoint:
 
     G is Gaussian, drawn by make_rng(seed) at every scale.
     """
-    n = _require_size(n)
+    n = require_size(n)
     if not scale >= 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     g = scale * make_rng(seed).standard_normal((n, n))
@@ -474,14 +464,18 @@ def random_tangent(seed, p: BiorthPoint, scale: float) -> TangentPair:
 
 
 class BiorthogonalManifold:
-    """Manifold interface bundle for n x n pairs (x, y) with x @ y = I.
+    """The solvers' interface to BO(n), the n x n pairs (x, y) with x @ y = I.
 
-    Feasibility and tangency are checked against default_feas_tol(n) and
-    default_tan_tol(n).
+    Its members are `n`, `identity` and the six the solvers read:
+    `check_point`, `dim`, `project`, `retract`, `ray_velocity` and
+    `ray_acceleration`, each forwarding to the module function of that
+    work. Points and tangents are drawn by the module functions
+    `random_point` and `random_tangent`. Feasibility and tangency are
+    checked against default_feas_tol(n) and default_tan_tol(n).
     """
 
     def __init__(self, n: int):
-        self.n = _require_size(n)
+        self.n = require_size(n)
 
     @property
     def dim(self) -> int:
@@ -491,8 +485,9 @@ class BiorthogonalManifold:
         """Return the BiorthPoint a solver iterates from when started at `p`.
 
         A BiorthPoint of the right size is feasible by its type and is
-        returned as is. Any other pair (x, y) is converted, so an
-        infeasible one raises OffManifoldError.
+        returned as is. Any other flat point (x, y) of that size, such as an
+        EuclideanPoint, is certified by building a BiorthPoint from its
+        arrays, so an infeasible one raises OffManifoldError.
         """
         if p.n != self.n:
             raise DimensionError(f"point has n={p.n}, manifold has n={self.n}")
@@ -515,21 +510,20 @@ class BiorthogonalManifold:
     def ray_acceleration(self, p, t) -> AmbientPair:
         return ray_acceleration(p, t)
 
-    def random_point(self, seed, scale=0.5) -> BiorthPoint:
-        return random_point(seed, self.n, scale)
-
 
 class EuclideanManifold:
-    """The flat product space of matrix pairs, used by the penalty baseline.
+    """The solvers' interface to the flat product space of n x n matrix pairs.
 
-    Projection is the identity, so it also carries a tangent from one point
-    to another and leaves a Gaussian ambient pair a random tangent, and
-    retraction is addition. Tangents are AmbientPairs, with the ambient
-    Frobenius inner product AmbientPair.inner as the metric.
+    Used by the penalty baseline, with the same eight members as
+    BiorthogonalManifold. Points are EuclideanPoints, or BiorthPoints, which
+    are flat points too. Projection is the identity, so it also carries a
+    tangent from one point to another and leaves a Gaussian ambient pair a
+    random tangent, and retraction is addition. Tangents are AmbientPairs,
+    with the ambient Frobenius inner product AmbientPair.inner as the metric.
     """
 
     def __init__(self, n: int):
-        self.n = _require_size(n)
+        self.n = require_size(n)
 
     @property
     def dim(self) -> int:
@@ -558,12 +552,3 @@ class EuclideanManifold:
         """None: the curve s -> retract(p, s * t) is a straight line, c'' = 0."""
         return None
 
-    def random_point(self, seed, scale=0.5) -> EuclideanPoint:
-        if not scale >= 0:
-            raise ValueError(f"scale must be >= 0, got {scale}")
-        rng = make_rng(seed)
-        n = self.n
-        return EuclideanPoint(
-            np.eye(n) + scale * rng.standard_normal((n, n)),
-            np.eye(n) + scale * rng.standard_normal((n, n)),
-        )

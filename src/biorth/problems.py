@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import as_matrix, require_same_shape, require_square, square_pair
+from .linalg import as_matrix, require_same_shape, require_size, require_square, square_pair
 from .manifold import AmbientPair, random_point
 from .rng import make_rng
 
@@ -143,7 +143,11 @@ class FunmapProblem:
 
 
 def funnel_weights(k: int) -> np.ndarray:
-    """Default funnel weights w_ij = |i - j| / k, zero on the diagonal."""
+    """Default funnel weights w_ij = |i - j| / k, zero on the diagonal.
+
+    DimensionError unless `k` is an integer >= 1.
+    """
+    k = require_size(k, "k")
     idx = np.arange(k)
     return np.abs(idx[:, None] - idx[None, :]) / float(k)
 
@@ -153,10 +157,11 @@ def synth_funmap(seed, q, k, noise=0.0, lam=0.0):
 
     Draws truth = (c*, c*^-1) = (e^{0.3 G}, e^{-0.3 G}) by random_point, then
     Gaussian data a, and b = a @ c* plus optional Gaussian noise, all from one
-    stream. Returns (problem, truth). Deterministic per seed.
+    stream. Returns (problem, truth). Deterministic per seed. DimensionError
+    unless `q` and `k` are integers >= 1, and ValueError if q < k.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = require_size(k, "k")
+    q = require_size(q, "q")
     if q < k:
         raise ValueError(f"need q >= k, got q={q}, k={k}")
     if not noise >= 0:
@@ -175,10 +180,10 @@ def random_nearest_pair(seed, n, scale=5.0):
 
     Entries are drawn as (scale / sqrt(n)) * N(0, 1), so the spectral norm
     of the targets is about 2 * scale for every n and problem difficulty
-    does not blow up with dimension.
+    does not blow up with dimension. DimensionError unless `n` is an integer
+    >= 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = require_size(n)
     rng = make_rng(seed)
     sigma = scale / np.sqrt(n)
     phi = sigma * rng.standard_normal((n, n))

@@ -1,5 +1,7 @@
 """Seeded random number generation with a pinned algorithm."""
 
+import operator
+
 import numpy as np
 
 
@@ -8,8 +10,10 @@ def make_rng(seed):
 
     The bit generator is pinned (not the platform default) so that seeded
     runs produce identical streams everywhere. Passing a Generator lets a
-    caller draw several values from one stream.
+    caller draw several values from one stream. Any other seed must be an
+    integer of some integer type: operator.index raises TypeError for a
+    float or a string, which are neither truncated nor parsed.
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(operator.index(seed)))

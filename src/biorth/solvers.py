@@ -38,6 +38,7 @@ point, and one in which no trial has a finite cost raises NumericalError.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -67,15 +68,20 @@ class SolverOptions:
     """Iteration budget and stopping tolerance for the first-order solvers.
 
     A run stops after `max_iters` iterations or once the Riemannian
-    gradient norm is at most `grad_tol`.
+    gradient norm is at most `grad_tol`. `max_iters` must be an integer
+    >= 0 (of any integer type), so a NaN or a fraction raises ValueError.
     """
 
     max_iters: int = 100
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        try:
+            valid = operator.index(self.max_iters) >= 0
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         if not self.grad_tol >= 0:
             raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
@@ -135,7 +141,7 @@ def armijo_search(problem, manifold, p, direction, slope, f0, initial_step=INITI
     `problem.cost_grad` at q. Its gradient also gives the slope of the ray
     there, phi'(s) = <egrad(q), c'(s)>, the ambient product with the
     curve's velocity from `manifold.ray_velocity`. The first trial is `initial_step`, at least
-    MIN_STEP and finite, and `slope` must be finite; ValueError otherwise.
+    MIN_STEP and finite, and `slope` and `f0` must be finite; ValueError otherwise.
     The solvers pass the Newton step on the ray from _first_step, which is
     near the minimizer when phi is near quadratic, so with WOLFE_C2 = 0.3
     most searches accept their first trial.
@@ -164,6 +170,8 @@ def armijo_search(problem, manifold, p, direction, slope, f0, initial_step=INITI
     """
     if not -math.inf < slope < 0:
         raise ValueError(f"not a descent direction with a finite slope: slope = {slope!r}")
+    if not math.isfinite(f0):
+        raise ValueError(f"cost at the start of the search is not finite: f0 = {f0!r}")
     if not MIN_STEP <= initial_step < math.inf:
         raise ValueError(f"initial_step must be finite and >= min_step = {MIN_STEP:.1e}, "
                          f"got {initial_step!r}")

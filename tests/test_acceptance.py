@@ -21,7 +21,7 @@ from biorth.checks import (
 )
 from biorth.errors import MatrixFormatError
 from biorth.linalg import fro_norm
-from biorth.manifold import BiorthogonalManifold, EuclideanManifold
+from biorth.manifold import BiorthogonalManifold, EuclideanManifold, random_point
 from biorth.matio import read_matrix, read_trace, write_matrix, write_trace
 from biorth.problems import PenaltyProblem, random_nearest_pair, synth_funmap
 from biorth.rng import make_rng
@@ -110,7 +110,7 @@ def test_07_synthetic_functional_maps_recovery():
     q, k, seed = 64, 16, 7
     problem, _ = synth_funmap(seed, q, k, noise=0.0, lam=0.0)
     manifold = BiorthogonalManifold(k)
-    p0 = manifold.random_point(seed + 1, scale=0.3)
+    p0 = random_point(seed + 1, k, 0.3)
     point, trace = conjugate_gradient(
         problem, manifold, p0, SolverOptions(max_iters=500, grad_tol=1e-12)
     )

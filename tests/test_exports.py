@@ -26,6 +26,8 @@ DELETED = (
     (biorth.manifold, "metric"),
     (biorth.manifold.BiorthogonalManifold, "random_tangent"),
     (biorth.manifold.EuclideanManifold, "random_tangent"),
+    (biorth.manifold.BiorthogonalManifold, "random_point"),
+    (biorth.manifold.EuclideanManifold, "random_point"),
 )
 
 

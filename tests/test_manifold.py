@@ -44,6 +44,11 @@ def seeded_point(seed, n, scale=0.4):
     return random_point(seed, n, scale)
 
 
+def flat_point(seed, n, scale):
+    """Point of the flat space: the identity pair plus a Gaussian pair by make_rng(seed) times `scale`."""
+    return EuclideanPoint(*(np.eye(n) + scale * make_rng(seed).standard_normal((2, n, n))))
+
+
 def flat_tangent(seed, n, scale):
     """Random tangent of the flat space: a Gaussian pair by make_rng(seed), of norm `scale`."""
     t = AmbientPair(*make_rng(seed).standard_normal((2, n, n)))
@@ -457,7 +462,7 @@ class TestRayVelocity:
 
     def test_flat_manifold(self):
         m = EuclideanManifold(4)
-        p = m.random_point(392)
+        p = flat_point(392, 4, 0.5)
         t = flat_tangent(393, 4, 1.0)
         self.assert_matches_the_curve(m, p, t, (0.0, 0.3, 1.5))
         assert m.ray_velocity(p, t)(m.retract(p, 0.3 * t)) is t
@@ -488,7 +493,7 @@ class TestRayAcceleration:
 
     def test_flat_ray_is_straight(self):
         m = EuclideanManifold(4)
-        p = m.random_point(399)
+        p = flat_point(399, 4, 0.5)
         assert m.ray_acceleration(p, flat_tangent(400, 4, 1.0)) is None
 
     def test_foreign_base_rejected(self):
@@ -618,6 +623,18 @@ class TestRandomPoint:
         assert p.feasibility_error() <= 1e-12
 
 
+class TestMakeRng:
+    @pytest.mark.parametrize("seed", [2.7, np.float64(5.0), "5", None])
+    def test_seed_must_be_an_integer_or_a_generator(self, seed):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make_rng(seed)
+
+    def test_seeds_of_any_integer_type_give_one_stream(self):
+        draw = make_rng(5).standard_normal(3)
+        for seed in (np.int64(5), np.uint32(5)):
+            assert np.array_equal(make_rng(seed).standard_normal(3), draw)
+
+
 class TestRandomTangent:
     def test_zero_scale(self):
         p = seeded_point(210, 5)
@@ -658,7 +675,7 @@ class TestRandomTangent:
 class TestManifoldInterfaces:
     def test_biorthogonal_bundle(self):
         m = BiorthogonalManifold(6)
-        p = m.random_point(1, scale=0.4)
+        p = random_point(1, 6, 0.4)
         a = AmbientPair(*make_rng(2).standard_normal((2, 6, 6)))
         t = m.project(p, a)
         q = m.retract(p, t * 0.01)
@@ -668,12 +685,12 @@ class TestManifoldInterfaces:
 
     def test_check_point_returns_a_biorth_point_as_is(self):
         m = BiorthogonalManifold(4)
-        p = m.random_point(5, scale=0.4)
+        p = random_point(5, 4, 0.4)
         assert m.check_point(p) is p
 
     def test_retract_at_zero_is_identity_map(self):
         m = BiorthogonalManifold(5)
-        p = m.random_point(3, scale=0.4)
+        p = random_point(3, 5, 0.4)
         q = m.retract(p, TangentPair(np.zeros((5, 5)), np.zeros((5, 5)), p))
         assert np.array_equal(q.x, p.x)
 
@@ -702,14 +719,29 @@ class TestManifoldInterfaces:
             with pytest.raises(DimensionError, match=r"^n must be an integer >= 1, got "):
                 build(n)
 
+    def test_members_are_the_solver_interface_and_identity(self):
+        members = {"n", "dim", "check_point", "identity", "project", "retract",
+                   "ray_velocity", "ray_acceleration"}
+        for m in (BiorthogonalManifold(3), EuclideanManifold(3)):
+            assert {name for name in dir(m) if not name.startswith("_")} == members
+
+    def test_a_biorth_point_is_a_flat_point(self):
+        assert issubclass(BiorthPoint, EuclideanPoint)
+        assert "n" not in BiorthPoint.__dict__ and "__repr__" not in BiorthPoint.__dict__
+        p = random_point(5, 3, 0.4)
+        assert repr(p) == f"BiorthPoint(n=3, feas_err={p.feasibility_error():.2e})"
+        assert repr(EuclideanPoint(2.0 * np.eye(3), np.eye(3))) == \
+            "EuclideanPoint(n=3, feas_err=1.73e+00)"
+
+    def test_overflowing_flat_point_reports_an_infinite_error_without_warning(self):
+        p = EuclideanPoint(np.full((2, 2), 1e200), np.full((2, 2), 1e200))
+        assert p.feasibility_error() == math.inf
+        assert repr(p) == "EuclideanPoint(n=2, feas_err=inf)"
+
     def test_integer_sizes_of_any_integer_type_are_python_ints(self):
         for m in (BiorthogonalManifold(np.int64(3)), EuclideanManifold(np.int32(3))):
             assert type(m.n) is int and type(m.dim) is int
         assert random_point(1, np.int64(3), 0.3).n == 3
-
-    def test_euclidean_random_draws_deterministic(self):
-        m = EuclideanManifold(4)
-        assert np.array_equal(m.random_point(9, 0.5).x, m.random_point(9, 0.5).x)
 
 
 class TestTangentArithmeticBound:

@@ -3,12 +3,13 @@ import pytest
 
 from biorth.errors import DimensionError
 from biorth.linalg import fro_norm
-from biorth.manifold import BiorthogonalManifold, EuclideanManifold
+from biorth.manifold import BiorthogonalManifold, EuclideanManifold, EuclideanPoint, random_point
 from biorth.problems import (
     FunmapProblem,
     NearestPairProblem,
     PenaltyProblem,
     funnel_weights,
+    random_nearest_pair,
     synth_funmap,
 )
 from biorth.rng import make_rng
@@ -44,7 +45,7 @@ class TestNearestPair:
         manifold = BiorthogonalManifold(n)
         rng = make_rng(3)
         problem = NearestPairProblem(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-        p = manifold.random_point(4, scale=0.4)
+        p = random_point(4, n, 0.4)
         assert fd_gradient_check(problem, manifold, p) <= 1e-5
 
     def test_dimension_mismatch(self):
@@ -59,7 +60,7 @@ class TestPenalty:
         rng = make_rng(5)
         phi = rng.standard_normal((n, n))
         psi = rng.standard_normal((n, n))
-        p = BiorthogonalManifold(n).random_point(6, scale=0.4)
+        p = random_point(6, n, 0.4)
         base_cost = NearestPairProblem(phi, psi).cost_grad(p.x, p.y)[0]
         for alpha in (1.0, 100.0, 1e6):
             pen_cost = PenaltyProblem(phi, psi, alpha).cost_grad(p.x, p.y)[0]
@@ -88,7 +89,7 @@ class TestPenalty:
         problem = PenaltyProblem(
             rng.standard_normal((n, n)), rng.standard_normal((n, n)), alpha=100.0
         )
-        p = manifold.random_point(9, scale=0.4)
+        p = EuclideanPoint(*(np.eye(n) + 0.4 * make_rng(9).standard_normal((2, n, n))))
         assert fd_gradient_check(problem, manifold, p) <= 1e-5
 
 
@@ -111,7 +112,7 @@ class TestFunmap:
     def test_finite_difference(self):
         problem, _ = synth_funmap(11, q=64, k=16, noise=0.1, lam=0.1)
         manifold = BiorthogonalManifold(16)
-        p = manifold.random_point(12, scale=0.3)
+        p = random_point(12, 16, 0.3)
         assert fd_gradient_check(problem, manifold, p) <= 1e-5
 
     def test_rejects_wide_data(self):
@@ -191,3 +192,26 @@ class TestSynthFunmap:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             synth_funmap(27, q=10, k=5, noise=-0.1)
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("n", lambda size: random_nearest_pair(1, size)),
+        ("q", lambda size: synth_funmap(1, size, 1)),
+        ("k", lambda size: synth_funmap(1, 8, size)),
+        ("k", funnel_weights),
+    ],
+    ids=["random_nearest_pair", "synth_funmap-q", "synth_funmap-k", "funnel_weights"],
+)
+@pytest.mark.parametrize("size", [2.5, 6.5, np.float64(3.0), "3", 0, -1])
+def test_sizes_must_be_integers_of_at_least_one(name, build, size):
+    with pytest.raises(DimensionError, match=f"^{name} must be an integer >= 1, got "):
+        build(size)
+
+
+def test_sizes_of_any_integer_type_pass():
+    assert random_nearest_pair(1, np.int64(3)).n == 3
+    assert np.array_equal(funnel_weights(np.int32(4)), funnel_weights(4))
+    problem, _ = synth_funmap(1, np.int64(8), np.int64(3))
+    assert (problem.q, problem.k) == (8, 3)

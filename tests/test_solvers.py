@@ -74,6 +74,15 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
 
+    @pytest.mark.parametrize("max_iters", [2.5, np.float64(3.0), math.inf, "3", None])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        with pytest.raises(ValueError, match="^max_iters must be an integer >= 0, got "):
+            SolverOptions(max_iters=max_iters)
+
+    def test_max_iters_of_any_integer_type_passes(self):
+        SolverOptions(max_iters=np.int64(0))
+        SolverOptions(max_iters=np.uint8(3))
+
 
 NAN = float("nan")
 
@@ -87,10 +96,10 @@ NAN = float("nan")
         ("noise", lambda: synth_funmap(1, 6, 3, noise=NAN)),
         ("scale", lambda: random_point(1, 3, NAN)),
         ("scale", lambda: random_tangent(1, identity_point(3), NAN)),
-        ("scale", lambda: EuclideanManifold(3).random_point(1, NAN)),
+        ("max_iters", lambda: SolverOptions(max_iters=NAN)),
     ],
     ids=["SolverOptions", "PenaltyProblem", "FunmapProblem", "synth_funmap", "random_point",
-         "random_tangent", "EuclideanManifold.random_point"],
+         "random_tangent", "SolverOptions.max_iters"],
 )
 def test_range_checks_reject_nan(name, build):
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -189,6 +198,15 @@ class TestArmijoSearch:
             armijo_search(SquaredNorm(), manifold, p, d, -12.0, f0=6.0, initial_step=initial_step)
         assert manifold.trials == 0
 
+    @pytest.mark.parametrize("f0", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_start_cost(self, f0):
+        manifold = CountingEuclidean(3)
+        p = manifold.identity()
+        d = AmbientPair(-np.eye(3), -np.eye(3))
+        with pytest.raises(ValueError, match="^cost at the start of the search is not finite"):
+            armijo_search(SquaredNorm(), manifold, p, d, -12.0, f0=f0)
+        assert manifold.trials == 0
+
     @pytest.mark.parametrize("slope", [-math.inf, math.nan])
     def test_rejects_a_non_finite_slope(self, slope):
         manifold = CountingEuclidean(3)
@@ -203,7 +221,7 @@ class TestArmijoSearch:
             n = 6
             manifold = BiorthogonalManifold(n)
             problem = random_nearest_pair(seed, n, 2.0)
-            p = manifold.random_point(seed + 50, scale=0.3)
+            p = random_point(seed + 50, n, 0.3)
             f0 = problem.cost_grad(p.x, p.y)[0]
             g = riemannian_gradient(problem, manifold, p)
             d = -g
@@ -302,7 +320,8 @@ class TestArmijoSearch:
                    random_point(seed + 60, n, 0.3))
             targets = random_nearest_pair(seed + 70, n, 2.0)
             flat = EuclideanManifold(n)
-            yield flat, PenaltyProblem(targets.phi, targets.psi, 10.0), flat.random_point(seed + 80)
+            q = EuclideanPoint(*(np.eye(n) + 0.5 * make_rng(seed + 80).standard_normal((2, n, n))))
+            yield flat, PenaltyProblem(targets.phi, targets.psi, 10.0), q
 
     def test_floor_raises_line_search_error(self):
         # zero cost everywhere can never beat the required strict decrease
@@ -404,7 +423,7 @@ class TestRiemannianGradient:
         n = 8
         manifold = BiorthogonalManifold(n)
         problem = random_nearest_pair(3, n, 2.0)
-        p = manifold.random_point(4, scale=0.3)
+        p = random_point(4, n, 0.3)
         g = riemannian_gradient(problem, manifold, p)
         gnorm = math.sqrt(g.inner(g))
         f0 = problem.cost_grad(p.x, p.y)[0]
@@ -678,7 +697,7 @@ class TestTrialPoints:
     def test_one_trial_point_per_iteration_on_funmap(self):
         manifold = CountingManifold(16)
         problem, _ = synth_funmap(3, 64, 16)
-        p0 = manifold.random_point(3 + 7919, scale=0.3)
+        p0 = random_point(3 + 7919, 16, 0.3)
         assert self.trials_in_30_iterations(manifold, problem, p0) <= 1.1 * 30
 
 
@@ -898,7 +917,7 @@ class TestFdGradientCheck:
         n = 10
         manifold = BiorthogonalManifold(n)
         problem = random_nearest_pair(31, n, 2.0)
-        p = manifold.random_point(32, scale=0.3)
+        p = random_point(32, n, 0.3)
         assert fd_gradient_check(problem, manifold, p) <= 1e-5
 
     def test_penalty_gradient_on_flat_space(self):
@@ -906,10 +925,10 @@ class TestFdGradientCheck:
         manifold = EuclideanManifold(n)
         targets = random_nearest_pair(33, n, 2.0)
         problem = PenaltyProblem(targets.phi, targets.psi, alpha=100.0)
-        p = manifold.random_point(34, scale=0.3)
+        p = EuclideanPoint(*(np.eye(n) + 0.3 * make_rng(34).standard_normal((2, n, n))))
         assert fd_gradient_check(problem, manifold, p) <= 1e-5
 
     def test_constant_problem_trivially_passes(self):
         manifold = BiorthogonalManifold(5)
-        p = manifold.random_point(35, scale=0.3)
+        p = random_point(35, 5, 0.3)
         assert fd_gradient_check(ConstantProblem(), manifold, p) == 0.0

@@ -7,7 +7,9 @@ the `src` directory of two checkouts. Every command line of RUNS runs once
 per tree, in a fresh interpreter at one BLAS thread, each in its own output
 directory. The `project` runs share the files that the benchmark's
 project-io workload writes for seed PROJECT_SEED (perfbench/invocations.py):
-four items of four n = 150 matrices. Two more runs read files that this
+four items of four n = 150 matrices. One funmap run sets --noise and
+--lambda, so that the regularizer and noise lines of the problem module run
+outside the `check` suites too. Two more runs read files that this
 tool writes with 17 significant digits: `funmap --a --b` on the data of
 synth_funmap(1, 64, 16), and `project` on a base pair and an ambient pair
 whose entries' decimal exponents reach down to -300 (see _wide_project).
@@ -65,6 +67,9 @@ def _runs():
         for key in PROJECT_KEYS:
             argv += [f"--{key}", os.path.join("{inputs}", f"{key}{suffix}.txt")]
         return argv
+
+    runs.append(("funmap-noisy-2", ["funmap", "--synthetic", "--noise", "0.1", "--lambda", "0.1",
+                                    "--seed", "2"]))
 
     for i in range(PROJECT.items):
         runs.append((f"project-{i}", project(i)))
