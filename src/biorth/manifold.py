@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, InvalidTangentError, OffManifoldError, NumericalError
-from .linalg import fro_norm, mat_exp, require_size, square_pair, svd
+from .linalg import SvdResult, fro_norm, mat_exp, require_size, square_pair, svd
 from .rng import make_rng
 
 # Rounding in n x n products accumulates roughly linearly in n.
@@ -126,16 +126,25 @@ class EuclideanPoint(_Value):
         return f"{type(self).__name__}(n={self.n}, feas_err={self.feasibility_error():.2e})"
 
 
+def _frozen_svd(f: SvdResult) -> SvdResult:
+    """`f` with its three arrays marked read-only in place."""
+    for a in (f.u, f.s, f.v):
+        a.setflags(write=False)
+    return f
+
+
 class BiorthPoint(EuclideanPoint):
     """A flat point (x, y) certified to have x @ y = I within default_feas_tol(n).
 
     The constructor copies, checks feasibility and keeps the error it
     measured, so feasibility_error costs nothing; it does not call the
-    flat point's constructor. The SVD of y is computed on first use and
-    kept, so every projection at the point shares one factorization.
+    flat point's constructor. The SVD of y, and the other factors of
+    project_tangent that depend on the point alone (_projection_terms), are
+    computed on first use and kept, so every projection at the point shares
+    them.
     """
 
-    __slots__ = ("_feas_err", "_y_svd")
+    __slots__ = ("_feas_err", "_y_svd", "_terms")
 
     def __init__(self, x, y):
         x, y = square_pair(x, y)
@@ -145,11 +154,28 @@ class BiorthPoint(EuclideanPoint):
     def y_svd(self):
         """Read-only SvdResult of y, computed on the first call and cached."""
         if self._y_svd is None:
-            f = svd(self.y)
-            for a in (f.u, f.s, f.v):
-                a.setflags(write=False)
-            object.__setattr__(self, "_y_svd", f)
+            object.__setattr__(self, "_y_svd", _frozen_svd(svd(self.y)))
         return self._y_svd
+
+    def _projection_terms(self):
+        """Read-only (V^T x U, sigma sigma^T, 1 + (sigma sigma^T)^2) for y = U S V^T; cached.
+
+        The rotated base and the two n x n grids of project_tangent, from
+        the cached y_svd(): two products and three elementwise passes built
+        once per point, so the projections of a gradient and of a carried
+        direction at one point share them. On a base so badly scaled that
+        they overflow, entries are infinite or NaN without a warning.
+        """
+        if self._terms is None:
+            f = self.y_svd()
+            with np.errstate(over="ignore", invalid="ignore"):
+                xh = f.v.T @ self.x @ f.u
+                ss = f.s[:, None] * f.s[None, :]
+                den = 1.0 + ss * ss
+            for a in (xh, ss, den):
+                a.setflags(write=False)
+            object.__setattr__(self, "_terms", (xh, ss, den))
+        return self._terms
 
     def feasibility_error(self) -> float:
         """fro_norm(x @ y - I), as measured by the constructor."""
@@ -157,7 +183,15 @@ class BiorthPoint(EuclideanPoint):
 
 
 def identity_point(n: int) -> BiorthPoint:
-    return BiorthPoint(np.eye(n), np.eye(n))
+    """The pair (I, I), carrying its exact SVD I = I @ diag(ones) @ I^T.
+
+    LAPACK returns exactly these factors for np.eye(n), so a projection at
+    this point equals one at BiorthPoint(np.eye(n), np.eye(n)) bit for bit,
+    without the SVD. I @ I - I is exactly zero, the feasibility error.
+    """
+    n = require_size(n)
+    eye = np.eye(n)
+    return BiorthPoint._build(eye, eye, 0.0, _frozen_svd(SvdResult(eye, np.ones(n), eye)))
 
 
 def _tangent_residual(base, u, v) -> float:
@@ -251,7 +285,8 @@ class TangentPair(AmbientPair):
     stored so that `+` and `-` with an operand based elsewhere are rejected
     instead of silently re-projected. The generator W = base.y @ u is
     computed on first use and kept, so the velocity and the acceleration of
-    one search ray share one product.
+    one search ray share one product, and scalar `*` scales a kept W along
+    with the legs.
     """
 
     __slots__ = ("base", "_w")
@@ -288,6 +323,18 @@ class TangentPair(AmbientPair):
     def _check_operand(self, other):
         """InvalidTangentError unless `other` is a TangentPair at this base."""
         _require_based_at(self.base, other)
+
+    def __mul__(self, s):
+        """The tangent s * t at this base; it carries s * W when W is cached.
+
+        A search scales its direction once per trial point, so each trial
+        retraction gets its generator from one scaling instead of a product.
+        """
+        s = _scalar(s)
+        w = None if self._w is None else s * self._w
+        return TangentPair._build(s * self.phi, s * self.psi, self.base, w)
+
+    __rmul__ = __mul__
 
     def generator(self) -> np.ndarray:
         """Read-only W = base.y @ u, the tangent translated to the identity; cached."""
@@ -345,7 +392,8 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
     sigma_j^2) added to vh and sigma_i sigma_j w_ij added to uh. It leaves a
     residual second order in the drift x0 y0 - I, and since it lies in the
     kernel of the solve above, projecting the result again reproduces it.
-    The SVD is the one cached on `p`, and the result does not depend on the
+    The SVD is the one cached on `p`, as are V^T x0 U, sigma_i sigma_j and
+    the denominators, and the result does not depend on the
     sign/ordering conventions of its factors. The result is tangent by this
     construction, so its residual is not measured again; the tangency and
     projection-oracle suites of `biorth check` measure it independently.
@@ -359,14 +407,13 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
         )
     f = p.y_svd()
     s = f.s
+    xh, ss, den = p._projection_terms()
     with np.errstate(over="ignore", invalid="ignore"):
-        ss = s[:, None] * s[None, :]
-        den = 1.0 + ss * ss
         phih = f.v.T @ a.phi @ f.u
         psih = f.u.T @ a.psi @ f.v
         uh = (phih - ss * psih) / den
         vh = -ss * uh
-        rh = (f.v.T @ p.x @ f.u) @ vh + uh * s
+        rh = xh @ vh + uh * s
         w = -(s[:, None] * rh) / den
         uh = uh + ss * w
         vh = vh + w

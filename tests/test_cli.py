@@ -179,6 +179,16 @@ class TestFunmap:
         assert err.startswith("error:") and "gradient norm is not finite" in err
         assert not os.path.exists("huge.trace.csv")
 
+    def test_non_finite_start_gradient_is_named_as_such(self, capsys):
+        # Noise of 1e300 makes the start gradient overflow inside the problem,
+        # whose gradient constructor rejects it before the run can begin: the
+        # message names the gradient, not one of its internal legs.
+        code = main(["funmap", "--synthetic", "--q", "4", "--k", "2", "--noise", "1e300",
+                     "--out", "noisy"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: gradient at the starting point is not finite\n"
+        assert not os.path.exists("noisy.trace.csv")
+
     def test_file_mode_with_weight_matrix(self):
         rng = make_rng(6)
         a = rng.standard_normal((12, 4))

@@ -55,6 +55,31 @@ def flat_tangent(seed, n, scale):
     return (scale / t.norm()) * t
 
 
+class MatmulCounter(np.ndarray):
+    """An array view that counts the products it enters, on either side."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        MatmulCounter.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        MatmulCounter.products += 1
+        return np.asarray(other) @ np.asarray(self)
+
+
+def counting_leg(p, leg):
+    """`p` with its `leg` ("x" or "y") viewed as a MatmulCounter, counting from 0."""
+    MatmulCounter.products = 0
+    x, y = p.x, p.y
+    if leg == "x":
+        x = x.view(MatmulCounter)
+    else:
+        y = y.view(MatmulCounter)
+    return BiorthPoint._build(x, y, p.feasibility_error())
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Record every matrix that the manifold module factorizes."""
@@ -286,6 +311,29 @@ class TestSvdCache:
         assert len(svd_calls) == 1
         assert np.array_equal(svd_calls[0], p.y)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 100])
+    def test_identity_carries_its_exact_svd(self, n, svd_calls):
+        p = identity_point(n)
+        a = AmbientPair(*make_rng(257 + n).standard_normal((2, n, n)))
+        t = project_tangent(p, a)
+        assert svd_calls == []
+        fresh = project_tangent(BiorthPoint(np.eye(n), np.eye(n)), a)
+        assert len(svd_calls) == 1
+        assert np.array_equal(t.u, fresh.u) and np.array_equal(t.v, fresh.v)
+        assert p.feasibility_error() == 0.0
+
+    def test_projections_at_one_point_build_the_rotated_base_once(self):
+        # The rotated base V^T x0 U is the only product that reads x0.
+        p = counting_leg(seeded_point(258, 6), "x")
+        rng = make_rng(259)
+        a, b = (AmbientPair(*rng.standard_normal((2, 6, 6))) for _ in range(2))
+        ta, tb = project_tangent(p, a), project_tangent(p, b)
+        assert MatmulCounter.products == 1
+        fresh = seeded_point(258, 6)
+        for t, c in ((ta, a), (tb, b)):
+            expected = project_tangent(fresh, c)
+            assert np.array_equal(t.u, expected.u) and np.array_equal(t.v, expected.v)
+
     def test_retract_runs_no_svd(self, svd_calls):
         p = seeded_point(252, 6)
         retract(p, random_tangent(253, p, 0.5))
@@ -314,6 +362,9 @@ class TestSvdCache:
             p._y_svd = None
         with pytest.raises(AttributeError):
             p.y = np.eye(4)
+        for a in p._projection_terms():
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
 
 
 class TestRetract:
@@ -820,6 +871,21 @@ class TestTangentIsAnAmbientPair:
         assert t._w is None
         w = t.generator()
         assert t._w is w
+
+    def test_scaling_carries_a_cached_generator(self):
+        p = counting_leg(seeded_point(284, 4), "y")
+        t = random_tangent(285, p, 1.0)
+        MatmulCounter.products = 0  # drawing and checking t took three
+        # Uncached, a scaled tangent stays lazy.
+        assert (2.0 * t)._w is None and MatmulCounter.products == 0
+        w = t.generator()
+        assert MatmulCounter.products == 1
+        for s, r in ((2.5, 2.5 * t), (-0.5, t * -0.5)):
+            assert np.array_equal(r.generator(), s * w)
+            assert not r.generator().flags.writeable
+        assert MatmulCounter.products == 1
+        # Sums and negation do not carry it.
+        assert (-t)._w is None and (t + t)._w is None
 
     def test_ambient_plus_tangent_is_ambient(self):
         p = seeded_point(274, 4)

@@ -236,15 +236,15 @@ class TestArmijoSearch:
         # it fails the curvature test, the search has tried the one cubic
         # refine after an acceptable trial and returns the lower acceptable
         # one, unless the cubic has no minimizer in the refine window. With
-        # WOLFE_C2 = 0.3 most trials pass the curvature test; of these 64
-        # searches, two on BO(n) from step 0.2 (seeds 4 and 7) keep a refine.
+        # WOLFE_C2 = 0.5 most trials pass the curvature test; of these 80
+        # searches, one on BO(n) from step 0.15 (seed 2) keeps a refine.
         outcomes = set()
         for manifold, problem, p in self.searches():
             g = riemannian_gradient(problem, manifold, p)
             d = -g
             slope = g.inner(d)
             f0 = problem.cost_grad(p.x, p.y)[0]
-            for initial_step in (1e-3, 0.2, 1.0, 4.0):
+            for initial_step in (1e-3, 0.15, 0.2, 1.0, 4.0):
                 rec = TrialRecorder(manifold, problem, p, d)
                 step, point, cost, _ = armijo_search(
                     rec, rec, p, d, slope, f0=f0, initial_step=initial_step)
@@ -780,8 +780,8 @@ class TestConjugateGradientKernels:
         assert len(trace) == 31
         # the start gradient, then per iteration one gradient and at most one direction
         assert manifold.projections <= 1 + 2 * (len(trace) - 1)
-        # one factorization per accepted point: the start and each iterate
-        assert len(svds) == len(trace)
+        # one factorization per iterate; the identity start carries its SVD
+        assert len(svds) == len(trace) - 1
 
     def test_no_tangency_measurement_inside_the_run(self, residual_checks):
         # Projections and tangent arithmetic are tangent by construction;

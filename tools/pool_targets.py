@@ -16,8 +16,9 @@ target is a gap of the workload's `gap` in the same units: the scale is
 |reference| for model-n100 and penalty-n100 and |A|^2 + |B|^2 for
 funmap-k16, whose optimum is 0. Then prints one summary line per workload:
 the sum over its instances of the iterations to target, the worst final
-gap, its line searches split by trial points (1 / 2 / 3 / >=4) and its
-trial points per iteration. Exits 1 if any instance misses.
+gap, its line searches split by trial points (1 / 2 / 3 / >=4), and its
+trial points and tangent projections per iteration. Exits 1 if any
+instance misses.
 """
 
 from __future__ import annotations
@@ -46,22 +47,33 @@ def instances(names=SOLVER_WORKLOADS):
     return [(name, seed) for name in names for seed in (*WORKLOADS[name].pool, HELDOUT)]
 
 
+class Counts:
+    """What counting_searches saw: (trial points, returned a step) of each
+    line search, and the number of tangent projections."""
+
+    def __init__(self, searches=(), projections=0):
+        self.searches = list(searches)
+        self.projections = projections
+
+
 @contextlib.contextmanager
 def counting_searches():
-    """Yield a list of (trial points, returned a step), one per line search run inside.
+    """Yield the Counts of the line searches and tangent projections run inside.
 
     Wraps `biorth.solvers.armijo_search`, which the solvers look up by
-    module name, and the `retract` methods of both manifolds, through which
-    every trial point passes, and restores them on exit. The solvers
-    retract only inside a search, and every search that returns a step is
-    one solver iteration.
+    module name, and the `retract` and `project` methods of both manifolds,
+    and restores them on exit. Every trial point passes through `retract`,
+    and the solvers retract only inside a search; every search that returns
+    a step is one solver iteration.
     """
     import biorth.solvers
     from biorth.manifold import BiorthogonalManifold, EuclideanManifold
 
-    searches = []
+    counts = Counts()
     search = biorth.solvers.armijo_search
-    retracts = {cls: cls.retract for cls in (BiorthogonalManifold, EuclideanManifold)}
+    manifolds = (BiorthogonalManifold, EuclideanManifold)
+    originals = {(cls, name): getattr(cls, name)
+                 for cls in manifolds for name in ("retract", "project")}
     trials = 0  # trial points so far of the search in progress
 
     def counted_search(*args, **kwargs):
@@ -72,42 +84,53 @@ def counting_searches():
             returned = True
             return result
         finally:
-            searches.append((trials, returned))
+            counts.searches.append((trials, returned))
 
-    def counted(retract):
-        def counted_retract(self, p, t):
+    def counted_retract(retract):
+        def wrapper(self, p, t):
             nonlocal trials
             trials += 1
             return retract(self, p, t)
-        return counted_retract
+        return wrapper
 
+    def counted_project(project):
+        def wrapper(self, p, a):
+            counts.projections += 1
+            return project(self, p, a)
+        return wrapper
+
+    wrap = {"retract": counted_retract, "project": counted_project}
     biorth.solvers.armijo_search = counted_search
-    for cls, retract in retracts.items():
-        cls.retract = counted(retract)
+    for (cls, name), method in originals.items():
+        setattr(cls, name, wrap[name](method))
     try:
-        yield searches
+        yield counts
     finally:
         biorth.solvers.armijo_search = search
-        for cls, retract in retracts.items():
-            cls.retract = retract
+        for (cls, name), method in originals.items():
+            setattr(cls, name, method)
 
 
-def search_summary(searches):
-    """Searches split by trial points 1 / 2 / 3 / >=4, and trial points per iteration."""
-    counts = collections.Counter(min(trials, 4) for trials, _ in searches)
-    split = [counts[k] for k in (1, 2, 3, 4)]
+def search_summary(counts):
+    """Searches split by trial points 1 / 2 / 3 / >=4; trial points and projections per iteration."""
+    searches = counts.searches
+    bins = collections.Counter(min(trials, 4) for trials, _ in searches)
+    split = [bins[k] for k in (1, 2, 3, 4)]
     iterations = sum(returned for _, returned in searches)
-    per_iter = sum(trials for trials, _ in searches) / iterations if iterations else math.nan
+
+    def per_iter(total):
+        return total / iterations if iterations else math.nan
+
     return (f"searches by trial points (1 / 2 / 3 / >=4) {' / '.join(map(str, split))}, "
-            f"{per_iter:.3f} trial points per iteration")
+            f"{per_iter(sum(trials for trials, _ in searches)):.3f} trial points per iteration, "
+            f"{per_iter(counts.projections):.3f} projections per iteration")
 
 
 def run_instance(workload, seed, workdir):
     """Run one instance as the benchmark does.
 
-    Returns (Outcome, final gap, stderr, searches), where `searches` holds
-    (trial points, returned a step) of each line search, as counted by
-    counting_searches.
+    Returns (Outcome, final gap, stderr, counts), where `counts` is the
+    Counts of its line searches and projections from counting_searches.
     """
     # Imported here, after main has put SRC on the import path.
     import biorth.cli
@@ -122,7 +145,7 @@ def run_instance(workload, seed, workdir):
         item = solver_item(workload, seed, reference, workdir, 0)
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
-          counting_searches() as searches):
+          counting_searches() as counts):
         rc = biorth.cli.main(item.argv)
     outcome = check(workload, item, rc, out.getvalue())
     gap = math.nan
@@ -130,7 +153,7 @@ def run_instance(workload, seed, workdir):
         final = read_trace_columns(f"{item.out}.trace.csv")["cost"][-1]
         scale = (item.target - reference) / workload.gap
         gap = (final - reference) / scale
-    return outcome, gap, err.getvalue().strip(), searches
+    return outcome, gap, err.getvalue().strip(), counts
 
 
 def main(argv=None):
@@ -143,14 +166,16 @@ def main(argv=None):
     tasks = instances()
     missed = 0
     met = {}  # workload name -> (iterations to target, final gap) of each instance that met it
-    searches = {}  # workload name -> (trial points, returned a step) of each of its searches
+    counts = {}  # workload name -> Counts of all its instances
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed in tasks:
             workload = WORKLOADS[name]
             workdir = os.path.join(tmp, f"{name}-{seed}")
             os.makedirs(workdir)
-            outcome, gap, err, instance_searches = run_instance(workload, seed, workdir)
-            searches.setdefault(name, []).extend(instance_searches)
+            outcome, gap, err, instance_counts = run_instance(workload, seed, workdir)
+            total = counts.setdefault(name, Counts())
+            total.searches.extend(instance_counts.searches)
+            total.projections += instance_counts.projections
             head = f"{name} seed {seed}:"
             if outcome.ok:
                 met.setdefault(name, []).append((outcome.iter_to_target, gap))
@@ -168,7 +193,7 @@ def main(argv=None):
             summary += (f", {sum(i for i, _ in runs)} iterations to target in all, "
                         f"worst final gap {max(g for _, g in runs):.3e} "
                         f"(target {WORKLOADS[name].gap:.0e})")
-        print(f"{summary}, {search_summary(searches[name])}")
+        print(f"{summary}, {search_summary(counts[name])}")
     print(f"{len(tasks) - missed} of {len(tasks)} instances met their targets")
     return 1 if missed else 0
 
