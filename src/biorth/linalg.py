@@ -1,17 +1,19 @@
 """Dense matrix kernels: validation, SVD, matrix exponential, Frobenius tools.
 
 Everything operates on float64 numpy arrays. Inputs are validated at the
-boundary (shape, finiteness); the heavy lifting is delegated to LAPACK via
-numpy/scipy behind the contracts below.
+boundary (shape, finiteness). The SVD is LAPACK's, through numpy; the
+matrix exponential returns the pair (e^m, e^-m) from matrix products
+alone, with no factorization or solve.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericalError
 
@@ -91,25 +93,141 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, s=s, v=vh.T)
 
 
-def mat_exp(m) -> np.ndarray:
-    """Matrix exponential e^m of a square matrix.
+def _norm1(a) -> float:
+    """The 1-norm of a matrix: its largest column sum of absolute values."""
+    return float(np.abs(a).sum(axis=0).max())
 
-    Uses scaling-and-squaring with a Pade core. Accuracy contract for the
-    norms this package works at: ``fro_norm(mat_exp(g) @ mat_exp(-g) - I)``
-    stays below ``1e-11 * n`` for ``fro_norm(g) <= 10``. A zero matrix,
-    signed zeros included, takes scipy's diagonal path, whose e^0 = 1 gives
-    exactly ``np.eye(n)``.
+
+def _taylor_chunks(degree, tau):
+    """Paterson-Stockmeyer coefficients of the even and odd Taylor parts of e^A.
+
+    With B = A^2 the degree-`degree` Taylor polynomial of e^A is Ev + Od, with
+    Ev = sum_j B^j / (2j)! and Od = A sum_j B^j / (2j+1)!, j = 0 .. (degree-1)/2,
+    and that of e^-A is Ev - Od. Each sum over j is cut into chunks of the
+    powers I, B, ..., B^tau, to be joined by Horner's rule in B^tau; only the
+    last chunk uses B^tau itself. Row 2k holds chunk k of the even sum and
+    row 2k+1 chunk k of the odd sum, so one product of this matrix with the
+    stacked powers forms every chunk of both.
+    """
+    top = (degree - 1) // 2
+    count = max(1, -(-top // tau))
+    c = np.zeros((count, 2, tau + 1))
+    for j in range(top + 1):
+        k = min(j // tau, count - 1)
+        for odd in (0, 1):
+            c[k, odd, j - k * tau] = 1.0 / math.factorial(2 * j + odd)
+    return c.reshape(2 * count, tau + 1)
+
+
+# Taylor degrees, each the highest that its count of matrix products reaches
+# (2, 3, 4, 5, 6, 7, 8, counting A^2 and the odd part's factor A), with tau,
+# the highest power of B = A^2 its evaluation forms, and theta: the truncation
+# is e^(A + dA) with |dA| <= 2^-53 |A| wherever the norm bound of A is at most
+# theta. The thetas are the backward-error bound of Al-Mohy & Higham (SIAM J.
+# Sci. Comput. 2011, Section 3, Table 3.1) evaluated at these degrees and
+# rounded down to three digits.
+_TAYLOR = ((3, 1, 1.38e-5), (5, 2, 2.40e-3), (7, 3, 2.38e-2), (9, 2, 8.95e-2),
+           (13, 3, 3.99e-1), (17, 4, 9.30e-1), (21, 5, 1.62))
+_THETAS = tuple(theta for _, _, theta in _TAYLOR)
+_CHUNKS = {degree: _taylor_chunks(degree, tau) for degree, tau, _ in _TAYLOR}
+_TAU_MAX = max(tau for _, tau, _ in _TAYLOR)
+# From row 4, degree 13, on, the norm bound may be alpha = max(|A^4|^(1/4),
+# |A^5|^(1/5)) instead of |A| (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
+# 2009, Theorem 4.2 with p = 4, valid where p (p - 1) <= degree + 1). For a
+# non-normal A alpha is far below |A|, and each halving saves a squaring.
+_ALPHA_ROW = 4
+
+
+def _exp_pair(a, norm):
+    """(e^a, e^-a) stacked in one array, for a nonzero `a` of finite 1-norm `norm`.
+
+    Scaling and squaring on the even/odd split of a Taylor polynomial: the
+    lowest degree whose theta covers the scaled matrix, both legs from the
+    same powers of B = A^2, both squared s times, then one Newton-Schulz
+    step f <- f - f (e f - I), which makes f the inverse of e to working
+    accuracy (Higham, Functions of Matrices, 2008, Chapter 7). Entries
+    may be infinite or NaN where the result overflows.
+    """
+    n = a.shape[0]
+    powers = np.empty((_TAU_MAX + 1, n, n))
+    powers[0] = np.eye(n)
+    formed = 2
+    s = 0
+    row = bisect.bisect_left(_THETAS, norm)
+    if row < _ALPHA_ROW:
+        np.matmul(a, a, out=powers[1])
+    else:
+        top = _THETAS[-1]
+        s = max(0, math.ceil(math.log2(norm / top)))
+        if s:
+            a = np.ldexp(a, -s)
+        np.matmul(a, a, out=powers[1])
+        np.matmul(powers[1], powers[1], out=powers[2])
+        formed = 3
+        # alpha is at most the scaled |A|, itself at most top up to rounding,
+        # so it can only take squarings off.
+        a4 = _norm1(powers[2])
+        alpha = min(top, max(a4 ** 0.25, (math.ldexp(norm, -s) * a4) ** 0.2))
+        k = s if alpha == 0.0 else min(s, math.floor(math.log2(top / alpha)))
+        if k:
+            s -= k
+            np.ldexp(a, k, out=a)
+            np.ldexp(powers[1], 2 * k, out=powers[1])
+            np.ldexp(powers[2], 4 * k, out=powers[2])
+            alpha = math.ldexp(alpha, k)
+        row = max(_ALPHA_ROW, bisect.bisect_left(_THETAS, alpha))
+    degree, tau, _ = _TAYLOR[row]
+    for i in range(formed, tau + 1):
+        np.matmul(powers[i - 1], powers[1], out=powers[i])
+    chunks = (_CHUNKS[degree] @ powers[:tau + 1].reshape(tau + 1, -1)).reshape(-1, 2, n, n)
+    parts = chunks[-1]
+    for chunk in chunks[-2::-1]:
+        parts = parts @ powers[tau]
+        parts += chunk
+    odd = a @ parts[1]
+    pair = np.empty((2, n, n))
+    np.add(parts[0], odd, out=pair[0])
+    np.subtract(parts[0], odd, out=pair[1])
+    if s:
+        spare = np.empty_like(pair)
+        for _ in range(s):
+            np.matmul(pair, pair, out=spare)
+            pair, spare = spare, pair
+    e, f = pair
+    r = e @ f
+    r.reshape(-1)[::n + 1] -= 1.0
+    f -= f @ r
+    return pair
+
+
+def mat_exp(m) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (e^m, e^-m) of a square matrix, from matrix products alone.
+
+    Both legs come from one scaling-and-squaring evaluation of the Taylor
+    series, split into its even and odd parts (see _exp_pair), and the
+    second leg is then corrected to the inverse of the first. Accuracy
+    contract for the norms this package works at: the first leg is e^m to
+    a backward error of about 2^-53 |m| before rounding, so
+    ``fro_norm(mat_exp(g)[0] @ mat_exp(-g)[0] - I)`` stays below
+    ``1e-11 * n`` for ``fro_norm(g) <= 10``, and ``e @ f - I`` of one pair
+    is at the rounding level of that product. A zero matrix, signed zeros
+    included, gives exactly ``np.eye(n)`` in both legs. A result that
+    overflows raises NumericalError, without a warning.
     """
     m = require_square(as_matrix(m))
-    # Overflow is reported as NumericalError below, not as a warning.
+    # Overflow, of the norm or of the result, is reported as NumericalError
+    # below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(m)
-    if not np.all(np.isfinite(out)):
+        norm = _norm1(m)
+        if norm == 0.0:
+            return np.eye(m.shape[0]), np.eye(m.shape[0])
+        pair = _exp_pair(m, norm) if norm < math.inf else None
+    if pair is None or not np.all(np.isfinite(pair)):
         raise NumericalError(
-            f"matrix exponential overflowed (input Frobenius norm {fro_norm(m):.3e}); "
-            "scaling failed to keep intermediate powers finite"
+            f"matrix exponential overflowed (input 1-norm {norm:.3e}): "
+            "e^m or e^-m is not finite"
         )
-    return out
+    return pair[0], pair[1]
 
 
 def fro_norm(a) -> float:

@@ -424,26 +424,23 @@ def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
     """Exponential-map retraction of tangent `t` at `p`.
 
     Translates the tangent to the identity, exponentiates, and translates
-    back: with W = y0 @ u and E = e^W the new point is (x0 @ E, E^-1 @ y0),
-    the second leg from one LU solve against E. The product of the two legs
-    is x0 @ y0 up to rounding, so feasibility is preserved by construction,
-    and the map agrees with (x0 + u, y0 + v) to first order. The feasibility
-    error is still measured, once, and kept on the new point: a step whose
-    legs lose biorthogonality to rounding or overflow (a NaN or infinite
-    error) raises OffManifoldError, and a step so large that e^W overflows
-    or is numerically singular raises NumericalError.
+    back: with W = y0 @ u and (E, F) = mat_exp(W), E = e^W and F its inverse
+    to working accuracy, the new point is (x0 @ E, F @ y0), two products and
+    no solve. The product of the two legs is x0 @ y0 up to rounding, so
+    feasibility is preserved by construction, and the map agrees with
+    (x0 + u, y0 + v) to first order. A zero tangent gives E = F = I exactly,
+    so it returns the point itself. The feasibility error is still
+    measured, once, and kept on the new point: a step whose legs lose
+    biorthogonality to rounding or overflow (a NaN or infinite error)
+    raises OffManifoldError, and a step so large that e^W or e^-W overflows
+    raises NumericalError.
     """
     _require_based_at(p, t)
-    # Overflow in an oversized step is reported as a typed error, not as a warning.
+    e, f = mat_exp(t.generator())
+    # Products that overflow give an inf or NaN error, reported by the raise.
     with np.errstate(over="ignore", invalid="ignore"):
-        e = mat_exp(t.generator())
-        try:
-            y = np.linalg.solve(e, p.y)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"retraction step too large: e^W is numerically singular ({exc})"
-            ) from exc
         x = p.x @ e
+        y = f @ p.y
     err = _require_feasible(x, y, "retracted pair")
     return BiorthPoint._build(x, y, err)
 
@@ -484,13 +481,15 @@ def ray_acceleration(p: BiorthPoint, t: TangentPair) -> AmbientPair:
 def random_point(seed, n: int, scale: float) -> BiorthPoint:
     """Random point (e^{scale G}, e^{-scale G}); scale 0 gives the identity pair.
 
-    G is Gaussian, drawn by make_rng(seed) at every scale.
+    G is Gaussian, drawn by make_rng(seed) at every scale. Both legs come
+    from one mat_exp call, the second the inverse of the first to working
+    accuracy.
     """
     n = require_size(n)
     if not scale >= 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     g = scale * make_rng(seed).standard_normal((n, n))
-    return BiorthPoint(mat_exp(g), mat_exp(-g))
+    return BiorthPoint(*mat_exp(g))
 
 
 def random_tangent(seed, p: BiorthPoint, scale: float) -> TangentPair:

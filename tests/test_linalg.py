@@ -1,8 +1,11 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+import biorth.linalg
 from biorth.errors import DimensionError, NumericalError
 from biorth.linalg import as_matrix, fro_norm, mat_exp, require_same_shape, svd
 from biorth.rng import make_rng
@@ -65,21 +68,92 @@ class TestSvd:
         assert count >= 100
 
 
+def reference_exp(g):
+    """e^g from mpmath at 30 significant digits, rounded to float64."""
+    with mpmath.workdps(30):
+        return np.array(mpmath.expm(mpmath.matrix(g.tolist())).tolist(), dtype=np.float64)
+
+
+@pytest.fixture
+def degrees_used(monkeypatch):
+    """The Taylor degrees that mat_exp evaluates while the test runs, in call order."""
+    used = []
+
+    class Recording(dict):
+        def __getitem__(self, degree):
+            used.append(degree)
+            return super().__getitem__(degree)
+
+    monkeypatch.setattr(biorth.linalg, "_CHUNKS", Recording(biorth.linalg._CHUNKS))
+    return used
+
+
 class TestMatExp:
+    # 1-norms on both sides of each degree's theta. A diagonal matrix has
+    # alpha = |A|_1, so from 0.35 on its degree follows the norm: 13, 17, 21,
+    # then 21 after one and two squarings. A Gaussian one has alpha below
+    # its norm, so it takes lower degrees and fewer squarings.
+    NORMS = (1e-8, 1e-5, 1e-3, 2e-2, 8e-2, 0.35, 0.9, 1.5, 3.0, 6.0)
+
+    @staticmethod
+    def sweep(sizes):
+        for n in sizes:
+            gauss = make_rng(600 + n).standard_normal((n, n))
+            diag = np.diag(np.linspace(1.0, -0.5, n))
+            for base in (gauss, diag):
+                base = base / np.abs(base).sum(axis=0).max()
+                for norm in TestMatExp.NORMS:
+                    yield norm * base
+
+    def test_both_legs_match_a_30_digit_reference(self, degrees_used):
+        for g in self.sweep((1, 2, 5, 8)):
+            for leg, ref in zip(mat_exp(g), (reference_exp(g), reference_exp(-g))):
+                assert fro_norm(leg - ref) <= 1e-14 * fro_norm(ref)
+        assert set(degrees_used) == {row[0] for row in biorth.linalg._TAYLOR}
+
+    def test_second_leg_inverts_the_first_at_every_degree_and_scaling(self, degrees_used):
+        # Up to |G|_1 = 96 the diagonal inputs take six squarings.
+        for g in self.sweep((3, 8, 30)):
+            for scaled in (g, 16.0 * g):
+                n = g.shape[0]
+                e, f = mat_exp(scaled)
+                err = fro_norm(e @ f - np.eye(n))
+                assert err <= 1e-15 * fro_norm(e) * fro_norm(f)
+        assert set(degrees_used) == {row[0] for row in biorth.linalg._TAYLOR}
+
+    def test_alpha_takes_squarings_off(self):
+        # A = [[1, c], [0, -1]] has A^2 = I, so |A|_1 = 1 + c asks for 10
+        # squarings and alpha = (1 + c)^(1/5) for two; e^A = [[e, c sinh 1],
+        # [0, 1/e]] and e^-A is the same with -c and e and 1/e swapped.
+        c = 1e3
+        e, f = mat_exp(np.array([[1.0, c], [0.0, -1.0]]))
+        expected = ([[math.e, c * math.sinh(1.0)], [0.0, 1.0 / math.e]],
+                    [[1.0 / math.e, -c * math.sinh(1.0)], [0.0, math.e]])
+        for leg, want in zip((e, f), expected):
+            assert np.allclose(leg, want, rtol=1e-14, atol=0.0)
+
     def test_zero_matrix(self):
-        # Signed zeros included, e^0 is the identity bit for bit: no -0.0 entry.
+        # Signed zeros included, e^0 is the identity bit for bit in both
+        # legs: no -0.0 entry.
         signed = np.zeros((4, 4))
         signed[::2, 1::2] = -0.0
         for m in (np.zeros((4, 4)), -np.zeros((4, 4)), signed):
-            assert mat_exp(m).tobytes() == np.eye(4).tobytes()
+            for leg in mat_exp(m):
+                assert leg.tobytes() == np.eye(4).tobytes()
 
     def test_nilpotent(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(mat_exp(m), [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)
+        # e^N = I + N exactly, also at a norm whose 20 squarings alpha = 0
+        # takes off.
+        for c in (1.0, 1e6):
+            e, f = mat_exp(np.array([[0.0, c], [0.0, 0.0]]))
+            assert np.allclose(e, [[1.0, c], [0.0, 1.0]], rtol=0.0, atol=1e-15)
+            assert np.allclose(f, [[1.0, -c], [0.0, 1.0]], rtol=0.0, atol=1e-15)
 
     def test_diagonal(self):
         m = np.diag([math.log(2.0), math.log(3.0)])
-        assert np.allclose(mat_exp(m), np.diag([2.0, 3.0]), rtol=1e-14)
+        e, f = mat_exp(m)
+        assert np.allclose(e, np.diag([2.0, 3.0]), rtol=1e-14)
+        assert np.allclose(f, np.diag([1 / 2.0, 1 / 3.0]), rtol=1e-14)
 
     def test_commuting_product_rule(self):
         # a matrix commutes with its own polynomials
@@ -87,11 +161,12 @@ class TestMatExp:
             rng = make_rng(seed)
             a = 0.5 * rng.standard_normal((6, 6))
             b = 0.3 * a @ a + 0.7 * a
-            lhs = mat_exp(a + b)
-            rhs = mat_exp(a) @ mat_exp(b)
+            lhs = mat_exp(a + b)[0]
+            rhs = mat_exp(a)[0] @ mat_exp(b)[0]
             assert fro_norm(lhs - rhs) <= 1e-10 * fro_norm(lhs)
 
     def test_inverse_identity(self):
+        # Both the second leg and the first leg of mat_exp(-g) invert e^g.
         for seed in range(10):
             rng = make_rng(100 + seed)
             n = int(rng.integers(2, 30))
@@ -99,13 +174,20 @@ class TestMatExp:
             nrm = fro_norm(g)
             if nrm > 10.0:
                 g *= 10.0 / nrm
-            e = mat_exp(g)
-            e_inv = mat_exp(-g)
-            assert fro_norm(e_inv - np.linalg.inv(e)) <= 1e-10 * fro_norm(e_inv)
+            e, f = mat_exp(g)
+            e_inv = mat_exp(-g)[0]
+            inv = np.linalg.inv(e)
+            assert fro_norm(e_inv - inv) <= 1e-10 * fro_norm(e_inv)
+            assert fro_norm(f - inv) <= 1e-10 * fro_norm(f)
 
     def test_overflow_reports_numerical_error(self):
-        with pytest.raises(NumericalError):
-            mat_exp(np.array([[2000.0]]))
+        # e^2000 overflows; so does the 1-norm of the second input, whose
+        # entries are finite. Neither is reported as a warning.
+        for m in ([[2000.0]], [[1e308, 1e308], [1e308, 1e308]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError, match="^matrix exponential overflowed"):
+                    mat_exp(np.array(m))
 
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionError):

@@ -381,8 +381,19 @@ class TestRetract:
         u = 0.3 * make_rng(121).standard_normal((n, n))
         t = TangentPair(u, -u, p)
         q = retract(p, t)
-        assert np.allclose(q.x, mat_exp(u), atol=1e-14)
-        assert np.allclose(q.y, mat_exp(-u), atol=1e-14)
+        assert np.allclose(q.x, mat_exp(u)[0], atol=1e-14)
+        assert np.allclose(q.y, mat_exp(-u)[0], atol=1e-14)
+
+    def test_solves_no_linear_system(self, monkeypatch):
+        # Both legs of the new point come from products with mat_exp's pair.
+        def refuse(*args, **kwargs):
+            raise AssertionError("retract solved a linear system")
+
+        for name in ("solve", "inv", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        p = seeded_point(122, 6, scale=0.3)
+        q = retract(p, random_tangent(123, p, 2.0))
+        assert q.feasibility_error() <= 1e-11 * 6
 
     def test_feasibility_preserved(self):
         for seed in range(10):
@@ -409,9 +420,9 @@ class TestRetract:
             assert 3.5 <= ratio <= 4.5
 
     def test_oversized_step_raises_typed_error_without_warning(self):
-        # diag(700, -750): e^W is finite but its second entry underflows to
-        # zero, so e^W is exactly singular. The random steps are far too long
-        # for the exponential or for the feasibility check.
+        # diag(700, -750): e^W is finite, but e^-W = diag(e^-700, e^750)
+        # overflows. The random steps are far too long for the exponential
+        # or for the feasibility check.
         steps = []
         p0 = identity_point(2)
         u = np.diag([700.0, -750.0])
@@ -460,7 +471,8 @@ class TestRetract:
         t = random_tangent(184, p, 1.0)
         del matrix_scans[:]
         q = retract(p, t)
-        # mat_exp validates its argument; the new point is not scanned again.
+        # mat_exp validates its argument, once for both legs; the new point
+        # is not scanned again.
         assert matrix_scans == ["matrix"]
         assert isinstance(q, BiorthPoint)
         assert not q.x.flags.writeable and not q.y.flags.writeable

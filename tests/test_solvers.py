@@ -282,6 +282,30 @@ class TestArmijoSearch:
                     outcomes.add("refine rejected")
         assert {"curvature", "refined"} <= outcomes
 
+    def test_an_acceptable_first_trial_that_fails_the_curvature_test_is_refined(self):
+        # f = |x|^2 + |y|^2 from (I, I) along (-2I, -2I) is 2n (1 - 2s)^2 on
+        # the ray, with slope -8n and its minimizer at s = 1/2. The first
+        # trial s = 0.15 decreases f enough, but its slope -8n (1 - 2s) =
+        # -5.6n is steeper than WOLFE_C2 * 8n = 4n. The Hermite cubic of a
+        # quadratic is the quadratic itself, so the one refine lands on the
+        # minimizer, inside the window (0, 4 * 0.15), and is kept.
+        n = 3
+        manifold = EuclideanManifold(n)
+        problem = SquaredNorm()
+        p = manifold.identity()
+        d = AmbientPair(-2.0 * np.eye(n), -2.0 * np.eye(n))
+        f0, egrad = problem.cost_grad(p.x, p.y)
+        slope = egrad.inner(d)
+        rec = TrialRecorder(manifold, problem, p, d)
+        step, point, cost, _ = armijo_search(rec, rec, p, d, slope, f0=f0, initial_step=0.15)
+        first, refined = rec.trials
+        assert first[0] == pytest.approx(0.15, rel=1e-12)
+        assert first[1] <= f0 + ARMIJO_C1 * first[0] * slope
+        assert abs(first[2]) > WOLFE_C2 * -slope
+        assert refined[3] is point and refined[1] == cost < first[1]
+        assert step == pytest.approx(0.5, rel=1e-12)
+        assert cost == pytest.approx(0.0, abs=1e-20)
+
     def test_without_the_curvature_test_the_first_sufficient_decrease_is_returned(self):
         # The search never refines, and it asks for the ray's slope only at
         # trials that fail sufficient decrease, for the cubic backtrack. The
