@@ -185,9 +185,13 @@ class BiorthPoint(EuclideanPoint):
 def identity_point(n: int) -> BiorthPoint:
     """The pair (I, I), carrying its exact SVD I = I @ diag(ones) @ I^T.
 
-    LAPACK returns exactly these factors for np.eye(n), so a projection at
-    this point equals one at BiorthPoint(np.eye(n), np.eye(n)) bit for bit,
-    without the SVD. I @ I - I is exactly zero, the feasibility error.
+    svd(np.eye(n)) takes the Gram route and returns the exchange matrix J
+    (ones on the anti-diagonal) for both factors, since eigh(I) gives the
+    identity and the factors are put in non-increasing order by reversing
+    its columns. Every product with a permutation is exact, so a projection
+    at this point still equals one at BiorthPoint(np.eye(n), np.eye(n)) bit
+    for bit, without the factorization. I @ I - I is exactly zero, the
+    feasibility error.
     """
     n = require_size(n)
     eye = np.eye(n)

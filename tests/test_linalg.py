@@ -67,6 +67,62 @@ class TestSvd:
                 count += 1
         assert count >= 100
 
+    @staticmethod
+    def conditioned(seed, n, kappa):
+        """Q1 diag(s) Q2^T with singular values log-spaced from 1 down to 1/kappa."""
+        rng = make_rng(seed)
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (q1 * np.geomspace(1.0, 1.0 / kappa, n)) @ q2.T
+
+    @pytest.mark.parametrize("n", [20, 100])
+    @pytest.mark.parametrize("kappa", [10.0, 1e2, 1e3, 9.9e3])
+    def test_gram_route_below_the_limit(self, n, kappa, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK's SVD ran below the Gram limit")
+
+        m = self.conditioned(1100 + n, n, kappa)
+        monkeypatch.setattr(np.linalg, "svd", no_lapack)
+        res = svd(m)
+        eps = np.finfo(np.float64).eps
+        eye = np.eye(n)
+        # measured: at most 0.031 n eps kappa |m|_F over these cases
+        assert fro_norm((res.u * res.s) @ res.v.T - m) <= 0.1 * n * eps * kappa * fro_norm(m)
+        assert fro_norm(res.u.T @ res.u - eye) <= n * 2e-15
+        assert fro_norm(res.v.T @ res.v - eye) <= n * 2e-15
+        assert np.all(np.diff(res.s) <= 0)
+        for a in (res.u, res.s, res.v):
+            assert a.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "case", ["kappa-1e5", "rank-deficient", "zero", "overflow", "underflow", "subnormal"]
+    )
+    def test_lapack_route_is_bit_identical(self, case):
+        # pytest turns a RuntimeWarning, such as one from the Gram's
+        # overflow or underflow, into an error.
+        n = 12
+        m = {
+            "kappa-1e5": lambda: self.conditioned(1200, n, 1e5),
+            "rank-deficient": lambda: np.outer(*make_rng(1201).standard_normal((2, n))),
+            "zero": lambda: np.zeros((n, n)),
+            "overflow": lambda: 1e160 * make_rng(1202).standard_normal((n, n)),
+            "underflow": lambda: 1e-170 * make_rng(1203).standard_normal((n, n)),
+            # a Gram of subnormal entries, whose eigenvalues have lost bits
+            "subnormal": lambda: 1e-158 * make_rng(1204).standard_normal((n, n)),
+        }[case]()
+        res = svd(m)
+        u, s, vh = np.linalg.svd(m)
+        assert np.array_equal(res.u, u) and np.array_equal(res.s, s)
+        assert np.array_equal(res.v, vh.T)
+
+    def test_eigh_failure_raises_numerical_error(self, monkeypatch):
+        def fails(g):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(NumericalError, match="did not converge"):
+            svd(np.eye(3) + 0.1 * make_rng(1205).standard_normal((3, 3)))
+
 
 def reference_exp(g):
     """e^g from mpmath at 30 significant digits, rounded to float64."""

@@ -69,3 +69,17 @@ def test_every_differing_run_is_named_once(tmp_path):
     write_run(b, name="penalty-1", console=CONSOLE.replace("exit 0", "exit 1"))
     assert same_outputs.differences(a, b) == [str(Path("model-cg-1") / "run.X.txt"),
                                               str(Path("penalty-1") / same_outputs.CONSOLE)]
+
+
+def test_summary_says_how_far_a_run_moved(tmp_path):
+    # 0.5 -> 0.6 in a matrix whose largest entry is 1; project runs print no cost.
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_run(a)
+    write_run(b, matrix=MATRIX.replace("0.5", "0.6"),
+              console=CONSOLE.replace("final_cost=1 ", "final_cost=0.99 "))
+    write_run(a, name="project-0", console="--- stderr\n--- exit 0\n")
+    write_run(b, name="project-0", console="--- stderr\n--- exit 0\n")
+    assert same_outputs.summary(a, b, "model-cg-1") == (
+        "max_rel_diff=1.0e-01 final_cost=1 -> 0.99 feas_err=1e-16 -> 1e-16")
+    assert same_outputs.summary(a, b, "project-0") == (
+        "max_rel_diff=0.0e+00 final_cost=- -> - feas_err=- -> -")

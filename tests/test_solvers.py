@@ -19,6 +19,8 @@ from biorth.manifold import (
     BiorthogonalManifold,
     EuclideanManifold,
     EuclideanPoint,
+    TangentPair,
+    default_feas_tol,
     identity_point,
     random_point,
     random_tangent,
@@ -403,6 +405,29 @@ class TestArmijoSearch:
         assert str(err.value) == (
             "no trial step of the line search, down to min_step = 1.0e-16, has a finite cost: "
             "53 trial points failed the feasibility check and 1 failed numerically")
+
+    def test_trial_points_past_the_feasibility_tolerance_are_reported(self):
+        # No patched retraction: the start's feasibility error sits just under
+        # default_feas_tol(n), and the generator Q diag(a, -a, 0, 0) Q^T, with
+        # a = 40 and 20 at the two trials, gives e^{sW} a condition number of
+        # e^{2a}. The rounding of x0 e^{sW} e^{-sW} y0 then exceeds the
+        # tolerance about 1e10-fold at the smaller step, so both trials fail
+        # the feasibility check and the search reaches the step floor.
+        n = 4
+        manifold = BiorthogonalManifold(n)
+        y0 = np.eye(n)
+        y0[0, 0] += 0.99 * default_feas_tol(n)
+        p = BiorthPoint(np.eye(n), y0)
+        assert 0.98 * default_feas_tol(n) < p.feasibility_error() <= default_feas_tol(n)
+        q, _ = np.linalg.qr(make_rng(260).standard_normal((n, n)))
+        w = (q * [1.0, -1.0, 0.0, 0.0]) @ q.T
+        d = (20.0 / MIN_STEP) * TangentPair(p.x @ w, -(w @ p.y), p)
+        f0, _ = SquaredNorm().cost_grad(p.x, p.y)
+        with pytest.raises(NumericalError) as err:
+            armijo_search(SquaredNorm(), manifold, p, d, -1.0, f0=f0, initial_step=2 * MIN_STEP)
+        assert str(err.value) == (
+            "no trial step of the line search, down to min_step = 1.0e-16, has a finite cost: "
+            "2 trial points failed the feasibility check and 0 failed numerically")
 
     def test_other_manifold_errors_propagate(self):
         # Only a trial point that fails the feasibility check or numerically
@@ -806,6 +831,29 @@ class TestConjugateGradientKernels:
         assert manifold.projections <= 1 + 2 * (len(trace) - 1)
         # one factorization per iterate; the identity start carries its SVD
         assert len(svds) == len(trace) - 1
+
+    def test_model_problem_points_take_the_gram_route(self, monkeypatch):
+        # Every accepted point of a model-problem solve is well conditioned,
+        # so svd factors it by one eigh of its Gram and never calls LAPACK's
+        # SVD; a limit that sent them back to LAPACK would show here.
+        calls = {"svd": 0, "eigh": 0}
+
+        def counted(name, kernel):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+
+            return run
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        n = 30
+        manifold = BiorthogonalManifold(n)
+        _, trace = conjugate_gradient(
+            random_nearest_pair(43, n), manifold, manifold.identity(), SolverOptions(max_iters=20)
+        )
+        assert len(trace) == 21
+        assert calls == {"svd": 0, "eigh": len(trace) - 1}
 
     def test_no_tangency_measurement_inside_the_run(self, residual_checks):
         # Projections and tangent arithmetic are tangent by construction;

@@ -18,7 +18,10 @@ file by file: matrix files byte for byte, trace CSVs without their
 `elapsed_ms` column, and each run's console record (stdout, stderr and exit
 code) without its `seconds=` field. Prints
 "identical outputs" and exits 0, or prints one line for each run whose
-outputs differ, naming that run's first differing file, and exits 1.
+outputs differ and exits 1. That line names the run's first differing
+file, the largest relative difference max|new - base| / max|base| over
+its matrix files, and its base and new `final_cost` and `feas_err`, so a
+change at the rounding level reads apart from a change in behaviour.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.append(os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
+from biorth.matio import read_matrix  # noqa: E402
 from biorth.problems import synth_funmap  # noqa: E402
 from invocations import _project_items, write_text_matrix  # noqa: E402
 from run import THREAD_PIN  # noqa: E402
@@ -164,6 +168,43 @@ def differences(base_dir, new_dir):
     return list(diffs.values())
 
 
+def _max_rel_diff(a_path, b_path):
+    """max|b - a| / max|a| of two matrix files; inf if one is missing or the shapes differ."""
+    try:
+        a, b = read_matrix(a_path), read_matrix(b_path)
+    except OSError:
+        return np.inf
+    if a.shape != b.shape:
+        return np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff, scale = np.abs(b - a).max(), np.abs(a).max()
+    if diff == 0.0:
+        return 0.0
+    return diff / scale if scale else np.inf
+
+
+def _console_values(path):
+    """The printed final_cost and feas_err of a run's console record, "-" where absent."""
+    text = ""
+    if os.path.isfile(path):
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    found = (re.search(rf"\b{key}=(\S+)", text) for key in ("final_cost", "feas_err"))
+    return [m.group(1) if m else "-" for m in found]
+
+
+def summary(base_dir, new_dir, run):
+    """How far the outputs of `run` moved: matrix difference, final_cost and feas_err."""
+    base, new = os.path.join(base_dir, run), os.path.join(new_dir, run)
+    matrices = {rel for rel in _files(base) + _files(new) if rel.endswith(".txt")} - {CONSOLE}
+    worst = max((_max_rel_diff(os.path.join(base, rel), os.path.join(new, rel))
+                 for rel in matrices), default=None)
+    moved = "no matrix files" if worst is None else f"max_rel_diff={worst:.1e}"
+    values = zip(("final_cost", "feas_err"),
+                 *(_console_values(os.path.join(d, CONSOLE)) for d in (base, new)))
+    return " ".join([moved] + [f"{key}={a} -> {b}" for key, a, b in values])
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -176,9 +217,9 @@ def main(argv=None):
         outs = [os.path.join(tmp, label) for label in ("base", "new")]
         for src, out in zip(argv, outs):
             run_all(src, out, inputs)
-        diffs = differences(*outs)
-    for diff in diffs:
-        print(f"outputs differ: {diff}")
+        diffs = [(diff, summary(*outs, diff.split(os.sep)[0])) for diff in differences(*outs)]
+    for diff, moved in diffs:
+        print(f"outputs differ: {diff}: {moved}")
     if diffs:
         return 1
     print(f"identical outputs: {len(RUNS)} runs")
