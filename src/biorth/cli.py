@@ -238,10 +238,13 @@ def cmd_check(args):
     return 0 if all_ok else 1
 
 
+# Built once, at import: a parser keeps no state between parse_args calls.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -7,7 +7,10 @@ Newton-Schulz step, to a backward error of about eps * kappa(m) * |m|;
 singular, worse conditioned, overflowing and underflowing input gets
 LAPACK's SVD, through numpy, with its backward error of about eps * |m|.
 The matrix exponential returns the pair (e^m, e^-m) from matrix products
-alone, with no factorization or solve.
+alone, with no factorization or solve. It keeps its scratch arrays between
+calls in a workspace that is local to the calling thread and rebuilt when n
+changes, so threads never share one and each call allocates only the pair
+it returns.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,10 +126,14 @@ def svd(m) -> SvdResult:
             if d[0] > max(GRAM_RCOND * d[-1], _TINY):
                 s = np.sqrt(d[::-1])
                 v = np.ascontiguousarray(v[:, ::-1])
-                u = (m @ v) / s
+                u = m @ v
+                u /= s
                 r = u.T @ u
                 r.reshape(-1)[::m.shape[0] + 1] -= 1.0
-                u -= 0.5 * (u @ r)
+                # g is spent: it takes u r, halved in place.
+                step = np.matmul(u, r, out=g)
+                step *= 0.5
+                u -= step
                 return SvdResult(u=u, s=s, v=v)
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
@@ -171,11 +179,45 @@ _TAYLOR = ((3, 1, 1.38e-5), (5, 2, 2.40e-3), (7, 3, 2.38e-2), (9, 2, 8.95e-2),
 _THETAS = tuple(theta for _, _, theta in _TAYLOR)
 _CHUNKS = {degree: _taylor_chunks(degree, tau) for degree, tau, _ in _TAYLOR}
 _TAU_MAX = max(tau for _, tau, _ in _TAYLOR)
+_CHUNK_ROWS = max(len(c) for c in _CHUNKS.values())
 # From row 4, degree 13, on, the norm bound may be alpha = max(|A^4|^(1/4),
 # |A^5|^(1/5)) instead of |A| (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
 # 2009, Theorem 4.2 with p = 4, valid where p (p - 1) <= degree + 1). For a
 # non-normal A alpha is far below |A|, and each halving saves a squaring.
 _ALPHA_ROW = 4
+
+
+class _ExpScratch:
+    """The scratch arrays of _exp_pair at one size n, kept between its calls.
+
+    `powers` holds I, B, ..., B^_TAU_MAX; slot 0 is I and is never written
+    again. `chunks` holds the chunk sums of both Taylor parts, `horner` the
+    Horner result and `odd` the odd part. `spare` is the squaring slot; it
+    also holds the scaled input before the squarings and the Newton-Schulz
+    residual and its product after them. 15 n x n arrays in all.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.powers = np.empty((_TAU_MAX + 1, n, n))
+        self.powers[0] = np.eye(n)
+        self.chunks = np.empty((_CHUNK_ROWS, n * n))
+        self.horner = np.empty((2, n, n))
+        self.odd = np.empty((n, n))
+        self.spare = np.empty((2, n, n))
+
+
+# One workspace per thread, so concurrent calls never share scratch arrays;
+# it is rebuilt when n changes.
+_workspace = threading.local()
+
+
+def _scratch(n) -> _ExpScratch:
+    """This thread's _ExpScratch of size n."""
+    ws = getattr(_workspace, "scratch", None)
+    if ws is None or ws.n != n:
+        ws = _workspace.scratch = _ExpScratch(n)
+    return ws
 
 
 def _exp_pair(a, norm):
@@ -186,11 +228,14 @@ def _exp_pair(a, norm):
     same powers of B = A^2, both squared s times, then one Newton-Schulz
     step f <- f - f (e f - I), which makes f the inverse of e to working
     accuracy (Higham, Functions of Matrices, 2008, Chapter 7). Entries
-    may be infinite or NaN where the result overflows.
+    may be infinite or NaN where the result overflows. Every intermediate
+    lives in this thread's workspace (_scratch); only the returned pair is
+    allocated, and the squarings alternate between it and the squaring slot
+    so that the last one lands in it.
     """
     n = a.shape[0]
-    powers = np.empty((_TAU_MAX + 1, n, n))
-    powers[0] = np.eye(n)
+    ws = _scratch(n)
+    powers = ws.powers
     formed = 2
     s = 0
     row = bisect.bisect_left(_THETAS, norm)
@@ -200,7 +245,7 @@ def _exp_pair(a, norm):
         top = _THETAS[-1]
         s = max(0, math.ceil(math.log2(norm / top)))
         if s:
-            a = np.ldexp(a, -s)
+            a = np.ldexp(a, -s, out=ws.spare[0])
         np.matmul(a, a, out=powers[1])
         np.matmul(powers[1], powers[1], out=powers[2])
         formed = 3
@@ -219,24 +264,25 @@ def _exp_pair(a, norm):
     degree, tau, _ = _TAYLOR[row]
     for i in range(formed, tau + 1):
         np.matmul(powers[i - 1], powers[1], out=powers[i])
-    chunks = (_CHUNKS[degree] @ powers[:tau + 1].reshape(tau + 1, -1)).reshape(-1, 2, n, n)
+    coefficients = _CHUNKS[degree]
+    chunks = np.matmul(coefficients, powers[:tau + 1].reshape(tau + 1, -1),
+                       out=ws.chunks[:len(coefficients)]).reshape(-1, 2, n, n)
     parts = chunks[-1]
     for chunk in chunks[-2::-1]:
-        parts = parts @ powers[tau]
+        parts = np.matmul(parts, powers[tau], out=ws.horner)
         parts += chunk
-    odd = a @ parts[1]
+    odd = np.matmul(a, parts[1], out=ws.odd)
     pair = np.empty((2, n, n))
-    np.add(parts[0], odd, out=pair[0])
-    np.subtract(parts[0], odd, out=pair[1])
-    if s:
-        spare = np.empty_like(pair)
-        for _ in range(s):
-            np.matmul(pair, pair, out=spare)
-            pair, spare = spare, pair
+    # The Taylor pair goes where an even count of squarings ends in `pair`.
+    legs = (pair, ws.spare) if s % 2 == 0 else (ws.spare, pair)
+    np.add(parts[0], odd, out=legs[0][0])
+    np.subtract(parts[0], odd, out=legs[0][1])
+    for i in range(s):
+        np.matmul(legs[i % 2], legs[i % 2], out=legs[1 - i % 2])
     e, f = pair
-    r = e @ f
+    r = np.matmul(e, f, out=ws.spare[0])
     r.reshape(-1)[::n + 1] -= 1.0
-    f -= f @ r
+    f -= np.matmul(f, r, out=ws.spare[1])
     return pair
 
 

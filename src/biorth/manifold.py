@@ -40,7 +40,9 @@ def default_tan_tol(n: int) -> float:
 
 def _feasibility_error(x, y) -> float:
     """fro_norm(x @ y - I) of two validated square arrays: one n x n product."""
-    return fro_norm(x @ y - np.eye(x.shape[0]))
+    r = x @ y
+    r.reshape(-1)[::x.shape[0] + 1] -= 1.0
+    return fro_norm(r)
 
 
 def _require_feasible(x, y, what) -> float:
@@ -412,16 +414,24 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
     f = p.y_svd()
     s = f.s
     xh, ss, den = p._projection_terms()
+    # Each step overwrites an array this call owns, in the order of
+    # uh = (phih - ss psih) / den, vh = -ss uh, rh = xh vh + uh s,
+    # w = -(s_i rh) / den, uh += ss w, vh += w.
     with np.errstate(over="ignore", invalid="ignore"):
-        phih = f.v.T @ a.phi @ f.u
-        psih = f.u.T @ a.psi @ f.v
-        uh = (phih - ss * psih) / den
-        vh = -ss * uh
-        rh = xh @ vh + uh * s
-        w = -(s[:, None] * rh) / den
-        uh = uh + ss * w
-        vh = vh + w
-        return TangentPair._build(f.v @ uh @ f.u.T, f.u @ vh @ f.v.T, p)
+        uh = f.v.T @ a.phi @ f.u
+        vh = f.u.T @ a.psi @ f.v
+        np.subtract(uh, np.multiply(ss, vh, out=vh), out=uh)
+        uh /= den
+        np.negative(np.multiply(ss, uh, out=vh), out=vh)
+        w = xh @ vh
+        w += uh * s
+        np.negative(np.multiply(s[:, None], w, out=w), out=w)
+        w /= den
+        vh += w
+        uh += np.multiply(ss, w, out=w)
+        u = np.matmul(f.v, uh, out=w) @ f.u.T
+        v = np.matmul(f.u, vh, out=uh) @ f.v.T
+        return TangentPair._build(u, v, p)
 
 
 def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:

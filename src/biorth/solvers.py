@@ -27,7 +27,9 @@ few products and no retraction. Without a curvature, or where phi''(0) is
 not positive and finite, it starts from the slope-ratio step of the
 previous one (INITIAL_STEP on the first search). Conjugate gradient
 carries the previous direction to the new point by `project`, but not the
-previous gradient, of which it needs only one inner product.
+previous gradient, of which it needs only one inner product. It carries
+the direction at the top of the next iteration, so the point that ends
+the run is projected once, for its gradient.
 The one finiteness check is g.inner(g) of each projected gradient: if it
 is finite, so is every entry of g; if not, the run raises NumericalError.
 A problem whose gradient at the start point is not finite fails in its
@@ -340,6 +342,7 @@ def _descend(problem, manifold, p0, opts, cg):
     k = 0
     while k < opts.max_iters and gnorm > opts.grad_tol:
         if not restart:
+            d = beta * manifold.project(p, d) - g
             slope = g.inner(d)
             restart = not -math.inf < slope < 0  # descent lost, or the slope overflowed
         if restart:
@@ -370,8 +373,6 @@ def _descend(problem, manifold, p0, opts, cg):
             beta = max(0.0, (gnorm_sq_new - overlap) / gnorm_sq)
             restart = (since_restart >= restart_every or beta == 0.0
                        or abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq_new)
-            if not restart:
-                d = -g_new + beta * manifold.project(p_new, d)
 
         p, f, g, egrad = p_new, f_new, g_new, egrad_new
         gnorm_sq = gnorm_sq_new

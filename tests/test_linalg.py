@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 import warnings
 
 import mpmath
@@ -248,6 +250,82 @@ class TestMatExp:
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionError):
             mat_exp(np.zeros((2, 3)))
+
+
+def in_new_thread(fn, *args):
+    """fn(*args) on a thread of its own, whose exponential workspace starts empty."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+def exp_bytes(g):
+    e, f = mat_exp(g)
+    return e.tobytes() + f.tobytes()
+
+
+class TestExpWorkspace:
+    """mat_exp keeps its scratch arrays between calls, one set per thread."""
+
+    @staticmethod
+    def inputs(n, seed=0):
+        # Without squarings, with squarings cut by alpha, and with squarings.
+        g = make_rng(700 + n + seed).standard_normal((n, n))
+        g /= np.abs(g).sum(axis=0).max()
+        diag = np.diag(np.linspace(1.0, -0.5, n))
+        return [0.3 * g, 0.8 * g, 20.0 * g, 6.0 * diag, 40.0 * diag]
+
+    def test_a_later_call_leaves_an_earlier_pair_unchanged(self):
+        first, second = self.inputs(30)[2:4]
+        e, f = mat_exp(first)
+        kept = e.tobytes() + f.tobytes()
+        mat_exp(second)
+        assert e.tobytes() + f.tobytes() == kept
+
+    def test_alternating_sizes_match_fresh_calls(self):
+        for n in (5, 100, 5, 100, 5):
+            for g in self.inputs(n):
+                assert exp_bytes(g) == in_new_thread(exp_bytes, g)
+
+    def test_concurrent_threads_match_serial_runs(self):
+        work = [self.inputs(n, seed) for n, seed in ((40, 1), (40, 2), (7, 3))]
+
+        def run(gs):
+            return [exp_bytes(g) for _ in range(3) for g in gs]
+
+        serial = [run(gs) for gs in work]
+        barrier = threading.Barrier(len(work))
+        results = [None] * len(work)
+
+        def worker(i):
+            barrier.wait()
+            results[i] = run(work[i])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(work))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert results == serial
+
+    @pytest.mark.parametrize("scale", [0.3, 6.0], ids=["no-squaring", "squarings"])
+    def test_a_warm_call_allocates_little_beyond_its_pair(self, scale):
+        # Up to 18 n^2 doubles with a fresh array per intermediate; the pair
+        # itself is 2 n^2.
+        n = 100
+        g = scale * np.diag(np.linspace(1.0, -0.5, n))
+        mat_exp(g)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mat_exp(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n * n
 
 
 class TestFroInner:

@@ -832,6 +832,31 @@ class TestConjugateGradientKernels:
         # one factorization per iterate; the identity start carries its SVD
         assert len(svds) == len(trace) - 1
 
+    @pytest.mark.parametrize("stop", ["max_iters", "grad_tol"])
+    def test_the_point_that_ends_the_run_is_projected_once(self, stop):
+        # Its gradient is projected; a CG direction is carried to a point
+        # only when another search starts from it.
+        n = 12
+        problem = random_nearest_pair(41, n, 4.0)
+        manifold = BiorthogonalManifold(n)
+        _, full = conjugate_gradient(problem, manifold, manifold.identity(),
+                                     SolverOptions(max_iters=30))
+        # Both stops end on an iteration whose search along -g is not due.
+        opts = (SolverOptions(max_iters=11) if stop == "max_iters"
+                else SolverOptions(max_iters=30, grad_tol=full[11].grad_norm))
+        points = []
+
+        class Recording(BiorthogonalManifold):
+            def project(self, p, a):
+                points.append(p)
+                return super().project(p, a)
+
+        manifold = Recording(n)
+        last, trace = conjugate_gradient(problem, manifold, manifold.identity(), opts)
+        assert trace[-1].grad_norm == full[len(trace) - 1].grad_norm
+        assert sum(q is last for q in points) == 1
+        assert all(points.count(q) <= 2 for q in points)
+
     def test_model_problem_points_take_the_gram_route(self, monkeypatch):
         # Every accepted point of a model-problem solve is well conditioned,
         # so svd factors it by one eigh of its Gram and never calls LAPACK's

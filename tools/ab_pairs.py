@@ -1,0 +1,139 @@
+"""Time two biorth source trees against each other, one model-n100 solve at a time.
+
+Usage: python tools/ab_pairs.py BASE_SRC NEW_SRC [--reps N] [--n N] [--seed S]
+
+BASE_SRC and NEW_SRC are directories that hold a `biorth` package, such as
+the `src` directory of two checkouts. One interpreter per tree starts at
+one BLAS thread (perfbench's THREAD_PIN) and keeps running; each answers
+the command lines it is sent with the wall time of `biorth.cli.main(argv)`
+and the `seconds=` the solver printed. Both get the same command lines:
+the model-n100 list of perfbench for benchmark seed S (default 1), with
+the matrix size set by --n (default 100). After one warm-up call each, every
+rep runs each command line on both trees back to back, and the tree that
+goes first alternates from rep to rep, so a change of host speed falls on
+both sides of most pairs. Prints, for the call time and for `seconds=`,
+the median of the per-pair ratios new / base, their quartiles and the
+number of pairs the new tree won. Exits 1 if a call fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+# perfbench/invocations.py imports biorth.matio; this checkout's package serves
+# unless one is already on the path.
+sys.path.append(os.path.join(ROOT, "src"))
+
+from invocations import instance_seeds, solver_item  # noqa: E402
+from run import THREAD_PIN  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+# The loop each tree's interpreter runs: one JSON argv per input line, one
+# JSON answer per output line. The solver's summary line goes to a buffer,
+# which gives `seconds=` and keeps the answers alone on stdout.
+SERVER = r"""
+import contextlib, io, json, re, sys, time
+import biorth.cli
+for line in sys.stdin:
+    out = io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        rc = biorth.cli.main(json.loads(line))
+    call_s = time.perf_counter() - started
+    found = re.search(r"\bseconds=(\S+)", out.getvalue())
+    print(json.dumps({"rc": rc, "call_s": call_s,
+                      "seconds": float(found.group(1)) if found else None}), flush=True)
+"""
+
+
+class Tree:
+    """A running interpreter with one source tree on its import path."""
+
+    def __init__(self, src):
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **THREAD_PIN)
+        self.proc = subprocess.Popen([sys.executable, "-c", SERVER], env=env, text=True,
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+
+    def call(self, argv):
+        try:
+            self.proc.stdin.write(json.dumps(argv) + "\n")
+            self.proc.stdin.flush()
+        except BrokenPipeError:  # the interpreter has exited; readline gives ""
+            pass
+        line = self.proc.stdout.readline()
+        answer = json.loads(line) if line else {"rc": None}
+        if answer["rc"] != 0 or answer["seconds"] is None:
+            raise RuntimeError(f"{' '.join(argv)} failed: {answer}")
+        return answer
+
+    def close(self):
+        try:
+            self.proc.stdin.close()
+        except BrokenPipeError:
+            pass
+        self.proc.wait()
+
+
+def command_lines(n, seed, workdir):
+    """The model-n100 command lines of benchmark seed `seed`, at size n, writing under workdir."""
+    workload = dataclasses.replace(WORKLOADS["model-n100"], size=n)
+    return [solver_item(workload, s, 0.0, workdir, i).argv
+            for i, s in enumerate(instance_seeds(workload, seed))]
+
+
+def report(name, base, new):
+    ratios = [b / a for a, b in zip(base, new)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    wins = sum(r < 1.0 for r in ratios)
+    return (f"{name}: median new/base {median:.4f} (quartiles {q1:.4f}-{q3:.4f}), "
+            f"new faster in {wins} of {len(ratios)} pairs")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--reps", type=int, default=12)
+    parser.add_argument("--n", type=int, default=WORKLOADS["model-n100"].size)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+    times = {"base": ([], []), "new": ([], [])}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees, lines = {}, {}
+        try:
+            for label, src in (("base", args.base_src), ("new", args.new_src)):
+                trees[label] = Tree(src)
+                lines[label] = command_lines(args.n, args.seed, os.path.join(tmp, label))
+                os.makedirs(os.path.join(tmp, label))
+                trees[label].call(lines[label][0])
+            for rep in range(args.reps):
+                order = ("base", "new") if rep % 2 == 0 else ("new", "base")
+                for i in range(len(lines["base"])):
+                    for label in order:
+                        answer = trees[label].call(lines[label][i])
+                        times[label][0].append(answer["call_s"])
+                        times[label][1].append(answer["seconds"])
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for tree in trees.values():
+                tree.close()
+    print(report("call time", times["base"][0], times["new"][0]))
+    print(report("seconds=", times["base"][1], times["new"][1]))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
