@@ -481,15 +481,17 @@ def ray_velocity(p: BiorthPoint, t: TangentPair):
 def ray_acceleration(p: BiorthPoint, t: TangentPair) -> AmbientPair:
     """Acceleration c''(0) = (x0 @ W^2, W^2 @ y0) of c(s) = retract(p, s * t).
 
-    W = y0 @ u is the tangent's cached generator, shared with ray_velocity,
-    so this costs three n x n products. Its ambient product with the
-    Euclidean gradient at p is the term of the ray's second derivative that
-    the curve's bending adds to the objective's Hessian form along t.
+    W = y0 @ u is the tangent's cached generator, shared with ray_velocity.
+    With x0 = y0^-1, x0 W = u and W y0 = y0 u y0 = -v on a tangent, so it
+    is formed as (u @ W, -(W @ v)): two n x n products, which differ from
+    the three of (x0 W^2, W^2 y0) only by terms in the drift x0 y0 - I. Its
+    ambient product with the Euclidean gradient at p is the term of the
+    ray's second derivative that the curve's bending adds to the
+    objective's Hessian form along t.
     """
     _require_based_at(p, t)
     w = t.generator()
-    w2 = w @ w
-    return AmbientPair._build(p.x @ w2, w2 @ p.y)
+    return AmbientPair._build(t.u @ w, -(w @ t.v))
 
 
 def random_point(seed, n: int, scale: float) -> BiorthPoint:
