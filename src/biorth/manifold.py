@@ -128,11 +128,23 @@ class EuclideanPoint(_Value):
         return f"{type(self).__name__}(n={self.n}, feas_err={self.feasibility_error():.2e})"
 
 
-def _frozen_svd(f: SvdResult) -> SvdResult:
-    """`f` with its three arrays marked read-only in place."""
-    for a in (f.u, f.s, f.v):
+def _projection_factors(x, f: SvdResult):
+    """The projector of project_tangent at a point (x, y) with y = U S V^T = `f`.
+
+    The read-only tuple (U, sigma, V, V^T x U, sigma sigma^T, 1 + (sigma
+    sigma^T)^2): the factors of y, the rotated base and the two n x n grids,
+    two products and three elementwise passes that depend on the point
+    alone. On a base so badly scaled that they overflow, entries are
+    infinite or NaN without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        xh = f.v.T @ x @ f.u
+        ss = f.s[:, None] * f.s[None, :]
+        den = 1.0 + ss * ss
+    factors = (f.u, f.s, f.v, xh, ss, den)
+    for a in factors:
         a.setflags(write=False)
-    return f
+    return factors
 
 
 class BiorthPoint(EuclideanPoint):
@@ -140,44 +152,23 @@ class BiorthPoint(EuclideanPoint):
 
     The constructor copies, checks feasibility and keeps the error it
     measured, so feasibility_error costs nothing; it does not call the
-    flat point's constructor. The SVD of y, and the other factors of
-    project_tangent that depend on the point alone (_projection_terms), are
-    computed on first use and kept, so every projection at the point shares
-    them.
+    flat point's constructor. The projector of project_tangent, built by
+    _projection_factors from the SVD of y, is computed on first use and
+    kept in one slot, so every projection at the point shares it.
     """
 
-    __slots__ = ("_feas_err", "_y_svd", "_terms")
+    __slots__ = ("_feas_err", "_projector")
 
     def __init__(self, x, y):
         x, y = square_pair(x, y)
         err = _require_feasible(x, y, "pair")
         self._freeze(np.array(x), np.array(y), err)
 
-    def y_svd(self):
-        """Read-only SvdResult of y, computed on the first call and cached."""
-        if self._y_svd is None:
-            object.__setattr__(self, "_y_svd", _frozen_svd(svd(self.y)))
-        return self._y_svd
-
-    def _projection_terms(self):
-        """Read-only (V^T x U, sigma sigma^T, 1 + (sigma sigma^T)^2) for y = U S V^T; cached.
-
-        The rotated base and the two n x n grids of project_tangent, from
-        the cached y_svd(): two products and three elementwise passes built
-        once per point, so the projections of a gradient and of a carried
-        direction at one point share them. On a base so badly scaled that
-        they overflow, entries are infinite or NaN without a warning.
-        """
-        if self._terms is None:
-            f = self.y_svd()
-            with np.errstate(over="ignore", invalid="ignore"):
-                xh = f.v.T @ self.x @ f.u
-                ss = f.s[:, None] * f.s[None, :]
-                den = 1.0 + ss * ss
-            for a in (xh, ss, den):
-                a.setflags(write=False)
-            object.__setattr__(self, "_terms", (xh, ss, den))
-        return self._terms
+    def projector(self):
+        """Read-only _projection_factors of this point, built on the first call and cached."""
+        if self._projector is None:
+            object.__setattr__(self, "_projector", _projection_factors(self.x, svd(self.y)))
+        return self._projector
 
     def feasibility_error(self) -> float:
         """fro_norm(x @ y - I), as measured by the constructor."""
@@ -185,19 +176,21 @@ class BiorthPoint(EuclideanPoint):
 
 
 def identity_point(n: int) -> BiorthPoint:
-    """The pair (I, I), carrying its exact SVD I = I @ diag(ones) @ I^T.
+    """The pair (I, I), carrying the projector of its exact SVD (I, ones, I).
 
     svd(np.eye(n)) takes the Gram route and returns the exchange matrix J
     (ones on the anti-diagonal) for both factors, since eigh(I) gives the
     identity and the factors are put in non-increasing order by reversing
     its columns. Every product with a permutation is exact, so a projection
     at this point still equals one at BiorthPoint(np.eye(n), np.eye(n)) bit
-    for bit, without the factorization. I @ I - I is exactly zero, the
-    feasibility error.
+    for bit, without the factorization. The exact factors pass through the
+    same _projection_factors as any other point's. I @ I - I is exactly
+    zero, the feasibility error.
     """
     n = require_size(n)
     eye = np.eye(n)
-    return BiorthPoint._build(eye, eye, 0.0, _frozen_svd(SvdResult(eye, np.ones(n), eye)))
+    return BiorthPoint._build(eye, eye, 0.0,
+                              _projection_factors(eye, SvdResult(eye, np.ones(n), eye)))
 
 
 def _tangent_residual(base, u, v) -> float:
@@ -398,28 +391,26 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
     sigma_j^2) added to vh and sigma_i sigma_j w_ij added to uh. It leaves a
     residual second order in the drift x0 y0 - I, and since it lies in the
     kernel of the solve above, projecting the result again reproduces it.
-    The SVD is the one cached on `p`, as are V^T x0 U, sigma_i sigma_j and
-    the denominators, and the result does not depend on the
-    sign/ordering conventions of its factors. The result is tangent by this
-    construction, so its residual is not measured again; the tangency and
-    projection-oracle suites of `biorth check` measure it independently.
-    On a base so badly scaled that this arithmetic overflows, entries come
-    out infinite or NaN without a warning; the solvers catch them through
-    g.inner(g), and the `project` command scans the result.
+    The SVD, V^T x0 U, sigma_i sigma_j and the denominators are the one
+    projector cached on `p` (BiorthPoint.projector), and the result does not
+    depend on the sign/ordering conventions of its factors. The result is
+    tangent by this construction, so its residual is not measured again; the
+    tangency and projection-oracle suites of `biorth check` measure it
+    independently. On a base so badly scaled that this arithmetic overflows,
+    entries come out infinite or NaN without a warning; the solvers catch
+    them through g.inner(g), and the `project` command scans the result.
     """
     if a.phi.shape != p.x.shape:
         raise DimensionError(
             f"ambient pair shape {a.phi.shape} does not match point n={p.n}"
         )
-    f = p.y_svd()
-    s = f.s
-    xh, ss, den = p._projection_terms()
+    fu, s, fv, xh, ss, den = p.projector()
     # Each step overwrites an array this call owns, in the order of
     # uh = (phih - ss psih) / den, vh = -ss uh, rh = xh vh + uh s,
     # w = -(s_i rh) / den, uh += ss w, vh += w.
     with np.errstate(over="ignore", invalid="ignore"):
-        uh = f.v.T @ a.phi @ f.u
-        vh = f.u.T @ a.psi @ f.v
+        uh = fv.T @ a.phi @ fu
+        vh = fu.T @ a.psi @ fv
         np.subtract(uh, np.multiply(ss, vh, out=vh), out=uh)
         uh /= den
         np.negative(np.multiply(ss, uh, out=vh), out=vh)
@@ -429,8 +420,8 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
         w /= den
         vh += w
         uh += np.multiply(ss, w, out=w)
-        u = np.matmul(f.v, uh, out=w) @ f.u.T
-        v = np.matmul(f.u, vh, out=uh) @ f.v.T
+        u = np.matmul(fv, uh, out=w) @ fu.T
+        v = np.matmul(fu, vh, out=uh) @ fv.T
         return TangentPair._build(u, v, p)
 
 
