@@ -221,7 +221,7 @@ def _scratch(n) -> _ExpScratch:
 
 
 def _exp_pair(a, norm):
-    """(e^a, e^-a) stacked in one array, for a nonzero `a` of finite 1-norm `norm`.
+    """(e^a, e^-a) stacked in one array, for `a` of finite 1-norm `norm`.
 
     Scaling and squaring on the even/odd split of a Taylor polynomial: the
     lowest degree whose theta covers the scaled matrix, both legs from the
@@ -297,16 +297,15 @@ def mat_exp(m) -> tuple[np.ndarray, np.ndarray]:
     ``fro_norm(mat_exp(g)[0] @ mat_exp(-g)[0] - I)`` stays below
     ``1e-11 * n`` for ``fro_norm(g) <= 10``, and ``e @ f - I`` of one pair
     is at the rounding level of that product. A zero matrix, signed zeros
-    included, gives exactly ``np.eye(n)`` in both legs. A result that
-    overflows raises NumericalError, without a warning.
+    included, gives exactly ``np.eye(n)`` in both legs: its degree-3 Taylor
+    legs are I and its Newton-Schulz residual is exactly zero. A result
+    that overflows raises NumericalError, without a warning.
     """
     m = require_square(as_matrix(m))
     # Overflow, of the norm or of the result, is reported as NumericalError
     # below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         norm = _norm1(m)
-        if norm == 0.0:
-            return np.eye(m.shape[0]), np.eye(m.shape[0])
         pair = _exp_pair(m, norm) if norm < math.inf else None
     if pair is None or not np.all(np.isfinite(pair)):
         raise NumericalError(
