@@ -124,3 +124,14 @@ def test_counting_searches_counts_every_trial_point_and_restores(penalty):
     # The subclass counts each projection the solver asks for; each reaches
     # the wrapped base-class method through super().
     assert counts.projections == len(projections) >= 13
+
+
+def test_counting_searches_raises_when_a_target_is_absent(monkeypatch):
+    # A renamed or deleted target must fail loudly, not count 0.
+    monkeypatch.delattr(BiorthogonalManifold, "retract")
+    search, project = biorth.solvers.armijo_search, BiorthogonalManifold.project
+    with pytest.raises(RuntimeError, match=r"absent from the code: "
+                                           r"biorth\.manifold\.BiorthogonalManifold\.retract$"):
+        with pool_targets.counting_searches():
+            pass
+    assert (biorth.solvers.armijo_search, BiorthogonalManifold.project) == (search, project)

@@ -17,7 +17,8 @@ target is a gap of the workload's `gap` in the same units: the scale is
 funmap-k16, whose optimum is 0. Then prints one summary line per workload:
 the sum over its instances of the iterations to target, the worst final
 gap, its line searches split by trial points (1 / 2 / 3 / >=4), and its
-trial points and tangent projections per iteration. Exits 1 if any
+trial points and tangent projections per iteration, counted from the
+spans of perfbench's Recorder (perfbench/spans.py). Exits 1 if any
 instance misses.
 """
 
@@ -37,6 +38,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from references import HELDOUT  # noqa: E402
 from run import THREAD_PIN  # noqa: E402
+from spans import Patch, Recorder, Target  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SOLVER_WORKLOADS = ("model-n100", "funmap-k16", "penalty-n100")
@@ -56,59 +58,40 @@ class Counts:
         self.projections = projections
 
 
+# What counting_searches wraps: the search, which the solvers look up by
+# module name, and the retract and project methods of both manifolds.
+COUNTED = (Target("search", "biorth.solvers", "armijo_search"),
+           *(Target(name, "biorth.manifold", f"{cls}.{name}")
+             for cls in ("BiorthogonalManifold", "EuclideanManifold")
+             for name in ("retract", "project")))
+
+
 @contextlib.contextmanager
 def counting_searches():
     """Yield the Counts of the line searches and tangent projections run inside.
 
-    Wraps `biorth.solvers.armijo_search`, which the solvers look up by
-    module name, and the `retract` and `project` methods of both manifolds,
-    and restores them on exit. Every trial point passes through `retract`,
-    and the solvers retract only inside a search; every search that returns
-    a step is one solver iteration.
+    Records a span for each call to the COUNTED targets with perfbench's
+    Patch and Recorder, which put every original back on exit, and fills
+    the Counts from the spans then. Every trial point passes through
+    `retract`, and the solvers retract only inside a search, so a search's
+    trial points are the `retract` spans it encloses; every search that
+    returns a step is one solver iteration. Raises RuntimeError if a target
+    is absent from the code, so that its count cannot silently read 0.
     """
-    import biorth.solvers
-    from biorth.manifold import BiorthogonalManifold, EuclideanManifold
-
     counts = Counts()
-    search = biorth.solvers.armijo_search
-    manifolds = (BiorthogonalManifold, EuclideanManifold)
-    originals = {(cls, name): getattr(cls, name)
-                 for cls in manifolds for name in ("retract", "project")}
-    trials = 0  # trial points so far of the search in progress
-
-    def counted_search(*args, **kwargs):
-        nonlocal trials
-        trials, returned = 0, False
+    recorder = Recorder()
+    with Patch(recorder, COUNTED) as patch:
+        if patch.missing:
+            missing = ", ".join(patch.missing)
+            raise RuntimeError(f"cannot count, absent from the code: {missing}")
         try:
-            result = search(*args, **kwargs)
-            returned = True
-            return result
+            yield counts
         finally:
-            counts.searches.append((trials, returned))
-
-    def counted_retract(retract):
-        def wrapper(self, p, t):
-            nonlocal trials
-            trials += 1
-            return retract(self, p, t)
-        return wrapper
-
-    def counted_project(project):
-        def wrapper(self, p, a):
-            counts.projections += 1
-            return project(self, p, a)
-        return wrapper
-
-    wrap = {"retract": counted_retract, "project": counted_project}
-    biorth.solvers.armijo_search = counted_search
-    for (cls, name), method in originals.items():
-        setattr(cls, name, wrap[name](method))
-    try:
-        yield counts
-    finally:
-        biorth.solvers.armijo_search = search
-        for (cls, name), method in originals.items():
-            setattr(cls, name, method)
+            spans = recorder.spans
+            trials = collections.Counter(span.parent for span in spans if span.name == "retract")
+            counts.searches = [(trials[i], not span.failed)
+                               for i, span in enumerate(spans) if span.name == "search"]
+            counts.projections = sum(span.name == "project" for span in spans)
 
 
 def search_summary(counts):
