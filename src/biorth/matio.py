@@ -32,9 +32,16 @@ def format_real(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _number(kind, token):
+    """float(token) or int(token), but a ValueError for a PEP 515 digit separator ("1_0")."""
+    if "_" in token:
+        raise ValueError(token)
+    return kind(token)
+
+
 def _parse_real(token, line_no, what="value"):
     try:
-        v = float(token)
+        v = _number(float, token)
     except ValueError:
         raise MatrixFormatError(f"cannot parse {what} {token!r}", line=line_no) from None
     if not math.isfinite(v):
@@ -57,7 +64,7 @@ def read_matrix(path) -> np.ndarray:
             f"header must be 'rows cols', got {lines[0]!r}", line=1
         )
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = _number(int, header[0]), _number(int, header[1])
     except ValueError:
         raise MatrixFormatError(
             f"header dimensions must be integers, got {lines[0]!r}", line=1
@@ -148,7 +155,7 @@ def read_trace(path) -> list[TraceRecord]:
                 f"expected 5 comma-separated fields, got {len(fields)}", line=line_no
             )
         try:
-            it = int(fields[0])
+            it = _number(int, fields[0])
         except ValueError:
             raise MatrixFormatError(
                 f"iteration index must be an integer, got {fields[0]!r}", line=line_no

@@ -99,6 +99,23 @@ class TestMatrixFormatErrors:
             read_matrix(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("header", ["2.0 2", "2 x", "1_0 2"])
+    def test_non_integer_header(self, tmp_path, header):
+        # int() would read "1_0" as 10, and the ten rows would then make the
+        # file well formed.
+        path = tmp_path / "m.txt"
+        path.write_text(header + "\n" + "1 2\n" * 10)
+        with pytest.raises(MatrixFormatError, match="must be integers") as err:
+            read_matrix(path)
+        assert err.value.line == 1
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("")
+        with pytest.raises(MatrixFormatError, match="empty file") as err:
+            read_matrix(path)
+        assert err.value.line == 1
+
     def test_nonpositive_dims(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("0 2\n")
@@ -189,6 +206,22 @@ class TestTraceRoundtrip:
         path = tmp_path / "t.csv"
         path.write_text(TRACE_HEADER + "\n0,1.0,2.0\n")
         with pytest.raises(MatrixFormatError) as err:
+            read_trace(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("field", ["x", "1.0", "1_0"])
+    def test_non_integer_iter_rejected(self, tmp_path, field):
+        # int() would read "1_0" as iteration 10.
+        path = tmp_path / "t.csv"
+        path.write_text(TRACE_HEADER + f"\n0,1,1,1,1\n{field},1,1,1,1\n")
+        with pytest.raises(MatrixFormatError, match="must be an integer") as err:
+            read_trace(path)
+        assert err.value.line == 3
+
+    def test_underscore_digits_in_a_real_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(TRACE_HEADER + "\n0,1_0,1,1,1\n")
+        with pytest.raises(MatrixFormatError, match="cannot parse cost '1_0'") as err:
             read_trace(path)
         assert err.value.line == 2
 
@@ -298,10 +331,14 @@ class TestRowFastPath:
             read_matrix(path)
         assert (err.value.line, str(err.value)) == per_token_error(path)
 
-    def test_underscore_digits_still_parse(self, tmp_path):
+    def test_underscore_digits_are_rejected(self, tmp_path):
+        # loadtxt rejects "1_0"; the per-token loop, where float() would read
+        # it as 10.0, must reject it too, at its line.
         path = tmp_path / "m.txt"
-        path.write_text("1 2\n1_0 2\n")
-        assert read_matrix(path).tolist() == [[10.0, 2.0]]
+        path.write_text("2 2\n1 2\n1_0 2\n")
+        with pytest.raises(MatrixFormatError, match="cannot parse entry '1_0'") as err:
+            read_matrix(path)
+        assert err.value.line == 3
 
 
 # Finite doubles whose exponents span +-300, for both parsers' rounding.
@@ -391,7 +428,7 @@ class TestTwoParsers:
         ids=["vt-ff", "fs", "blank-row", "all-empty", "all-blank", "overflow", "hash"],
     )
     def test_odd_input_reads_as_the_per_token_loop_does(self, tmp_path, text):
-        # "1_0", which loadtxt rejects, is test_underscore_digits_still_parse.
+        # "1_0", which loadtxt rejects, is test_underscore_digits_are_rejected.
         path = tmp_path / "m.txt"
         path.write_text(text)
         expected = per_token_error(path)
