@@ -10,7 +10,7 @@ class DimensionError(BiorthError, ValueError):
 
 
 class NumericalError(BiorthError, ArithmeticError):
-    """A numerical kernel failed: overflow, non-convergence, or a singular solve."""
+    """A value is not finite, or a numerical kernel overflowed or did not converge."""
 
 
 class OffManifoldError(BiorthError, ValueError):

@@ -20,6 +20,10 @@ class TestAsMatrix:
         with pytest.raises(DimensionError):
             as_matrix(np.zeros((2, 2, 2)))
 
+    def test_rejects_an_empty_dimension(self):
+        with pytest.raises(DimensionError, match=r"positive dimensions, got \(0, 3\)"):
+            as_matrix(np.zeros((0, 3)))
+
     def test_rejects_non_finite(self):
         with pytest.raises(NumericalError):
             as_matrix(np.array([[1.0, np.nan]]))

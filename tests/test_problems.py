@@ -121,6 +121,11 @@ class TestFunmap:
             FunmapProblem(rng.standard_normal((4, 8)), rng.standard_normal((4, 8)),
                           np.zeros((8, 8)))
 
+    def test_rejects_weights_of_the_wrong_size(self):
+        a = make_rng(17).standard_normal((10, 4))
+        with pytest.raises(DimensionError, match=r"w must be 4 x 4, got \(5, 5\)"):
+            FunmapProblem(a, a, np.zeros((5, 5)))
+
     def test_rejects_negative_weights(self):
         rng = make_rng(14)
         a = rng.standard_normal((10, 4))

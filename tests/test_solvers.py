@@ -41,6 +41,7 @@ from biorth.solvers import (
     MIN_STEP,
     WOLFE_C2,
     SolverOptions,
+    _cubic_minimizer,
     armijo_search,
     conjugate_gradient,
     fd_gradient_check,
@@ -640,6 +641,15 @@ def hermite_minimizer(f0, slope0, s, fs, slope_s):
     roots = np.roots([3 * b, 2 * a, slope0])
     minima = [r.real for r in roots if abs(r.imag) <= 1e-12 * abs(r) and 2 * a + 6 * b * r.real > 0]
     return minima[0] if minima else math.nan
+
+
+class TestCubicMinimizer:
+    def test_a_linear_section_has_no_minimizer(self):
+        # phi(t) = -t through (0, 0, -1) and (1, -1, -1): d1 = 1 and disc = 0,
+        # so the denominator is exactly 0, where a bare division would raise
+        # ZeroDivisionError.
+        assert math.isnan(_cubic_minimizer(1.0, 0.0, -1.0, -1.0, -1.0))
+        assert math.isnan(hermite_minimizer(0.0, -1.0, 1.0, -1.0, -1.0))
 
 
 class TrialRecorder:
