@@ -99,7 +99,7 @@ GRAM_RCOND = 1e-8
 _TINY = np.finfo(np.float64).tiny
 
 
-def svd(m) -> SvdResult:
+def svd(m, kappa_floor=0.0) -> SvdResult:
     """Full SVD of a square matrix, from eigh of m^T m where m is well conditioned.
 
     Gram route: (d, v) = eigh(m^T m), s = sqrt(d) and v in non-increasing
@@ -112,16 +112,18 @@ def svd(m) -> SvdResult:
     orthogonal to working accuracy. Every other matrix, singular, worse
     conditioned or with a Gram that overflows or underflows, gets LAPACK's
     factors through np.linalg.svd, bit for bit, with its backward error of
-    about eps * |m|.
+    about eps * |m|. So does every m whose `kappa_floor`, a lower bound on
+    kappa(m) that the caller knows, is at least 2 / sqrt(GRAM_RCOND) = 2e4,
+    which the Gram test would refuse: the route is chosen before any eigh.
 
     Raises DimensionError for non-square input and NumericalError if the
     underlying eigen or singular value iteration fails to converge.
     """
     m = require_square(as_matrix(m))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        g = m.T @ m
+        g = m.T @ m if kappa_floor < 2.0 / math.sqrt(GRAM_RCOND) else None
     try:
-        if np.isfinite(g).all():
+        if g is not None and np.isfinite(g).all():
             d, v = np.linalg.eigh(g)
             if d[0] > max(GRAM_RCOND * d[-1], _TINY):
                 s = np.sqrt(d[::-1])

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, InvalidTangentError, OffManifoldError, NumericalError
-from .linalg import SvdResult, fro_norm, mat_exp, require_size, square_pair, svd
+from .linalg import fro_norm, mat_exp, require_size, square_pair, svd
 from .rng import make_rng
 
 # Rounding in n x n products accumulates roughly linearly in n.
@@ -128,33 +128,14 @@ class EuclideanPoint(_Value):
         return f"{type(self).__name__}(n={self.n}, feas_err={self.feasibility_error():.2e})"
 
 
-def _projection_factors(x, f: SvdResult):
-    """The projector of project_tangent at a point (x, y) with y = U S V^T = `f`.
-
-    The read-only tuple (U, sigma, V, V^T x U, sigma sigma^T, 1 + (sigma
-    sigma^T)^2): the factors of y, the rotated base and the two n x n grids,
-    two products and three elementwise passes that depend on the point
-    alone. On a base so badly scaled that they overflow, entries are
-    infinite or NaN without a warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        xh = f.v.T @ x @ f.u
-        ss = f.s[:, None] * f.s[None, :]
-        den = 1.0 + ss * ss
-    factors = (f.u, f.s, f.v, xh, ss, den)
-    for a in factors:
-        a.setflags(write=False)
-    return factors
-
-
 class BiorthPoint(EuclideanPoint):
     """A flat point (x, y) certified to have x @ y = I within default_feas_tol(n).
 
     The constructor copies, checks feasibility and keeps the error it
     measured, so feasibility_error costs nothing; it does not call the
-    flat point's constructor. The projector of project_tangent, built by
-    _projection_factors from the SVD of y, is computed on first use and
-    kept in one slot, so every projection at the point shares it.
+    flat point's constructor. The projector of project_tangent, built from
+    the one SVD of y, is computed on first use and kept in one slot, so
+    every projection at the point shares it.
     """
 
     __slots__ = ("_feas_err", "_projector")
@@ -165,9 +146,27 @@ class BiorthPoint(EuclideanPoint):
         self._freeze(np.array(x), np.array(y), err)
 
     def projector(self):
-        """Read-only _projection_factors of this point, built on the first call and cached."""
+        """The projector of project_tangent at this point, built on the first call and cached.
+
+        The read-only tuple (U, sigma, V, V^T x U, sigma sigma^T, 1 + (sigma
+        sigma^T)^2): the factors of y = U S V^T, the rotated base and the two
+        n x n grids. svd(y) gets the lower bound |x|_F |y|_F / (n (1 +
+        feas_err)) on kappa(y), from x = (I + D) y^-1 with |D|_2 <= feas_err.
+        On a base so badly scaled that these overflow, the bound is infinite
+        and entries are infinite or NaN, without a warning.
+        """
         if self._projector is None:
-            object.__setattr__(self, "_projector", _projection_factors(self.x, svd(self.y)))
+            x, y = self.x, self.y
+            with np.errstate(over="ignore", invalid="ignore"):
+                kappa_floor = fro_norm(x) * fro_norm(y) / (self.n * (1.0 + self._feas_err))
+                f = svd(y, kappa_floor=kappa_floor)
+                xh = f.v.T @ x @ f.u
+                ss = f.s[:, None] * f.s[None, :]
+                den = 1.0 + ss * ss
+            factors = (f.u, f.s, f.v, xh, ss, den)
+            for a in factors:
+                a.setflags(write=False)
+            object.__setattr__(self, "_projector", factors)
         return self._projector
 
     def feasibility_error(self) -> float:
@@ -176,21 +175,16 @@ class BiorthPoint(EuclideanPoint):
 
 
 def identity_point(n: int) -> BiorthPoint:
-    """The pair (I, I), carrying the projector of its exact SVD (I, ones, I).
+    """The pair (I, I), whose feasibility error is exactly zero.
 
-    svd(np.eye(n)) takes the Gram route and returns the exchange matrix J
-    (ones on the anti-diagonal) for both factors, since eigh(I) gives the
-    identity and the factors are put in non-increasing order by reversing
-    its columns. Every product with a permutation is exact, so a projection
-    at this point still equals one at BiorthPoint(np.eye(n), np.eye(n)) bit
-    for bit, without the factorization. The exact factors pass through the
-    same _projection_factors as any other point's. I @ I - I is exactly
-    zero, the feasibility error.
+    Its projector is built on first use like any other point's. svd(I) takes
+    the Gram route, which factors I exactly as (J, ones, J), J the exchange
+    matrix: eigh(I) gives I, and its columns are reversed into
+    non-increasing order.
     """
     n = require_size(n)
     eye = np.eye(n)
-    return BiorthPoint._build(eye, eye, 0.0,
-                              _projection_factors(eye, SvdResult(eye, np.ones(n), eye)))
+    return BiorthPoint._build(eye, eye, 0.0)
 
 
 def _tangent_residual(base, u, v) -> float:

@@ -2,10 +2,12 @@
 
 Gradient descent and Polak-Ribiere conjugate gradient, both with a
 sufficient-decrease line search along the retraction curve, plus a
-finite-difference gradient checker. A problem is any object with
-``cost_grad(x, y) -> (float, AmbientPair)``, the cost and the Euclidean
-gradient from one evaluation, and optionally ``curvature(x, y, u, v)``, the
-Euclidean Hessian form along (u, v); the manifold supplies
+finite-difference gradient checker. Both solvers run one loop, in which
+gradient descent is conjugate gradient restarted every iteration. A
+problem is any object with ``cost_grad(x, y) -> (float, AmbientPair)``,
+the cost and the Euclidean gradient from one evaluation, and optionally
+``curvature(x, y, u, v)``, the Euclidean Hessian form along (u, v); the
+manifold supplies
 check_point/dim/project/retract/ray_velocity/ray_acceleration, the
 gradient checker included. Both spaces are embedded in the
 ambient space of matrix pairs, and a tangent is an ambient pair with a
@@ -240,7 +242,7 @@ def armijo_search(problem, manifold, p, direction, slope, f0, initial_step=INITI
 
 def gradient_descent(problem, manifold, p0, opts=None):
     """Steepest descent with Armijo backtracking. Returns (point, trace)."""
-    return _descend(problem, manifold, p0, opts, cg=False)
+    return _descend(problem, manifold, p0, opts, restart_every=1)
 
 
 def conjugate_gradient(problem, manifold, p0, opts=None):
@@ -262,7 +264,7 @@ def conjugate_gradient(problem, manifold, p0, opts=None):
     accepts its first trial with sufficient decrease, and an inexact step
     there shows up in Powell's test, which restarts.
     """
-    return _descend(problem, manifold, p0, opts, cg=True)
+    return _descend(problem, manifold, p0, opts, restart_every=manifold.dim)
 
 
 # Restart when |<g_new, g_old>| >= threshold * |g_new|^2 (Powell).
@@ -305,11 +307,14 @@ def _first_step(last_decrease, slope, phi2):
     return min(max(step, MIN_STEP), 4.0 * INITIAL_STEP)
 
 
-def _descend(problem, manifold, p0, opts, cg):
+def _descend(problem, manifold, p0, opts, restart_every):
+    """Conjugate gradient restarted along -g at least every `restart_every` iterations.
+
+    gradient_descent passes 1: it forms beta and Powell's overlap, then restarts anyway.
+    """
     if opts is None:
         opts = SolverOptions()
     p = manifold.check_point(p0)
-    restart_every = manifold.dim
 
     started = time.perf_counter()
 
@@ -334,8 +339,7 @@ def _descend(problem, manifold, p0, opts, cg):
     trace = [TraceRecord(0, f, gnorm, p.feasibility_error(), elapsed_ms())]
 
     # The next search runs along -g when `restart` is set, else along the CG
-    # direction d; gradient descent never clears it. The first search, along
-    # -g, has slope -gnorm_sq.
+    # direction d. The first search, along -g, has slope -gnorm_sq.
     restart = True
     last_decrease = -INITIAL_STEP * gnorm_sq
 
@@ -367,12 +371,11 @@ def _descend(problem, manifold, p0, opts, cg):
 
         g_new = manifold.project(p_new, egrad_new)
         gnorm_sq_new = _gradient_norm_sq(g_new, k)
-        if cg:
-            since_restart += 1
-            overlap = g_new.inner(g)
-            beta = max(0.0, (gnorm_sq_new - overlap) / gnorm_sq)
-            restart = (since_restart >= restart_every or beta == 0.0
-                       or abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq_new)
+        since_restart += 1
+        overlap = g_new.inner(g)
+        beta = max(0.0, (gnorm_sq_new - overlap) / gnorm_sq)
+        restart = (since_restart >= restart_every or beta == 0.0
+                   or abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq_new)
 
         p, f, g, egrad = p_new, f_new, g_new, egrad_new
         gnorm_sq = gnorm_sq_new

@@ -1,5 +1,7 @@
 import inspect
 
+import pytest
+
 from biorth.checks import SUITES, run_suites
 
 
@@ -16,3 +18,8 @@ def test_run_suites_alone_scales_the_bounds():
         assert [c.label for c in b.checks] == [c.label for c in a.checks]
         assert [c.value for c in b.checks] == [c.value for c in a.checks]
         assert [c.bound for c in b.checks] == [0.5 * c.bound for c in a.checks]
+
+
+def test_an_unknown_suite_is_named_with_the_choices():
+    with pytest.raises(KeyError, match=r"unknown suite 'nope'; choose from \['"):
+        run_suites(["nope"])

@@ -85,9 +85,9 @@ def svd_calls(monkeypatch):
     """Record every matrix that the manifold module factorizes."""
     calls = []
 
-    def counted(m):
+    def counted(m, **kwargs):
         calls.append(m)
-        return svd(m)
+        return svd(m, **kwargs)
 
     monkeypatch.setattr(biorth.manifold, "svd", counted)
     return calls
@@ -316,13 +316,14 @@ class TestSvdCache:
         assert np.array_equal(svd_calls[0], p.y)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 100])
-    def test_identity_carries_its_exact_svd(self, n, svd_calls):
+    def test_identity_carries_its_exact_svd(self, n):
+        # The Gram route factors I exactly, as (J, ones, J).
         p = identity_point(n)
+        fu, s, fv = p.projector()[:3]
+        assert np.array_equal((fu * s) @ fv.T, np.eye(n))
         a = AmbientPair(*make_rng(257 + n).standard_normal((2, n, n)))
         t = project_tangent(p, a)
-        assert svd_calls == []
         fresh = project_tangent(BiorthPoint(np.eye(n), np.eye(n)), a)
-        assert len(svd_calls) == 1
         assert np.array_equal(t.u, fresh.u) and np.array_equal(t.v, fresh.v)
         assert p.feasibility_error() == 0.0
 
@@ -337,6 +338,23 @@ class TestSvdCache:
         for t, c in ((ta, a), (tb, b)):
             expected = project_tangent(fresh, c)
             assert np.array_equal(t.u, expected.u) and np.array_equal(t.v, expected.v)
+
+    def test_ill_conditioned_point_goes_straight_to_lapack(self, monkeypatch):
+        # x0 = Q D and y0 = D^-1 Q^T with D = diag(1e-3 x 4, 1e2 x 4): kappa(y0)
+        # is 1e5 and the projector's bound |x0|_F |y0|_F / (n (1 + feas_err))
+        # is 5e4, past svd's 2e4, so no eigh of the Gram runs.
+        n = 8
+        q, _ = np.linalg.qr(make_rng(286).standard_normal((n, n)))
+        d = np.array([1e-3] * 4 + [1e2] * 4)
+        p = BiorthPoint(q * d, (q / d).T)
+        u, s, vh = np.linalg.svd(p.y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        fu, fs, fv = p.projector()[:3]
+        assert np.array_equal(fu, u) and np.array_equal(fs, s) and np.array_equal(fv, vh.T)
 
     def test_retract_runs_no_svd(self, svd_calls):
         p = seeded_point(252, 6)
@@ -925,6 +943,12 @@ class TestTangentIsAnAmbientPair:
                          lambda: t.inner(operand)):
                 with pytest.raises(TypeError, match="^expected a matrix pair operand, got "):
                     call()
+
+    def test_repr_names_the_kind_size_and_norm(self):
+        a = AmbientPair(np.eye(3), np.zeros((3, 3)))
+        assert repr(a) == "AmbientPair(n=3, norm=1.73e+00)"
+        t = random_tangent(287, seeded_point(288, 4), 2.0)
+        assert repr(t) == f"TangentPair(n=4, norm={t.norm():.2e})"
 
     def test_projection_takes_a_tangent(self):
         p = seeded_point(279, 5)

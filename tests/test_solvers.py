@@ -619,6 +619,24 @@ class TestConjugateGradient:
         hit = next(k for k, c in enumerate(costs) if c <= threshold)
         assert hit <= 25
 
+    def test_restarted_every_iteration_is_gradient_descent(self):
+        # Gradient descent is this loop with restart_every = 1; a manifold of
+        # dim 1 restarts conjugate gradient just as often.
+        class OneDimensional(BiorthogonalManifold):
+            dim = 1
+
+        n = 12
+        problem = random_nearest_pair(41, n, 4.0)
+        opts = SolverOptions(max_iters=30)
+        runs = []
+        for solve, manifold in ((gradient_descent, BiorthogonalManifold(n)),
+                                (conjugate_gradient, OneDimensional(n))):
+            p, trace = solve(problem, manifold, identity_point(n), opts)
+            runs.append((p, [(r.iter, r.cost, r.grad_norm, r.feas_err) for r in trace]))
+        (p_gd, gd), (p_cg, cg) = runs
+        assert len(gd) == 31 and cg == gd
+        assert np.array_equal(p_cg.x, p_gd.x) and np.array_equal(p_cg.y, p_gd.y)
+
     def test_deterministic_traces(self):
         n = 12
         manifold = BiorthogonalManifold(n)
@@ -825,9 +843,9 @@ class TestConjugateGradientKernels:
     def test_one_transport_per_iteration_and_one_svd_per_point(self, monkeypatch):
         svds = []
 
-        def counted(m):
+        def counted(m, **kwargs):
             svds.append(m)
-            return svd(m)
+            return svd(m, **kwargs)
 
         monkeypatch.setattr(biorth.manifold, "svd", counted)
         n = 12
@@ -839,8 +857,8 @@ class TestConjugateGradientKernels:
         assert len(trace) == 31
         # the start gradient, then per iteration one gradient and at most one direction
         assert manifold.projections <= 1 + 2 * (len(trace) - 1)
-        # one factorization per iterate; the identity start carries its SVD
-        assert len(svds) == len(trace) - 1
+        # one factorization per iterate, the identity start included
+        assert len(svds) == len(trace)
 
     @pytest.mark.parametrize("stop", ["max_iters", "grad_tol"])
     def test_the_point_that_ends_the_run_is_projected_once(self, stop):
@@ -868,9 +886,10 @@ class TestConjugateGradientKernels:
         assert all(points.count(q) <= 2 for q in points)
 
     def test_model_problem_points_take_the_gram_route(self, monkeypatch):
-        # Every accepted point of a model-problem solve is well conditioned,
-        # so svd factors it by one eigh of its Gram and never calls LAPACK's
-        # SVD; a limit that sent them back to LAPACK would show here.
+        # Every point of a model-problem solve, the identity start included,
+        # is well conditioned, so svd factors it by one eigh of its Gram and
+        # never calls LAPACK's SVD; a limit that sent them back to LAPACK
+        # would show here.
         calls = {"svd": 0, "eigh": 0}
 
         def counted(name, kernel):
@@ -888,7 +907,7 @@ class TestConjugateGradientKernels:
             random_nearest_pair(43, n), manifold, manifold.identity(), SolverOptions(max_iters=20)
         )
         assert len(trace) == 21
-        assert calls == {"svd": 0, "eigh": len(trace) - 1}
+        assert calls == {"svd": 0, "eigh": len(trace)}
 
     def test_no_tangency_measurement_inside_the_run(self, residual_checks):
         # Projections and tangent arithmetic are tangent by construction;

@@ -3,15 +3,17 @@
 Usage: python tools/ab_pairs.py BASE_SRC NEW_SRC [--reps N] [--n N] [--seed S]
 
 BASE_SRC and NEW_SRC are directories that hold a `biorth` package, such as
-the `src` directory of two checkouts. One interpreter per tree starts at
-one BLAS thread (perfbench's THREAD_PIN) and keeps running; each answers
-the command lines it is sent with the wall time of `biorth.cli.main(argv)`
-and the `seconds=` the solver printed. Both get the same command lines:
-the model-n100 list of perfbench for benchmark seed S (default 1), with
-the matrix size set by --n (default 100). After one warm-up call each, every
-rep runs each command line on both trees back to back, and the tree that
-goes first alternates from rep to rep, so a change of host speed falls on
-both sides of most pairs. Prints, for the call time and for `seconds=`,
+the `src` directory of two checkouts. Each rep starts one interpreter per
+tree at one BLAS thread (perfbench's THREAD_PIN); each answers the command
+lines it is sent with the wall time of `biorth.cli.main(argv)` and the
+`seconds=` the solver printed. Both get the same command lines: the
+model-n100 list of perfbench for benchmark seed S (default 1), with the
+matrix size set by --n (default 100). The tree that goes first alternates
+from rep to rep, so a change of host speed falls on both sides of most
+pairs. A rep starts and warms the two interpreters in its own order, one
+warm-up call each, runs each command line on both trees back to back in
+that order and closes them, so neither tree keeps the advantage of the
+interpreter started second. Prints, for the call time and for `seconds=`,
 the median of the per-pair ratios new / base, their quartiles and the
 number of pairs the new tree won. Exits 1 if a call fails.
 """
@@ -83,6 +85,23 @@ class Tree:
         self.proc.wait()
 
 
+def run_rep(srcs, lines, order, times):
+    """One rep: start and warm one interpreter per tree in `order`, then run every pair."""
+    trees = {}
+    try:
+        for label in order:
+            trees[label] = Tree(srcs[label])
+            trees[label].call(lines[label][0])
+        for i in range(len(lines[order[0]])):
+            for label in order:
+                answer = trees[label].call(lines[label][i])
+                times[label][0].append(answer["call_s"])
+                times[label][1].append(answer["seconds"])
+    finally:
+        for tree in trees.values():
+            tree.close()
+
+
 def command_lines(n, seed, workdir):
     """The model-n100 command lines of benchmark seed `seed`, at size n, writing under workdir."""
     workload = dataclasses.replace(WORKLOADS["model-n100"], size=n)
@@ -108,28 +127,20 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    srcs = {"base": args.base_src, "new": args.new_src}
     times = {"base": ([], []), "new": ([], [])}
     with tempfile.TemporaryDirectory() as tmp:
-        trees, lines = {}, {}
+        lines = {}
+        for label in srcs:
+            lines[label] = command_lines(args.n, args.seed, os.path.join(tmp, label))
+            os.makedirs(os.path.join(tmp, label))
         try:
-            for label, src in (("base", args.base_src), ("new", args.new_src)):
-                trees[label] = Tree(src)
-                lines[label] = command_lines(args.n, args.seed, os.path.join(tmp, label))
-                os.makedirs(os.path.join(tmp, label))
-                trees[label].call(lines[label][0])
             for rep in range(args.reps):
                 order = ("base", "new") if rep % 2 == 0 else ("new", "base")
-                for i in range(len(lines["base"])):
-                    for label in order:
-                        answer = trees[label].call(lines[label][i])
-                        times[label][0].append(answer["call_s"])
-                        times[label][1].append(answer["seconds"])
+                run_rep(srcs, lines, order, times)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        finally:
-            for tree in trees.values():
-                tree.close()
     print(report("call time", times["base"][0], times["new"][0]))
     print(report("seconds=", times["base"][1], times["new"][1]))
     return 0

@@ -7,7 +7,10 @@ the `src` directory of two checkouts. Every command line of RUNS runs once
 per tree, in a fresh interpreter at one BLAS thread, each in its own output
 directory. The `project` runs share the files that the benchmark's
 project-io workload writes for seed PROJECT_SEED (perfbench/invocations.py):
-four items of four n = 150 matrices. One funmap run sets --noise and
+four items of four n = 150 matrices. One model-problem run starts at
+--scale 1e5, where every point after the start has kappa(y) near 1e8, so
+its projections factor y on svd's LAPACK route; every other solve stays
+on the Gram route. One funmap run sets --noise and
 --lambda, so that the regularizer and noise lines of the problem module run
 outside the `check` suites too. Two more runs read files that this
 tool writes with 17 significant digits: `funmap --a --b` on the data of
@@ -59,6 +62,8 @@ def _runs():
     for s in range(1, 9):
         runs.append((f"model-cg-{s}", ["model-problem", "--solver", "cg", "--n", "100",
                                        "--max-iters", "35", "--seed", str(s)]))
+    runs.append(("model-lapack", ["model-problem", "--n", "100", "--scale", "1e5",
+                                  "--max-iters", "50"]))
     for s in range(1, 4):
         runs.append((f"penalty-{s}", ["penalty", "--n", "60", "--max-iters", "300",
                                       "--seed", str(s)]))
