@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import biorth.matio
-from biorth.errors import MatrixFormatError
+from biorth.errors import MatrixFormatError, NumericalError
 from biorth.matio import (
     TRACE_HEADER,
     _parse_rows,
@@ -150,6 +150,21 @@ class TestMatrixFormatErrors:
             read_matrix(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "data, line, byte",
+        [
+            (b"\xef\xbb\xbf2 2\n1 2\n3 4\n", 1, "0xef"),  # UTF-8 byte order mark
+            (b"2 2\r\n1 2\r\n\xe2\x88\x923 4\r\n", 3, "0xe2"),  # U+2212 minus sign
+        ],
+        ids=["bom", "minus-sign"],
+    )
+    def test_non_ascii_byte_reports_its_line(self, tmp_path, data, line, byte):
+        path = tmp_path / "m.txt"
+        path.write_bytes(data)
+        with pytest.raises(MatrixFormatError, match=f"non-ASCII byte {byte}") as err:
+            read_matrix(path)
+        assert err.value.line == line
+
 
 class TestTraceRoundtrip:
     def records(self):
@@ -232,6 +247,21 @@ class TestTraceRoundtrip:
             read_trace(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xef\xbb\xbf" + TRACE_HEADER.encode() + b"\n0,1,1,1,1\n", 1),
+            (TRACE_HEADER.encode() + b"\n0,1,1,1,1\n1,\xe2\x88\x921,1,1,1\n2,1,1,1,1\n", 3),
+        ],
+        ids=["bom", "minus-sign"],
+    )
+    def test_non_ascii_byte_reports_its_line(self, tmp_path, data, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with pytest.raises(MatrixFormatError, match="non-ASCII byte") as err:
+            read_trace(path)
+        assert err.value.line == line
+
 
 class TestFormatReal:
     def test_pins_every_double(self):
@@ -252,7 +282,11 @@ finite_matrices = hnp.arrays(
 
 
 def per_entry_text(m):
-    """The per-entry writer that the row template replaces."""
+    """The reference text of a matrix file: format_real of each entry.
+
+    write_matrix formats whole blocks of entries in numpy and must give
+    these bytes exactly.
+    """
     rows, cols = m.shape
     return f"{rows} {cols}\n" + "".join(
         " ".join(format_real(v) for v in row) + "\n" for row in m
@@ -331,6 +365,15 @@ class TestRowFastPath:
             read_matrix(path)
         assert (err.value.line, str(err.value)) == per_token_error(path)
 
+    def test_non_finite_matrix_writes_no_file(self, tmp_path):
+        for bad in (np.nan, np.inf, -np.inf):
+            path = tmp_path / "m.txt"
+            m = np.ones((3, 4))
+            m[2, 1] = bad
+            with pytest.raises(NumericalError):
+                write_matrix(path, m)
+            assert not path.exists()
+
     def test_underscore_digits_are_rejected(self, tmp_path):
         # loadtxt rejects "1_0"; the per-token loop, where float() would read
         # it as 10.0, must reject it too, at its line.
@@ -339,6 +382,77 @@ class TestRowFastPath:
         with pytest.raises(MatrixFormatError, match="cannot parse entry '1_0'") as err:
             read_matrix(path)
         assert err.value.line == 3
+
+
+def assert_writes_per_entry_text(tmp_path, m):
+    path = tmp_path / "m.txt"
+    write_matrix(path, m)
+    assert path.read_bytes() == per_entry_text(m).encode("ascii")
+
+
+def as_rows(values, cols=7):
+    """`values` in rows of `cols`, the last row padded with 1.0."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    return np.concatenate([values, np.ones(-values.size % cols)]).reshape(-1, cols)
+
+
+class TestBlockWriter:
+    """write_matrix against per_entry_text, on the cases its digit arithmetic
+    must get right, and on shapes whose entries span several blocks."""
+
+    @pytest.mark.parametrize("shape", [(97, 130), (1, 7000), (7000, 1)])
+    def test_shapes_across_blocks(self, tmp_path, shape):
+        rng = make_rng(11)
+        m = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        assert m.size > biorth.matio._BLOCK
+        assert_writes_per_entry_text(tmp_path, m)
+
+    def test_transposed_view(self, tmp_path):
+        m = make_rng(12).standard_normal((130, 97)).T
+        assert not m.flags.c_contiguous
+        assert_writes_per_entry_text(tmp_path, m)
+
+    def test_exact_ties(self, tmp_path):
+        # odd / 8 in [1e14, 1e15) has 18 significant digits ending in 5:
+        # '%.17g' rounds it half to even.
+        odd = 2 * make_rng(13).integers(4 * 10**14, 4 * 10**15, 3000) + 1
+        m = as_rows(odd / 8.0)
+        assert np.all(m[:-1] * 8 % 2 == 1)
+        assert_writes_per_entry_text(tmp_path, np.vstack([m, -m]))
+
+    def test_neighbours_of_decade_and_notation_bounds(self, tmp_path):
+        values = []
+        for v in (1e-5, 1e-4, 1e16, 1e17):
+            down = up = v
+            values.append(v)
+            for _ in range(3):
+                down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+                values += [down, up]
+        m = as_rows(values)
+        assert_writes_per_entry_text(tmp_path, np.vstack([m, -m]))
+
+    def test_doubles_nearest_powers_of_ten(self, tmp_path):
+        # A few lie within 5e-18 below their power, such as 1e-14, and print
+        # as that power only if rounding to 17 digits carries into the
+        # exponent.
+        powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+        m = as_rows([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        assert_writes_per_entry_text(tmp_path, np.vstack([m, -m]))
+
+    def test_signed_zero_and_extremes(self, tmp_path):
+        values = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+        assert_writes_per_entry_text(tmp_path, np.array([values, [-v for v in values]]))
+
+    def test_integers_up_to_2_to_53(self, tmp_path):
+        ints = make_rng(14).integers(0, 2**53, 3000).astype(np.float64)
+        powers = [10.0**k for k in range(16)]
+        edges = [2.0**53, 2.0**53 - 1, 2.0**52 + 1]
+        assert_writes_per_entry_text(tmp_path, as_rows([*ints, *powers, *edges]))
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = make_rng(15).integers(0, 2**64, 20000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert_writes_per_entry_text(tmp_path, as_rows(values[np.isfinite(values)]))
 
 
 # Finite doubles whose exponents span +-300, for both parsers' rounding.
