@@ -4,10 +4,11 @@ Each experiment is a single deterministic invocation: seeded inputs, a
 solver run, a CSV trace plus result matrices under an output prefix, and a
 one-line summary on stdout. Exit codes: 0 success, 1 runtime or data
 error, 2 usage error. The parser enforces the range of every numeric flag
-(NaN fails it, and so does an infinite objective weight) and exits 2; an
-input the library rejects, such as a data file of the wrong shape or
-negative weights, exits 1. The `biorth` command starts through
-`biorth_launcher`, which sets the BLAS thread count before numpy loads.
+(NaN fails it, and so does an infinite objective weight, data scale or
+noise level) and exits 2; an input the library rejects, such as a data
+file of the wrong shape or negative weights, exits 1. The `biorth`
+command starts through `biorth_launcher`, which sets the BLAS thread
+count before numpy loads.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def _at_least(kind, low, strict=False, finite=False):
 COUNT = _at_least(int, 0)
 SIZE = _at_least(int, 1)
 NONNEGATIVE = _at_least(float, 0)
-# Objective weights: an infinite one makes the gradient NaN wherever it meets a zero.
-WEIGHT = _at_least(float, 0, finite=True)
+# Objective weights and data scales: an infinite weight makes the gradient NaN
+# wherever it meets a zero, and an infinite scale makes the data non-finite.
+FINITE = _at_least(float, 0, finite=True)
 POSITIVE_WEIGHT = _at_least(float, 0, strict=True, finite=True)
 
 
@@ -93,7 +95,7 @@ def build_parser():
         help="nearest biorthogonal pair to seeded Gaussian targets, solved on the manifold",
     )
     p_model.add_argument("--n", type=SIZE, default=100)
-    p_model.add_argument("--scale", type=NONNEGATIVE, default=5.0,
+    p_model.add_argument("--scale", type=FINITE, default=5.0,
                          help="standard deviation of the Gaussian target entries")
     add_solver_flags(p_model)
     p_model.set_defaults(func=cmd_model_problem)
@@ -103,7 +105,7 @@ def build_parser():
         help="same targets, biorthogonality replaced by a quadratic penalty on the flat space",
     )
     p_pen.add_argument("--n", type=SIZE, default=100)
-    p_pen.add_argument("--scale", type=NONNEGATIVE, default=5.0)
+    p_pen.add_argument("--scale", type=FINITE, default=5.0)
     p_pen.add_argument("--alpha", type=POSITIVE_WEIGHT, default=100.0, help="penalty weight")
     add_solver_flags(p_pen)
     p_pen.set_defaults(func=cmd_penalty)
@@ -116,8 +118,8 @@ def build_parser():
                        help="generate a seeded instance instead of reading files")
     p_fun.add_argument("--q", type=SIZE, default=64)
     p_fun.add_argument("--k", type=SIZE, default=16)
-    p_fun.add_argument("--noise", type=NONNEGATIVE, default=0.0)
-    p_fun.add_argument("--lambda", dest="lam", type=WEIGHT, default=0.0,
+    p_fun.add_argument("--noise", type=FINITE, default=0.0)
+    p_fun.add_argument("--lambda", dest="lam", type=FINITE, default=0.0,
                        help="weight of the funnel regularizer")
     p_fun.add_argument("--a", dest="a_path", help="coefficient matrix A (q x k)")
     p_fun.add_argument("--b", dest="b_path", help="coefficient matrix B (q x k)")

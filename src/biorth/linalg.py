@@ -7,10 +7,7 @@ Newton-Schulz step, to a backward error of about eps * kappa(m) * |m|;
 singular, worse conditioned, overflowing and underflowing input gets
 LAPACK's SVD, through numpy, with its backward error of about eps * |m|.
 The matrix exponential returns the pair (e^m, e^-m) from matrix products
-alone, with no factorization or solve. It keeps its scratch arrays between
-calls in a workspace that is local to the calling thread and rebuilt when n
-changes, so threads never share one and each call allocates only the pair
-it returns.
+alone, with no factorization or solve. No kernel keeps state between calls.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,45 +177,11 @@ _TAYLOR = ((3, 1, 1.38e-5), (5, 2, 2.40e-3), (7, 3, 2.38e-2), (9, 2, 8.95e-2),
 _THETAS = tuple(theta for _, _, theta in _TAYLOR)
 _CHUNKS = {degree: _taylor_chunks(degree, tau) for degree, tau, _ in _TAYLOR}
 _TAU_MAX = max(tau for _, tau, _ in _TAYLOR)
-_CHUNK_ROWS = max(len(c) for c in _CHUNKS.values())
 # From row 4, degree 13, on, the norm bound may be alpha = max(|A^4|^(1/4),
 # |A^5|^(1/5)) instead of |A| (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
 # 2009, Theorem 4.2 with p = 4, valid where p (p - 1) <= degree + 1). For a
 # non-normal A alpha is far below |A|, and each halving saves a squaring.
 _ALPHA_ROW = 4
-
-
-class _ExpScratch:
-    """The scratch arrays of _exp_pair at one size n, kept between its calls.
-
-    `powers` holds I, B, ..., B^_TAU_MAX; slot 0 is I and is never written
-    again. `chunks` holds the chunk sums of both Taylor parts, `horner` the
-    Horner result and `odd` the odd part. `spare` is the squaring slot; it
-    also holds the scaled input before the squarings and the Newton-Schulz
-    residual and its product after them. 15 n x n arrays in all.
-    """
-
-    def __init__(self, n):
-        self.n = n
-        self.powers = np.empty((_TAU_MAX + 1, n, n))
-        self.powers[0] = np.eye(n)
-        self.chunks = np.empty((_CHUNK_ROWS, n * n))
-        self.horner = np.empty((2, n, n))
-        self.odd = np.empty((n, n))
-        self.spare = np.empty((2, n, n))
-
-
-# One workspace per thread, so concurrent calls never share scratch arrays;
-# it is rebuilt when n changes.
-_workspace = threading.local()
-
-
-def _scratch(n) -> _ExpScratch:
-    """This thread's _ExpScratch of size n."""
-    ws = getattr(_workspace, "scratch", None)
-    if ws is None or ws.n != n:
-        ws = _workspace.scratch = _ExpScratch(n)
-    return ws
 
 
 def _exp_pair(a, norm):
@@ -230,14 +192,13 @@ def _exp_pair(a, norm):
     same powers of B = A^2, both squared s times, then one Newton-Schulz
     step f <- f - f (e f - I), which makes f the inverse of e to working
     accuracy (Higham, Functions of Matrices, 2008, Chapter 7). Entries
-    may be infinite or NaN where the result overflows. Every intermediate
-    lives in this thread's workspace (_scratch); only the returned pair is
-    allocated, and the squarings alternate between it and the squaring slot
-    so that the last one lands in it.
+    may be infinite or NaN where the result overflows. The powers I, B, ...,
+    B^tau fill one buffer of this call, so one product with the chunk
+    coefficients reads them all.
     """
     n = a.shape[0]
-    ws = _scratch(n)
-    powers = ws.powers
+    powers = np.empty((_TAU_MAX + 1, n, n))
+    powers[0] = np.eye(n)
     formed = 2
     s = 0
     row = bisect.bisect_left(_THETAS, norm)
@@ -247,7 +208,7 @@ def _exp_pair(a, norm):
         top = _THETAS[-1]
         s = max(0, math.ceil(math.log2(norm / top)))
         if s:
-            a = np.ldexp(a, -s, out=ws.spare[0])
+            a = np.ldexp(a, -s)
         np.matmul(a, a, out=powers[1])
         np.matmul(powers[1], powers[1], out=powers[2])
         formed = 3
@@ -258,7 +219,7 @@ def _exp_pair(a, norm):
         k = s if alpha == 0.0 else min(s, math.floor(math.log2(top / alpha)))
         if k:
             s -= k
-            np.ldexp(a, k, out=a)
+            a = np.ldexp(a, k)
             np.ldexp(powers[1], 2 * k, out=powers[1])
             np.ldexp(powers[2], 4 * k, out=powers[2])
             alpha = math.ldexp(alpha, k)
@@ -266,25 +227,22 @@ def _exp_pair(a, norm):
     degree, tau, _ = _TAYLOR[row]
     for i in range(formed, tau + 1):
         np.matmul(powers[i - 1], powers[1], out=powers[i])
-    coefficients = _CHUNKS[degree]
-    chunks = np.matmul(coefficients, powers[:tau + 1].reshape(tau + 1, -1),
-                       out=ws.chunks[:len(coefficients)]).reshape(-1, 2, n, n)
-    parts = chunks[-1]
+    chunks = (_CHUNKS[degree] @ powers[:tau + 1].reshape(tau + 1, -1)).reshape(-1, 2, n, n)
+    # Horner's rule in B^tau joins the chunks into Ev and the odd sum, whose
+    # product with A is Od; then (Ev + Od, Ev - Od) overwrites the two parts.
+    pair = chunks[-1]
     for chunk in chunks[-2::-1]:
-        parts = np.matmul(parts, powers[tau], out=ws.horner)
-        parts += chunk
-    odd = np.matmul(a, parts[1], out=ws.odd)
-    pair = np.empty((2, n, n))
-    # The Taylor pair goes where an even count of squarings ends in `pair`.
-    legs = (pair, ws.spare) if s % 2 == 0 else (ws.spare, pair)
-    np.add(parts[0], odd, out=legs[0][0])
-    np.subtract(parts[0], odd, out=legs[0][1])
-    for i in range(s):
-        np.matmul(legs[i % 2], legs[i % 2], out=legs[1 - i % 2])
+        pair = pair @ powers[tau]
+        pair += chunk
+    odd = a @ pair[1]
+    np.subtract(pair[0], odd, out=pair[1])
+    pair[0] += odd
+    for _ in range(s):
+        pair = pair @ pair
     e, f = pair
-    r = np.matmul(e, f, out=ws.spare[0])
+    r = e @ f
     r.reshape(-1)[::n + 1] -= 1.0
-    f -= np.matmul(f, r, out=ws.spare[1])
+    f -= f @ r
     return pair
 
 

@@ -277,9 +277,8 @@ class TangentPair(AmbientPair):
     of tangents at one base stay in its tangent space. The base point is
     stored so that `+` and `-` with an operand based elsewhere are rejected
     instead of silently re-projected. The generator W = base.y @ u is
-    computed on first use and kept, so the velocity and the acceleration of
-    one search ray share one product, and scalar `*` scales a kept W along
-    with the legs.
+    computed on first use and kept, so the velocity, the acceleration and
+    every trial retraction of one search ray share one product.
     """
 
     __slots__ = ("base", "_w")
@@ -316,18 +315,6 @@ class TangentPair(AmbientPair):
     def _check_operand(self, other):
         """InvalidTangentError unless `other` is a TangentPair at this base."""
         _require_based_at(self.base, other)
-
-    def __mul__(self, s):
-        """The tangent s * t at this base; it carries s * W when W is cached.
-
-        A search scales its direction once per trial point, so each trial
-        retraction gets its generator from one scaling instead of a product.
-        """
-        s = _scalar(s)
-        w = None if self._w is None else s * self._w
-        return TangentPair._build(s * self.phi, s * self.psi, self.base, w)
-
-    __rmul__ = __mul__
 
     def generator(self) -> np.ndarray:
         """Read-only W = base.y @ u, the tangent translated to the identity; cached."""
@@ -419,23 +406,26 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
         return TangentPair._build(u, v, p)
 
 
-def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
-    """Exponential-map retraction of tangent `t` at `p`.
+def retract(p: BiorthPoint, t: TangentPair, s=1.0) -> BiorthPoint:
+    """Exponential-map retraction of the tangent s * t at `p`.
 
     Translates the tangent to the identity, exponentiates, and translates
-    back: with W = y0 @ u and (E, F) = mat_exp(W), E = e^W and F its inverse
-    to working accuracy, the new point is (x0 @ E, F @ y0), two products and
-    no solve. The product of the two legs is x0 @ y0 up to rounding, so
-    feasibility is preserved by construction, and the map agrees with
-    (x0 + u, y0 + v) to first order. A zero tangent gives E = F = I exactly,
-    so it returns the point itself. The feasibility error is still
-    measured, once, and kept on the new point: a step whose legs lose
-    biorthogonality to rounding or overflow (a NaN or infinite error)
-    raises OffManifoldError, and a step so large that e^W or e^-W overflows
-    raises NumericalError.
+    back: with W = y0 @ u, the tangent's cached generator, and (E, F) =
+    mat_exp(s * W), E = e^(sW) and F its inverse to working accuracy, the
+    new point is (x0 @ E, F @ y0), two products and no solve. So the trials
+    of one line search share W and build no scaled tangent. The product of
+    the two legs is x0 @ y0 up to rounding, so feasibility is preserved by
+    construction, and the map agrees with (x0 + s u, y0 + s v) to first
+    order. A zero step or tangent gives E = F = I exactly, so it returns the
+    point itself. The feasibility error is still measured, once, and kept on
+    the new point: a step whose legs lose biorthogonality to rounding or
+    overflow (a NaN or infinite error) raises OffManifoldError, a step so
+    large that e^(sW) or e^(-sW) overflows raises NumericalError, and so
+    does a step `s` that is not finite.
     """
     _require_based_at(p, t)
-    e, f = mat_exp(t.generator())
+    s = _scalar(s)
+    e, f = mat_exp(s * t.generator())
     # Products that overflow give an inf or NaN error, reported by the raise.
     with np.errstate(over="ignore", invalid="ignore"):
         x = p.x @ e
@@ -445,7 +435,7 @@ def retract(p: BiorthPoint, t: TangentPair) -> BiorthPoint:
 
 
 def ray_velocity(p: BiorthPoint, t: TangentPair):
-    """Velocity of the retraction curve c(s) = retract(p, s * t), as a function of c(s).
+    """Velocity of the retraction curve c(s) = retract(p, t, s), as a function of c(s).
 
     With W = y0 @ u, c(s) = (x0 e^{sW}, e^{-sW} y0), so c'(s) = (x(s) @ W,
     -W @ y(s)). W is the tangent's cached generator; the returned function
@@ -464,7 +454,7 @@ def ray_velocity(p: BiorthPoint, t: TangentPair):
 
 
 def ray_acceleration(p: BiorthPoint, t: TangentPair) -> AmbientPair:
-    """Acceleration c''(0) = (x0 @ W^2, W^2 @ y0) of c(s) = retract(p, s * t).
+    """Acceleration c''(0) = (x0 @ W^2, W^2 @ y0) of c(s) = retract(p, t, s).
 
     W = y0 @ u is the tangent's cached generator, shared with ray_velocity.
     With x0 = y0^-1, x0 W = u and W y0 = y0 u y0 = -v on a tangent, so it
@@ -548,8 +538,8 @@ class BiorthogonalManifold:
     def project(self, p, a) -> TangentPair:
         return project_tangent(p, a)
 
-    def retract(self, p, t) -> BiorthPoint:
-        return retract(p, t)
+    def retract(self, p, t, s=1.0) -> BiorthPoint:
+        return retract(p, t, s)
 
     def ray_velocity(self, p, t):
         return ray_velocity(p, t)
@@ -588,14 +578,16 @@ class EuclideanManifold:
     def project(self, p, a) -> AmbientPair:
         return a
 
-    def retract(self, p, t) -> EuclideanPoint:
-        return EuclideanPoint._build(p.x + t.phi, p.y + t.psi)
+    def retract(self, p, t, s=1.0) -> EuclideanPoint:
+        """The point p + s * t; NumericalError if `s` is not finite."""
+        s = _scalar(s)
+        return EuclideanPoint._build(p.x + s * t.phi, p.y + s * t.psi)
 
     def ray_velocity(self, p, t):
-        """Velocity of s -> retract(p, s * t) at any of its points: `t` itself."""
+        """Velocity of s -> retract(p, t, s) at any of its points: `t` itself."""
         return lambda q: t
 
     def ray_acceleration(self, p, t):
-        """None: the curve s -> retract(p, s * t) is a straight line, c'' = 0."""
+        """None: the curve s -> retract(p, t, s) is a straight line, c'' = 0."""
         return None
 

@@ -158,14 +158,15 @@ def synth_funmap(seed, q, k, noise=0.0, lam=0.0):
     Draws truth = (c*, c*^-1) = (e^{0.3 G}, e^{-0.3 G}) by random_point, then
     Gaussian data a, and b = a @ c* plus optional Gaussian noise, all from one
     stream. Returns (problem, truth). Deterministic per seed. DimensionError
-    unless `q` and `k` are integers >= 1, and ValueError if q < k.
+    unless `q` and `k` are integers >= 1, and ValueError if q < k or unless
+    0 <= noise < inf.
     """
     k = require_size(k, "k")
     q = require_size(q, "q")
     if q < k:
         raise ValueError(f"need q >= k, got q={q}, k={k}")
-    if not noise >= 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be >= 0 and finite, got {noise}")
     rng = make_rng(seed)
     truth = random_point(rng, k, 0.3)
     a = rng.standard_normal((q, k))
@@ -181,9 +182,11 @@ def random_nearest_pair(seed, n, scale=5.0):
     Entries are drawn as (scale / sqrt(n)) * N(0, 1), so the spectral norm
     of the targets is about 2 * scale for every n and problem difficulty
     does not blow up with dimension. DimensionError unless `n` is an integer
-    >= 1.
+    >= 1, and ValueError unless 0 <= scale < inf.
     """
     n = require_size(n)
+    if not 0 <= scale < np.inf:
+        raise ValueError(f"scale must be >= 0 and finite, got {scale}")
     rng = make_rng(seed)
     sigma = scale / np.sqrt(n)
     phi = sigma * rng.standard_normal((n, n))

@@ -7,9 +7,9 @@ gradient descent is conjugate gradient restarted every iteration. A
 problem is any object with ``cost_grad(x, y) -> (float, AmbientPair)``,
 the cost and the Euclidean gradient from one evaluation, and optionally
 ``curvature(x, y, u, v)``, the Euclidean Hessian form along (u, v); the
-manifold supplies
-check_point/dim/project/retract/ray_velocity/ray_acceleration, the
-gradient checker included. Both spaces are embedded in the
+manifold supplies check_point/dim/project/retract/ray_velocity/
+ray_acceleration, the gradient checker included, where retract(p, t, s)
+is the point that the step s * t reaches. Both spaces are embedded in the
 ambient space of matrix pairs, and a tangent is an ambient pair with a
 base point. They take the ambient Frobenius product as their metric, so
 every inner product comes from the values, `g.inner(d)`, and each trace
@@ -118,7 +118,8 @@ def _gradient_norm_sq(g, k):
 
 
 def riemannian_gradient(problem, manifold, p):
-    """Euclidean gradient projected onto the tangent space at `p`."""
+    """Euclidean gradient projected onto the tangent space at `p`, certified by check_point."""
+    p = manifold.check_point(p)
     return manifold.project(p, problem.cost_grad(p.x, p.y)[1])
 
 
@@ -147,7 +148,7 @@ def armijo_search(problem, manifold, p, direction, slope, f0, initial_step=INITI
 
     `f0` is the cost at `p`. `slope` is the metric inner product of the
     Riemannian gradient with the direction and must be negative. Each trial
-    step s is one retraction q = retract(p, s * direction) and one
+    step s is one retraction q = retract(p, direction, s) and one
     `problem.cost_grad` at q. Its gradient also gives the slope of the ray
     there, phi'(s) = <egrad(q), c'(s)>, the ambient product with the
     curve's velocity from `manifold.ray_velocity`. The first trial is `initial_step`, at least
@@ -192,7 +193,7 @@ def armijo_search(problem, manifold, p, direction, slope, f0, initial_step=INITI
     def evaluate(s):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                q = manifold.retract(p, s * direction)
+                q = manifold.retract(p, direction, s)
                 return (q, *problem.cost_grad(q.x, q.y))
             except (OffManifoldError, NumericalError) as exc:
                 rejected.append(type(exc))
@@ -272,7 +273,7 @@ POWELL_RESTART_THRESHOLD = 0.1
 
 
 def _ray_curvature(curvature, manifold, p, d, egrad):
-    """phi''(0) of s -> f(retract(p, s * d)); NaN if the problem has no curvature.
+    """phi''(0) of s -> f(retract(p, d, s)); NaN if the problem has no curvature.
 
     phi''(0) = <c'(0), Hess f c'(0)> + <egrad, c''(0)>, where c'(0) = d for
     every retraction, `curvature` is the problem's Hessian form, `egrad` is
@@ -398,8 +399,9 @@ def fd_gradient_check(problem, manifold, p, seed=0):
     Compares grad.inner(t) with (f(R(h t)) - f(R(-h t))) / 2h, at h =
     FD_STEP, along FD_DIRECTIONS unit tangents t at `p`: direction i is the
     `manifold.project` of a Gaussian ambient pair drawn by make_rng(seed + i),
-    scaled to unit norm.
+    scaled to unit norm. `p` is certified by `manifold.check_point` first.
     """
+    p = manifold.check_point(p)
     g = riemannian_gradient(problem, manifold, p)
     worst = 0.0
     for i in range(FD_DIRECTIONS):

@@ -313,12 +313,17 @@ class TestParser:
         [
             ["penalty", "--n", "3", "--alpha", "inf", "--max-iters", "2"],
             ["funmap", "--synthetic", "--q", "8", "--k", "4", "--lambda", "inf", "--max-iters", "2"],
+            ["model-problem", "--n", "3", "--scale", "inf", "--max-iters", "2"],
+            ["penalty", "--n", "3", "--scale", "inf", "--max-iters", "2"],
+            ["funmap", "--synthetic", "--q", "8", "--k", "4", "--noise", "inf", "--max-iters", "2"],
         ],
-        ids=["alpha", "lambda"],
+        ids=["alpha", "lambda", "model-scale", "penalty-scale", "noise"],
     )
     def test_infinite_weight_is_usage_error(self, argv, capsys):
+        # Weights, data scales and noise levels alike: an infinite one is
+        # refused by the parser before any data is drawn.
         assert main(argv) == 2
-        assert "and finite, got" in capsys.readouterr().err
+        assert "and finite, got inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["model-problem", "penalty", "funmap"])
     def test_negative_seed_is_usage_error(self, command, capsys):

@@ -257,7 +257,7 @@ class TestMatExp:
 
 
 def in_new_thread(fn, *args):
-    """fn(*args) on a thread of its own, whose exponential workspace starts empty."""
+    """fn(*args) on a thread of its own."""
     out = []
     worker = threading.Thread(target=lambda: out.append(fn(*args)))
     worker.start()
@@ -271,7 +271,7 @@ def exp_bytes(g):
 
 
 class TestExpWorkspace:
-    """mat_exp keeps its scratch arrays between calls, one set per thread."""
+    """mat_exp keeps no workspace: each call allocates its own buffers and keeps none."""
 
     @staticmethod
     def inputs(n, seed=0):
@@ -315,21 +315,24 @@ class TestExpWorkspace:
         assert results == serial
 
     @pytest.mark.parametrize("scale", [0.3, 6.0], ids=["no-squaring", "squarings"])
-    def test_a_warm_call_allocates_little_beyond_its_pair(self, scale):
-        # Up to 18 n^2 doubles with a fresh array per intermediate; the pair
-        # itself is 2 n^2.
-        n = 100
+    def test_a_call_keeps_no_memory_once_its_pair_is_dropped(self, scale):
+        # A workspace kept for the thread would hold 15 n^2 doubles; a size
+        # no other test uses rules out any buffer kept for an earlier call.
+        n = 61
         g = scale * np.diag(np.linspace(1.0, -0.5, n))
-        mat_exp(g)
+
+        def held():
+            before = tracemalloc.get_traced_memory()[0]
+            pair = mat_exp(g)
+            del pair
+            return tracemalloc.get_traced_memory()[0] - before
+
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            mat_exp(g)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            kept = in_new_thread(held)
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * n * n
+        assert kept < 8 * n * n
 
 
 class TestFroInner:

@@ -32,7 +32,9 @@ from biorth.manifold import (
     random_tangent,
     retract,
 )
+from biorth.problems import random_nearest_pair
 from biorth.rng import make_rng
+from biorth.solvers import armijo_search
 
 
 # Base-point scales for the projection tests: random_point(scale=1.5) at
@@ -497,6 +499,78 @@ class TestRetract:
         assert q.feasibility_error() == BiorthPoint(q.x, q.y).feasibility_error()
 
 
+class TestRetractTakesTheStep:
+    """retract(p, t, s) is the point that the step s * t reaches, on both manifolds."""
+
+    STEPS = (0.3, -1.7, 2.5, 1.0)
+
+    def test_matches_the_scaled_tangent(self):
+        p = seeded_point(286, 6)
+        t = random_tangent(287, p, 1.0)
+        for s in self.STEPS:
+            q, r = retract(p, t, s), retract(p, s * t)
+            for a, b in ((q.x, r.x), (q.y, r.y)):
+                assert fro_norm(a - b) <= 1e-14 * fro_norm(b)
+            m = BiorthogonalManifold(6).retract(p, t, s)
+            assert np.array_equal(m.x, q.x) and np.array_equal(m.y, q.y)
+
+    def test_matches_the_scaled_tangent_bit_for_bit_on_the_flat_space(self):
+        m = EuclideanManifold(5)
+        p = flat_point(288, 5, 0.5)
+        a = AmbientPair(*make_rng(289).standard_normal((2, 5, 5)))
+        for s in self.STEPS:
+            q, r = m.retract(p, a, s), m.retract(p, s * a)
+            assert np.array_equal(q.x, r.x) and np.array_equal(q.y, r.y)
+
+    def test_a_zero_step_returns_the_point(self):
+        p = seeded_point(290, 5)
+        flat = flat_point(291, 5, 0.5)
+        pairs = ((BiorthogonalManifold(5), p, random_tangent(292, p, 1.0)),
+                 (EuclideanManifold(5), flat, flat_tangent(293, 5, 1.0)))
+        for m, base, t in pairs:
+            q = m.retract(base, t, 0.0)
+            assert np.array_equal(q.x, base.x) and np.array_equal(q.y, base.y)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_step_is_a_numerical_error(self, s):
+        p = seeded_point(294, 3)
+        flat = flat_point(295, 3, 0.5)
+        pairs = ((BiorthogonalManifold(3), p, random_tangent(296, p, 1.0)),
+                 (EuclideanManifold(3), flat, flat_tangent(297, 3, 1.0)))
+        for m, base, t in pairs:
+            with pytest.raises(NumericalError, match="^scalar factor is not finite"):
+                m.retract(base, t, s)
+
+    def test_a_search_forms_the_generator_once(self, monkeypatch):
+        # The ray's velocity forms W = y0 u; every trial exponentiates s * W
+        # from that one product, and builds no scaled tangent.
+        steps, exponents = [], []
+
+        class Recording(BiorthogonalManifold):
+            def retract(self, p, t, s=1.0):
+                steps.append(s)
+                return super().retract(p, t, s)
+
+        def recorded(m):
+            exponents.append(m)
+            return mat_exp(m)
+
+        n = 6
+        problem = random_nearest_pair(298, n, 2.0)
+        manifold = Recording(n)
+        p = seeded_point(299, n)
+        f0, egrad = problem.cost_grad(p.x, p.y)
+        g = manifold.project(p, egrad)
+        d = TangentPair._build((-g.u).view(MatmulCounter), -g.v, p)
+        monkeypatch.setattr(biorth.manifold, "mat_exp", recorded)
+        MatmulCounter.products = 0
+        armijo_search(problem, manifold, p, d, g.inner(d), f0, initial_step=64.0)
+        assert MatmulCounter.products == 1
+        assert len(steps) >= 3
+        w = d.generator()
+        assert [m.tobytes() for m in exponents] == [(s * w).tobytes() for s in steps]
+
+
 class TestRayVelocity:
     """ray_velocity(p, t)(q) is the derivative of s -> retract(p, s t) at q = retract(p, s t)."""
 
@@ -901,21 +975,10 @@ class TestTangentIsAnAmbientPair:
         assert t._w is None
         w = t.generator()
         assert t._w is w
-
-    def test_scaling_carries_a_cached_generator(self):
-        p = counting_leg(seeded_point(284, 4), "y")
-        t = random_tangent(285, p, 1.0)
-        MatmulCounter.products = 0  # drawing and checking t took three
-        # Uncached, a scaled tangent stays lazy.
-        assert (2.0 * t)._w is None and MatmulCounter.products == 0
-        w = t.generator()
-        assert MatmulCounter.products == 1
-        for s, r in ((2.5, 2.5 * t), (-0.5, t * -0.5)):
-            assert np.array_equal(r.generator(), s * w)
-            assert not r.generator().flags.writeable
-        assert MatmulCounter.products == 1
-        # Sums and negation do not carry it.
-        assert (-t)._w is None and (t + t)._w is None
+        # A cached generator is not carried either: a trial step scales W
+        # in retract(p, t, s).
+        for r in (-t, 2.0 * t, t * 2.0, t + t, t - t):
+            assert r._w is None
 
     def test_ambient_plus_tangent_is_ambient(self):
         p = seeded_point(274, 4)

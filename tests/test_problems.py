@@ -199,6 +199,27 @@ class TestSynthFunmap:
             synth_funmap(27, q=10, k=5, noise=-0.1)
 
 
+@pytest.mark.parametrize("value", [-1.0, -1e-300, np.inf, np.nan],
+                         ids=["negative", "tiny-negative", "inf", "nan"])
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("scale", lambda value: random_nearest_pair(1, 4, value)),
+        ("noise", lambda value: synth_funmap(1, 8, 4, noise=value)),
+    ],
+    ids=["random_nearest_pair", "synth_funmap"],
+)
+def test_data_scales_must_be_nonnegative_and_finite(name, build, value):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0 and finite, got "):
+        build(value)
+
+
+def test_a_zero_data_scale_is_accepted():
+    assert not random_nearest_pair(1, 4, 0.0).phi.any()
+    clean, _ = synth_funmap(1, 8, 4)
+    assert np.array_equal(synth_funmap(1, 8, 4, noise=0.0)[0].b, clean.b)
+
+
 @pytest.mark.parametrize(
     "name, build",
     [

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -393,7 +394,7 @@ class TestArmijoSearch:
         d = random_tangent(1, p, 1.0)
         calls = []
 
-        def rejecting(base, t):
+        def rejecting(base, t, s):
             calls.append(t)
             if len(calls) == 1:
                 raise NumericalError("injected overflow")
@@ -435,8 +436,8 @@ class TestArmijoSearch:
         # counts as infinitely bad; any other error is the caller's and ends
         # the search at the first retraction.
         class Raising(CountingEuclidean):
-            def retract(self, p, t):
-                super().retract(p, t)
+            def retract(self, p, t, s=1.0):
+                super().retract(p, t, s)
                 raise InvalidTangentError("injected")
 
         manifold = Raising(3)
@@ -649,6 +650,36 @@ class TestConjugateGradient:
             runs.append([(r.iter, r.cost, r.grad_norm, r.feas_err) for r in trace])
         assert runs[0] == runs[1]
 
+    def test_concurrent_solves_match_serial_runs(self):
+        # The package keeps no mutable state between calls, so two solves on
+        # threads of their own, one on BO(30) and one on the k = 16 funmap,
+        # give the bits of their serial runs.
+        funmap, _ = synth_funmap(5, 64, 16)
+        work = [(random_nearest_pair(22, 30, 3.0), BiorthogonalManifold(30), identity_point(30)),
+                (funmap, BiorthogonalManifold(16), random_point(5 + 7919, 16, 0.3))]
+
+        def solve(problem, manifold, p0):
+            p, trace = conjugate_gradient(problem, manifold, p0, SolverOptions(max_iters=40))
+            return (p.x.tobytes(), p.y.tobytes(),
+                    [(r.iter, r.cost, r.grad_norm, r.feas_err) for r in trace])
+
+        serial = [solve(*args) for args in work]
+        barrier = threading.Barrier(len(work))
+        results = [None] * len(work)
+
+        def worker(i):
+            barrier.wait()
+            results[i] = solve(*work[i])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(work))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert results == serial
+        assert all(len(trace) == 41 for _, _, trace in serial)
+
 
 def hermite_minimizer(f0, slope0, s, fs, slope_s):
     """Local minimizer of the cubic c with c(0) = f0, c'(0) = slope0, c(s) = fs,
@@ -674,21 +705,19 @@ class TrialRecorder:
     """Stands in for both the manifold and the problem of one search, and
     records (step, cost, ray slope, point) of each trial.
 
-    The step of a trial is read off the tangent that the search retracts
-    along, whose norm is step * |d|.
+    The step of a trial is the one the search passes to `retract`.
     """
 
     def __init__(self, manifold, problem, p, d):
         self.manifold, self.problem = manifold, problem
         self.velocity = manifold.ray_velocity(p, d)
-        self.d_norm = d.norm()
         self.trials = []
 
     def __getattr__(self, name):
         return getattr(self.manifold, name)
 
-    def retract(self, p, t):
-        self._step, self._point = t.norm() / self.d_norm, self.manifold.retract(p, t)
+    def retract(self, p, t, s=1.0):
+        self._step, self._point = s, self.manifold.retract(p, t, s)
         return self._point
 
     def cost_grad(self, x, y):
@@ -732,9 +761,9 @@ class CountingManifold(BiorthogonalManifold):
 
     trials = 0
 
-    def retract(self, p, t):
+    def retract(self, p, t, s=1.0):
         self.trials += 1
-        return super().retract(p, t)
+        return super().retract(p, t, s)
 
 
 class TestEvaluateOnce:
@@ -783,9 +812,9 @@ class CountingEuclidean(EuclideanManifold):
 
     trials = 0
 
-    def retract(self, p, t):
+    def retract(self, p, t, s=1.0):
         self.trials += 1
-        return super().retract(p, t)
+        return super().retract(p, t, s)
 
 
 class FixedCurvature:
@@ -1058,3 +1087,35 @@ class TestFdGradientCheck:
         manifold = BiorthogonalManifold(5)
         p = random_point(35, 5, 0.3)
         assert fd_gradient_check(ConstantProblem(), manifold, p) == 0.0
+
+
+def gradient_legs(problem, manifold, p):
+    g = riemannian_gradient(problem, manifold, p)
+    return g.u, g.v
+
+
+class TestGradientToolsCertifyTheirPoint:
+    """riemannian_gradient and fd_gradient_check start from manifold.check_point, as the solvers do."""
+
+    TOOLS = (gradient_legs, fd_gradient_check)
+
+    @pytest.mark.parametrize("tool", TOOLS, ids=["riemannian_gradient", "fd_gradient_check"])
+    def test_a_feasible_flat_point_gives_its_biorth_points_value(self, tool):
+        manifold = BiorthogonalManifold(4)
+        problem = random_nearest_pair(36, 4, 2.0)
+        p = random_point(37, 4, 0.3)
+        expected = tool(problem, manifold, p)
+        got = tool(problem, manifold, EuclideanPoint(p.x, p.y))
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("tool", TOOLS, ids=["riemannian_gradient", "fd_gradient_check"])
+    def test_an_infeasible_flat_point_is_off_the_manifold(self, tool):
+        problem = random_nearest_pair(38, 4, 2.0)
+        with pytest.raises(OffManifoldError, match="^pair is not biorthogonal"):
+            tool(problem, BiorthogonalManifold(4), EuclideanPoint(2.0 * np.eye(4), np.eye(4)))
+
+    @pytest.mark.parametrize("tool", TOOLS, ids=["riemannian_gradient", "fd_gradient_check"])
+    def test_a_point_of_the_wrong_size_is_a_dimension_error(self, tool):
+        problem = random_nearest_pair(39, 4, 2.0)
+        with pytest.raises(DimensionError, match="^point has n=3, manifold has n=4$"):
+            tool(problem, BiorthogonalManifold(4), random_point(40, 3, 0.3))

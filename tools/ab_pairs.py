@@ -1,4 +1,4 @@
-"""Time two biorth source trees against each other, one model-n100 solve at a time.
+"""Time two biorth source trees against each other, one benchmark solve at a time.
 
 Usage: python tools/ab_pairs.py BASE_SRC NEW_SRC [--reps N] [--n N] [--seed S]
 
@@ -6,16 +6,18 @@ BASE_SRC and NEW_SRC are directories that hold a `biorth` package, such as
 the `src` directory of two checkouts. Each rep starts one interpreter per
 tree at one BLAS thread (perfbench's THREAD_PIN); each answers the command
 lines it is sent with the wall time of `biorth.cli.main(argv)` and the
-`seconds=` the solver printed. Both get the same command lines: the
-model-n100 list of perfbench for benchmark seed S (default 1), with the
-matrix size set by --n (default 100). The tree that goes first alternates
-from rep to rep, so a change of host speed falls on both sides of most
-pairs. A rep starts and warms the two interpreters in its own order, one
-warm-up call each, runs each command line on both trees back to back in
-that order and closes them, so neither tree keeps the advantage of the
-interpreter started second. Prints, for the call time and for `seconds=`,
-the median of the per-pair ratios new / base, their quartiles and the
-number of pairs the new tree won. Exits 1 if a call fails.
+`seconds=` the solver printed. Both get the same command lines, those of
+perfbench for benchmark seed S (default 1): the model-n100 list, with the
+matrix size set by --n (default 100), then the funmap-k16 list, whose
+input files are written once per tree. The tree that goes first
+alternates from rep to rep, so a change of host speed falls on both sides
+of most pairs. A rep starts and warms the two interpreters in its own
+order, one warm-up call each, runs each command line on both trees back
+to back in that order and closes them, so neither tree keeps the
+advantage of the interpreter started second. Prints, for each workload's
+call time and `seconds=`, the median of the per-pair ratios new / base,
+their quartiles and the number of pairs the new tree won. Exits 1 if a
+call fails.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 # unless one is already on the path.
 sys.path.append(os.path.join(ROOT, "src"))
 
-from invocations import instance_seeds, solver_item  # noqa: E402
+from invocations import funmap_item, instance_seeds, solver_item  # noqa: E402
 from run import THREAD_PIN  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -86,27 +88,40 @@ class Tree:
 
 
 def run_rep(srcs, lines, order, times):
-    """One rep: start and warm one interpreter per tree in `order`, then run every pair."""
+    """One rep: start and warm one interpreter per tree in `order`, then run every pair.
+
+    `lines[label]` and `times[label]` map each workload to its command lines
+    and to its (call times, `seconds=`) lists.
+    """
     trees = {}
     try:
         for label in order:
             trees[label] = Tree(srcs[label])
-            trees[label].call(lines[label][0])
-        for i in range(len(lines[order[0]])):
-            for label in order:
-                answer = trees[label].call(lines[label][i])
-                times[label][0].append(answer["call_s"])
-                times[label][1].append(answer["seconds"])
+            trees[label].call(lines[label]["model-n100"][0])
+        for name, argvs in lines[order[0]].items():
+            for i in range(len(argvs)):
+                for label in order:
+                    answer = trees[label].call(lines[label][name][i])
+                    times[label][name][0].append(answer["call_s"])
+                    times[label][name][1].append(answer["seconds"])
     finally:
         for tree in trees.values():
             tree.close()
 
 
 def command_lines(n, seed, workdir):
-    """The model-n100 command lines of benchmark seed `seed`, at size n, writing under workdir."""
-    workload = dataclasses.replace(WORKLOADS["model-n100"], size=n)
-    return [solver_item(workload, s, 0.0, workdir, i).argv
-            for i, s in enumerate(instance_seeds(workload, seed))]
+    """The command lines of benchmark seed `seed` per workload, writing under workdir.
+
+    model-n100 at matrix size n, then funmap-k16, whose input files this writes.
+    """
+    model = dataclasses.replace(WORKLOADS["model-n100"], size=n)
+    funmap = WORKLOADS["funmap-k16"]
+    return {
+        "model-n100": [solver_item(model, s, 0.0, workdir, i).argv
+                       for i, s in enumerate(instance_seeds(model, seed))],
+        "funmap-k16": [funmap_item(funmap, s, workdir, i).argv
+                       for i, s in enumerate(instance_seeds(funmap, seed))],
+    }
 
 
 def report(name, base, new):
@@ -128,12 +143,12 @@ def main(argv=None):
     if args.reps < 1:
         parser.error("--reps must be at least 1")
     srcs = {"base": args.base_src, "new": args.new_src}
-    times = {"base": ([], []), "new": ([], [])}
     with tempfile.TemporaryDirectory() as tmp:
         lines = {}
         for label in srcs:
-            lines[label] = command_lines(args.n, args.seed, os.path.join(tmp, label))
             os.makedirs(os.path.join(tmp, label))
+            lines[label] = command_lines(args.n, args.seed, os.path.join(tmp, label))
+        times = {label: {name: ([], []) for name in lines[label]} for label in srcs}
         try:
             for rep in range(args.reps):
                 order = ("base", "new") if rep % 2 == 0 else ("new", "base")
@@ -141,8 +156,10 @@ def main(argv=None):
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    print(report("call time", times["base"][0], times["new"][0]))
-    print(report("seconds=", times["base"][1], times["new"][1]))
+    for name in times["base"]:
+        base, new = times["base"][name], times["new"][name]
+        print(report(f"{name} call time", base[0], new[0]))
+        print(report(f"{name} seconds=", base[1], new[1]))
     return 0
 
 
