@@ -81,14 +81,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(p, default_iters=100):
+    def add_out_flag(p):
+        p.add_argument("--out", help="output path prefix (default: the command name)")
+
+    def add_solver_flags(p, default_iters=SolverOptions.max_iters):
         p.add_argument("--solver", choices=("gd", "cg"), default="cg",
                        help="gradient descent or conjugate gradient (default cg)")
         p.add_argument("--max-iters", type=COUNT, default=default_iters)
-        p.add_argument("--grad-tol", type=NONNEGATIVE, default=1e-8)
+        p.add_argument("--grad-tol", type=NONNEGATIVE, default=SolverOptions.grad_tol)
         p.add_argument("--seed", type=COUNT, default=1)
-        p.add_argument("--out", default=None,
-                       help="output path prefix (default: the command name)")
+        add_out_flag(p)
 
     p_model = sub.add_parser(
         "model-problem",
@@ -136,7 +138,7 @@ def build_parser():
     p_proj.add_argument("--y0", required=True)
     p_proj.add_argument("--phi", required=True)
     p_proj.add_argument("--psi", required=True)
-    p_proj.add_argument("--out", default="project")
+    add_out_flag(p_proj)
     p_proj.set_defaults(func=cmd_project)
 
     p_check = sub.add_parser("check", help="run the self-verification suites")
@@ -158,10 +160,17 @@ def _run_solver(args, problem, manifold, p0):
     return point, trace, seconds
 
 
-def _emit_run(out, point, trace, seconds, x_name="X", y_name="Y"):
-    write_trace(f"{out}.trace.csv", trace)
-    write_matrix(f"{out}.{x_name}.txt", point.x)
-    write_matrix(f"{out}.{y_name}.txt", point.y)
+def _write_outputs(args, names, matrices, trace=None):
+    """Write `trace`, then each matrix by name, under --out, by default the command name."""
+    out = args.out or args.command
+    if trace is not None:
+        write_trace(f"{out}.trace.csv", trace)
+    for name, m in zip(names, matrices):
+        write_matrix(f"{out}.{name}.txt", m)
+
+
+def _emit_run(args, point, trace, seconds, names=("X", "Y")):
+    _write_outputs(args, names, (point.x, point.y), trace)
     final = trace[-1]  # the record of `point`, feasibility error included
     print(
         f"final_cost={format_real(final.cost)} feas_err={format_real(final.feas_err)} "
@@ -169,28 +178,25 @@ def _emit_run(out, point, trace, seconds, x_name="X", y_name="Y"):
     )
 
 
-def cmd_model_problem(args):
-    out = args.out or "model-problem"
-    problem = random_nearest_pair(args.seed, args.n, args.scale)
-    manifold = BiorthogonalManifold(args.n)
+def _solve_from_identity(args, problem, manifold):
     point, trace, seconds = _run_solver(args, problem, manifold, manifold.identity())
-    _emit_run(out, point, trace, seconds)
+    _emit_run(args, point, trace, seconds)
     return 0
+
+
+def cmd_model_problem(args):
+    problem = random_nearest_pair(args.seed, args.n, args.scale)
+    return _solve_from_identity(args, problem, BiorthogonalManifold(args.n))
 
 
 def cmd_penalty(args):
-    out = args.out or "penalty"
     # Same seed gives the same targets as model-problem, so runs compare.
     targets = random_nearest_pair(args.seed, args.n, args.scale)
     problem = PenaltyProblem(targets.phi, targets.psi, args.alpha)
-    manifold = EuclideanManifold(args.n)
-    point, trace, seconds = _run_solver(args, problem, manifold, manifold.identity())
-    _emit_run(out, point, trace, seconds)
-    return 0
+    return _solve_from_identity(args, problem, EuclideanManifold(args.n))
 
 
 def cmd_funmap(args):
-    out = args.out or "funmap"
     truth = None
     if args.synthetic:
         if args.q < args.k:
@@ -210,7 +216,7 @@ def cmd_funmap(args):
         rec1 = fro_norm(point.x - truth.x)
         rec2 = fro_norm(point.y - truth.y)
         print(f"recovery_c1={format_real(rec1)} recovery_c2={format_real(rec2)}")
-    _emit_run(out, point, trace, seconds, x_name="C1", y_name="C2")
+    _emit_run(args, point, trace, seconds, ("C1", "C2"))
     return 0
 
 
@@ -223,8 +229,7 @@ def cmd_project(args):
     t = project_tangent(base, AmbientPair(phi, psi))
     if not (np.isfinite(t.u).all() and np.isfinite(t.v).all()):
         raise NumericalError("tangent projection overflowed: the result has non-finite entries")
-    write_matrix(f"{args.out}.X.txt", t.u)
-    write_matrix(f"{args.out}.Y.txt", t.v)
+    _write_outputs(args, ("X", "Y"), (t.u, t.v))
     print(f"tangent_residual={format_real(_tangent_residual(base, t.u, t.v))}")
     return 0
 

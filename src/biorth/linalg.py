@@ -56,6 +56,13 @@ def require_size(n, name="n") -> int:
     return size
 
 
+def require_scale(value, name) -> float:
+    """`value` as a float; ValueError unless 0 <= value < inf, so NaN fails too."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+    return float(value)
+
+
 def require_same_shape(a: np.ndarray, b: np.ndarray, what="operands"):
     if a.shape != b.shape:
         raise DimensionError(f"{what} have mismatched shapes {a.shape} vs {b.shape}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, InvalidTangentError, OffManifoldError, NumericalError
-from .linalg import fro_norm, mat_exp, require_size, square_pair, svd
+from .linalg import fro_norm, mat_exp, require_scale, require_size, square_pair, svd
 from .rng import make_rng
 
 # Rounding in n x n products accumulates roughly linearly in n.
@@ -39,17 +39,16 @@ def default_tan_tol(n: int) -> float:
 
 
 def _feasibility_error(x, y) -> float:
-    """fro_norm(x @ y - I) of two validated square arrays: one n x n product."""
-    r = x @ y
-    r.reshape(-1)[::x.shape[0] + 1] -= 1.0
-    return fro_norm(r)
+    """fro_norm(x @ y - I), one n x n product; inf or NaN, not a warning, on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = x @ y
+        r.reshape(-1)[::x.shape[0] + 1] -= 1.0
+        return fro_norm(r)
 
 
 def _require_feasible(x, y, what) -> float:
     """fro_norm(x @ y - I); OffManifoldError naming `what` unless within default_feas_tol(n)."""
-    # A product that overflows gives an inf or NaN error, reported by the raise, not a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = _feasibility_error(x, y)
+    err = _feasibility_error(x, y)
     feas_tol = default_feas_tol(x.shape[0])
     if not err <= feas_tol:
         raise OffManifoldError(
@@ -120,9 +119,8 @@ class EuclideanPoint(_Value):
         return self.x.shape[0]
 
     def feasibility_error(self) -> float:
-        """fro_norm(x @ y - I), one n x n product; inf or NaN, not a warning, on overflow."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _feasibility_error(self.x, self.y)
+        """fro_norm(x @ y - I), measured on every call."""
+        return _feasibility_error(self.x, self.y)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, feas_err={self.feasibility_error():.2e})"
@@ -188,8 +186,9 @@ def identity_point(n: int) -> BiorthPoint:
 
 
 def _tangent_residual(base, u, v) -> float:
-    """fro_norm(x0 @ v + u @ y0): the tangency check, two n x n products."""
-    return fro_norm(base.x @ v + u @ base.y)
+    """fro_norm(x0 @ v + u @ y0), two n x n products; inf or NaN, not a warning, on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fro_norm(base.x @ v + u @ base.y)
 
 
 def _require_based_at(p, t):
@@ -270,8 +269,9 @@ class TangentPair(AmbientPair):
     """Tangent vector (u, v) at `base`: an ambient pair with base.x @ v + u @ base.y = 0.
 
     The legs are the inherited `phi` and `psi`, read as `u` and `v`. The
-    constructor is where caller data enters, so it checks finiteness and
-    rejects a residual fro_norm(x0 @ v + u @ y0) above default_tan_tol(n).
+    constructor is where caller data enters, so it checks finiteness,
+    raises TypeError unless `base` is a BiorthPoint, and rejects a
+    residual fro_norm(x0 @ v + u @ y0) above default_tan_tol(n).
     Tangents built inside the package go through the unchecked builder:
     project_tangent solves for a tangent pair, and `+`, `-` and scalar `*`
     of tangents at one base stay in its tangent space. The base point is
@@ -284,15 +284,15 @@ class TangentPair(AmbientPair):
     __slots__ = ("base", "_w")
 
     def __init__(self, u, v, base: BiorthPoint):
+        if not isinstance(base, BiorthPoint):
+            raise TypeError(f"a tangent's base must be a BiorthPoint, got {type(base).__name__}")
         u, v = square_pair(u, v, ("u", "v"))
         if u.shape != base.x.shape:
             raise DimensionError(
                 f"tangent shape {u.shape} does not match base point n={base.n}"
             )
         tan_tol = default_tan_tol(base.n)
-        # Products that overflow give an inf or NaN residual, reported by the raise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            resid = _tangent_residual(base, u, v)
+        resid = _tangent_residual(base, u, v)
         if not resid <= tan_tol:
             raise InvalidTangentError(
                 f"pair is not tangent at the base point: fro_norm(x0 @ v + u @ y0) "
@@ -380,7 +380,11 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
     independently. On a base so badly scaled that this arithmetic overflows,
     entries come out infinite or NaN without a warning; the solvers catch
     them through g.inner(g), and the `project` command scans the result.
+    TypeError unless `p` is a BiorthPoint and `a` an AmbientPair.
     """
+    if not (isinstance(p, BiorthPoint) and isinstance(a, AmbientPair)):
+        raise TypeError(f"expected a BiorthPoint and an AmbientPair, got {type(p).__name__} "
+                        f"and {type(a).__name__}")
     if a.phi.shape != p.x.shape:
         raise DimensionError(
             f"ambient pair shape {a.phi.shape} does not match point n={p.n}"
@@ -474,12 +478,10 @@ def random_point(seed, n: int, scale: float) -> BiorthPoint:
 
     G is Gaussian, drawn by make_rng(seed) at every scale. Both legs come
     from one mat_exp call, the second the inverse of the first to working
-    accuracy.
+    accuracy. ValueError unless 0 <= scale < inf.
     """
     n = require_size(n)
-    if not scale >= 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
-    g = scale * make_rng(seed).standard_normal((n, n))
+    g = require_scale(scale, "scale") * make_rng(seed).standard_normal((n, n))
     return BiorthPoint(*mat_exp(g))
 
 
@@ -489,9 +491,9 @@ def random_tangent(seed, p: BiorthPoint, scale: float) -> TangentPair:
     Draws Gaussian u by make_rng(seed) and completes it with the unique
     v = -y0 @ u @ y0 satisfying the tangent constraint at a feasible base point.
     u is drawn at every scale; scale 0 gives a tangent equal to zero.
+    ValueError unless 0 <= scale < inf.
     """
-    if not scale >= 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
+    scale = require_scale(scale, "scale")
     n = p.n
     u = make_rng(seed).standard_normal((n, n))
     v = -(p.y @ u @ p.y)

@@ -1,10 +1,10 @@
 """Plain-text matrix files and CSV solver traces, bit-exact on roundtrip.
 
 Matrix format: a "rows cols" header line, then one line per row of
-space-separated reals. Trace format: CSV with a fixed header, one row per
-iterate. Reals are written with 17 significant digits, which pins every
-finite 64-bit value exactly; parsing always uses '.' as the decimal
-separator regardless of locale.
+space-separated reals. Trace format: CSV whose header is TraceRecord's
+field names, one row per iterate. Reals are written with 17 significant
+digits, which pins every finite 64-bit value exactly; parsing always uses
+'.' as the decimal separator regardless of locale.
 
 Both readers reject a byte outside ASCII at its line. The data lines of a
 matrix file are parsed by one np.loadtxt call, whose C reader rounds each
@@ -23,6 +23,7 @@ or above about 1e300, are formatted by format_real itself.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -32,7 +33,9 @@ from .errors import MatrixFormatError
 from .linalg import as_matrix
 from .solvers import TraceRecord
 
-TRACE_HEADER = "iter,cost,grad_norm,feas_err,elapsed_ms"
+# A trace's columns are TraceRecord's fields, in order: the integer iteration, then reals.
+TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRecord))
+TRACE_HEADER = ",".join(TRACE_FIELDS)
 
 
 def format_real(v: float) -> str:
@@ -338,10 +341,8 @@ def write_trace(path, trace) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(TRACE_HEADER + "\n")
         for rec in trace:
-            f.write(
-                f"{rec.iter},{format_real(rec.cost)},{format_real(rec.grad_norm)},"
-                f"{format_real(rec.feas_err)},{format_real(rec.elapsed_ms)}\n"
-            )
+            reals = (format_real(getattr(rec, name)) for name in TRACE_FIELDS[1:])
+            f.write(",".join((str(rec.iter), *reals)) + "\n")
 
 
 def read_trace(path) -> list[TraceRecord]:
@@ -355,10 +356,9 @@ def read_trace(path) -> list[TraceRecord]:
     for idx, line in enumerate(lines[1:]):
         line_no = idx + 2
         fields = line.split(",")
-        if len(fields) != 5:
-            raise MatrixFormatError(
-                f"expected 5 comma-separated fields, got {len(fields)}", line=line_no
-            )
+        if len(fields) != len(TRACE_FIELDS):
+            raise MatrixFormatError(f"expected {len(TRACE_FIELDS)} comma-separated fields, "
+                                    f"got {len(fields)}", line=line_no)
         try:
             it = _number(int, fields[0])
         except ValueError:
@@ -371,9 +371,6 @@ def read_trace(path) -> list[TraceRecord]:
                 line=line_no,
             )
         prev_iter = it
-        cost = _parse_real(fields[1], line_no, "cost")
-        grad_norm = _parse_real(fields[2], line_no, "grad_norm")
-        feas_err = _parse_real(fields[3], line_no, "feas_err")
-        elapsed_ms = _parse_real(fields[4], line_no, "elapsed_ms")
-        records.append(TraceRecord(it, cost, grad_norm, feas_err, elapsed_ms))
+        reals = [_parse_real(tok, line_no, name) for tok, name in zip(fields[1:], TRACE_FIELDS[1:])]
+        records.append(TraceRecord(it, *reals))
     return records

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import as_matrix, require_same_shape, require_size, require_square, square_pair
+from .linalg import as_matrix, require_same_shape, require_scale, require_size, require_square, square_pair
 from .manifold import AmbientPair, random_point
 from .rng import make_rng
 
@@ -103,13 +103,11 @@ class FunmapProblem:
             raise DimensionError(f"w must be {k} x {k}, got {w.shape}")
         if np.any(w < 0):
             raise ValueError("w entries must be >= 0")
-        if not 0 <= lam < np.inf:
-            raise ValueError(f"lam must be >= 0 and finite, got {lam}")
         self.a = a
         self.b = b
         self.w = w
         self._ww = w * w
-        self.lam = float(lam)
+        self.lam = require_scale(lam, "lam")
         self.q = q
         self.k = k
 
@@ -165,8 +163,7 @@ def synth_funmap(seed, q, k, noise=0.0, lam=0.0):
     q = require_size(q, "q")
     if q < k:
         raise ValueError(f"need q >= k, got q={q}, k={k}")
-    if not 0 <= noise < np.inf:
-        raise ValueError(f"noise must be >= 0 and finite, got {noise}")
+    noise = require_scale(noise, "noise")
     rng = make_rng(seed)
     truth = random_point(rng, k, 0.3)
     a = rng.standard_normal((q, k))
@@ -185,8 +182,7 @@ def random_nearest_pair(seed, n, scale=5.0):
     >= 1, and ValueError unless 0 <= scale < inf.
     """
     n = require_size(n)
-    if not 0 <= scale < np.inf:
-        raise ValueError(f"scale must be >= 0 and finite, got {scale}")
+    scale = require_scale(scale, "scale")
     rng = make_rng(seed)
     sigma = scale / np.sqrt(n)
     phi = sigma * rng.standard_normal((n, n))

@@ -1,9 +1,11 @@
 """tools/ab_pairs.py end to end, on one small rep."""
 
+import dataclasses
 import importlib.util
-import os
 import re
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
 spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
@@ -13,8 +15,15 @@ spec.loader.exec_module(ab_pairs)
 SRC = str(TOOL.parent.parent / "src")
 
 
+@pytest.fixture(autouse=True)
+def model_at_n8(monkeypatch):
+    """model-n100's command lines at matrix size 8, so that one rep runs quickly."""
+    small = dataclasses.replace(ab_pairs.WORKLOADS["model-n100"], size=8)
+    monkeypatch.setitem(ab_pairs.WORKLOADS, "model-n100", small)
+
+
 def test_one_rep_at_n8_reports_every_pair(capsys):
-    assert ab_pairs.main([SRC, SRC, "--reps", "1", "--n", "8"]) == 0
+    assert ab_pairs.main([SRC, SRC, "--reps", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "model-n100 call time", "model-n100 seconds=",
@@ -29,16 +38,7 @@ def test_one_rep_at_n8_reports_every_pair(capsys):
         assert int(found.group(4)) <= int(found.group(5)) == items
 
 
-def test_n_sets_only_the_model_size(tmp_path):
-    lines = ab_pairs.command_lines(8, 1, str(tmp_path))
-    model, funmap = lines["model-n100"], lines["funmap-k16"]
-    assert len(model) == 8 and len(funmap) == 16
-    assert all(argv[argv.index("--n") + 1] == "8" for argv in model)
-    assert all(argv[0] == "funmap" and "--n" not in argv for argv in funmap)
-    assert all(os.path.exists(argv[argv.index("--a") + 1]) for argv in funmap)
-
-
 def test_a_failing_call_exits_1(tmp_path, capsys):
     # A tree without a biorth package fails its warm-up call.
-    assert ab_pairs.main([str(tmp_path), SRC, "--reps", "1", "--n", "8"]) == 1
+    assert ab_pairs.main([str(tmp_path), SRC, "--reps", "1"]) == 1
     assert "failed" in capsys.readouterr().err

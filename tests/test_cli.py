@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biorth.cli import main
+from biorth.cli import PARSER, main
 from biorth.matio import format_real, read_matrix, read_trace, write_matrix
 from biorth.problems import synth_funmap
 from biorth.rng import make_rng
+from biorth.solvers import SolverOptions
 from biorth_launcher import THREAD_VARIABLES
 
 
@@ -338,6 +339,34 @@ class TestParser:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_solver_defaults_are_the_solver_options(self):
+        for command in ("model-problem", "penalty", "funmap"):
+            args = PARSER.parse_args([command])
+            assert args.grad_tol == SolverOptions.grad_tol == 1e-8
+            assert args.max_iters == (500 if command == "funmap" else SolverOptions.max_iters)
+        assert SolverOptions.max_iters == 100
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["model-problem", "--n", "4", "--max-iters", "2"], ["trace.csv", "X.txt", "Y.txt"]),
+        (["penalty", "--n", "4", "--max-iters", "2"], ["trace.csv", "X.txt", "Y.txt"]),
+        (["funmap", "--synthetic", "--q", "8", "--k", "4", "--max-iters", "2"],
+         ["trace.csv", "C1.txt", "C2.txt"]),
+        (["project", "--x0", "in.x0", "--y0", "in.y0", "--phi", "in.phi", "--psi", "in.psi"],
+         ["X.txt", "Y.txt"]),
+    ],
+    ids=["model-problem", "penalty", "funmap", "project"],
+)
+def test_outputs_default_to_the_command_name(argv, outputs, in_tmp_dir, capsys):
+    for name in ("x0", "y0", "phi", "psi"):
+        write_matrix(f"in.{name}", np.eye(3))
+    assert main(argv) == 0
+    written = sorted(p.name for p in in_tmp_dir.iterdir() if not p.name.startswith("in."))
+    assert written == sorted(f"{argv[0]}.{suffix}" for suffix in outputs)
+    assert PARSER.parse_args(argv).out is None
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -193,6 +193,17 @@ class TestTraceRoundtrip:
         write_trace(path, [TraceRecord(0, 1.0, 2.0, 3.0, 4.0)])
         assert len(path.read_text().splitlines()) == 2
 
+    def test_bytes_are_the_header_then_the_iteration_and_each_real(self, tmp_path):
+        path = tmp_path / "t.csv"
+        records = [TraceRecord(0, 12.5, 0.1, 5e-324, 0.0), TraceRecord(7, -1e300, 1 / 3, 0.0, 2.25)]
+        write_trace(path, records)
+        assert TRACE_HEADER == "iter,cost,grad_norm,feas_err,elapsed_ms"
+        rows = [",".join([str(r.iter)] + [format_real(v) for v in (r.cost, r.grad_norm,
+                                                                  r.feas_err, r.elapsed_ms)])
+                for r in records]
+        assert rows[1] == "7,-1.0000000000000001e+300,0.33333333333333331,0,2.25"
+        assert path.read_bytes() == "\n".join([TRACE_HEADER, *rows, ""]).encode("ascii")
+
     def test_roundtrip_bitwise(self, tmp_path):
         path = tmp_path / "t.csv"
         records = self.records()
@@ -220,9 +231,19 @@ class TestTraceRoundtrip:
     def test_wrong_field_count_reports_line(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(TRACE_HEADER + "\n0,1.0,2.0\n")
-        with pytest.raises(MatrixFormatError) as err:
+        with pytest.raises(MatrixFormatError, match="expected 5 comma-separated fields, got 3") as err:
             read_trace(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("column, name", enumerate(["cost", "grad_norm", "feas_err",
+                                                        "elapsed_ms"], start=1))
+    def test_a_bad_real_is_named_by_its_column(self, tmp_path, column, name):
+        fields = ["0", "1", "1", "1", "1"]
+        fields[column] = "x"
+        path = tmp_path / "t.csv"
+        path.write_text(TRACE_HEADER + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(MatrixFormatError, match=f"line 2: cannot parse {name} 'x'$"):
+            read_trace(path)
 
     @pytest.mark.parametrize("field", ["x", "1.0", "1_0"])
     def test_non_integer_iter_rejected(self, tmp_path, field):

@@ -142,6 +142,12 @@ class TestTangentPair:
         with pytest.raises(DimensionError, match=r"shape \(4, 4\) does not match base point n=3"):
             TangentPair(np.zeros((4, 4)), np.zeros((4, 4)), identity_point(3))
 
+    def test_a_flat_base_is_a_type_error(self):
+        # A feasible flat point is not certified, so it cannot carry tangents.
+        with pytest.raises(TypeError, match="^a tangent's base must be a BiorthPoint, got "
+                                            "EuclideanPoint$"):
+            TangentPair(np.zeros((3, 3)), np.zeros((3, 3)), EuclideanPoint(np.eye(3), np.eye(3)))
+
     def test_overflowing_residual_is_rejected_without_warning(self):
         # Both products overflow in the same entry, to -inf and +inf, so the
         # residual is NaN. The suite turns warnings into errors.
@@ -306,6 +312,16 @@ class TestProjectTangent:
         p = identity_point(3)
         with pytest.raises(DimensionError):
             project_tangent(p, AmbientPair(np.eye(4), np.eye(4)))
+
+    def test_a_flat_point_is_a_type_error(self):
+        a = AmbientPair(np.eye(3), np.eye(3))
+        with pytest.raises(TypeError, match="^expected a BiorthPoint and an AmbientPair, got "
+                                            "EuclideanPoint and AmbientPair$"):
+            project_tangent(EuclideanPoint(np.eye(3), np.eye(3)), a)
+
+    def test_an_array_in_place_of_the_pair_is_a_type_error(self):
+        with pytest.raises(TypeError, match="got BiorthPoint and ndarray$"):
+            project_tangent(identity_point(3), np.eye(3))
 
 
 class TestSvdCache:

@@ -3,7 +3,14 @@ import pytest
 
 from biorth.errors import DimensionError
 from biorth.linalg import fro_norm
-from biorth.manifold import BiorthogonalManifold, EuclideanManifold, EuclideanPoint, random_point
+from biorth.manifold import (
+    BiorthogonalManifold,
+    EuclideanManifold,
+    EuclideanPoint,
+    identity_point,
+    random_point,
+    random_tangent,
+)
 from biorth.problems import (
     FunmapProblem,
     NearestPairProblem,
@@ -206,8 +213,11 @@ class TestSynthFunmap:
     [
         ("scale", lambda value: random_nearest_pair(1, 4, value)),
         ("noise", lambda value: synth_funmap(1, 8, 4, noise=value)),
+        ("scale", lambda value: random_point(1, 3, value)),
+        ("scale", lambda value: random_tangent(1, identity_point(3), value)),
+        ("lam", lambda value: FunmapProblem(np.eye(3), np.eye(3), np.zeros((3, 3)), lam=value)),
     ],
-    ids=["random_nearest_pair", "synth_funmap"],
+    ids=["random_nearest_pair", "synth_funmap", "random_point", "random_tangent", "FunmapProblem"],
 )
 def test_data_scales_must_be_nonnegative_and_finite(name, build, value):
     with pytest.raises(ValueError, match=f"^{name} must be >= 0 and finite, got "):

@@ -1,15 +1,14 @@
 """Time two biorth source trees against each other, one benchmark solve at a time.
 
-Usage: python tools/ab_pairs.py BASE_SRC NEW_SRC [--reps N] [--n N] [--seed S]
+Usage: python tools/ab_pairs.py BASE_SRC NEW_SRC [--reps N]
 
 BASE_SRC and NEW_SRC are directories that hold a `biorth` package, such as
 the `src` directory of two checkouts. Each rep starts one interpreter per
 tree at one BLAS thread (perfbench's THREAD_PIN); each answers the command
 lines it is sent with the wall time of `biorth.cli.main(argv)` and the
 `seconds=` the solver printed. Both get the same command lines, those of
-perfbench for benchmark seed S (default 1): the model-n100 list, with the
-matrix size set by --n (default 100), then the funmap-k16 list, whose
-input files are written once per tree. The tree that goes first
+perfbench for benchmark seed 1: the model-n100 list, then the funmap-k16
+list, whose input files are written once per tree. The tree that goes first
 alternates from rep to rep, so a change of host speed falls on both sides
 of most pairs. A rep starts and warms the two interpreters in its own
 order, one warm-up call each, runs each command line on both trees back
@@ -23,7 +22,6 @@ call fails.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import statistics
@@ -109,18 +107,17 @@ def run_rep(srcs, lines, order, times):
             tree.close()
 
 
-def command_lines(n, seed, workdir):
-    """The command lines of benchmark seed `seed` per workload, writing under workdir.
+def command_lines(workdir):
+    """The command lines of benchmark seed 1 per workload, writing under workdir.
 
-    model-n100 at matrix size n, then funmap-k16, whose input files this writes.
+    model-n100, then funmap-k16, whose input files this writes.
     """
-    model = dataclasses.replace(WORKLOADS["model-n100"], size=n)
-    funmap = WORKLOADS["funmap-k16"]
+    model, funmap = WORKLOADS["model-n100"], WORKLOADS["funmap-k16"]
     return {
         "model-n100": [solver_item(model, s, 0.0, workdir, i).argv
-                       for i, s in enumerate(instance_seeds(model, seed))],
+                       for i, s in enumerate(instance_seeds(model, 1))],
         "funmap-k16": [funmap_item(funmap, s, workdir, i).argv
-                       for i, s in enumerate(instance_seeds(funmap, seed))],
+                       for i, s in enumerate(instance_seeds(funmap, 1))],
     }
 
 
@@ -137,8 +134,6 @@ def main(argv=None):
     parser.add_argument("base_src")
     parser.add_argument("new_src")
     parser.add_argument("--reps", type=int, default=12)
-    parser.add_argument("--n", type=int, default=WORKLOADS["model-n100"].size)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
@@ -147,7 +142,7 @@ def main(argv=None):
         lines = {}
         for label in srcs:
             os.makedirs(os.path.join(tmp, label))
-            lines[label] = command_lines(args.n, args.seed, os.path.join(tmp, label))
+            lines[label] = command_lines(os.path.join(tmp, label))
         times = {label: {name: ([], []) for name in lines[label]} for label in srcs}
         try:
             for rep in range(args.reps):
