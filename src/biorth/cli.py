@@ -67,8 +67,9 @@ def _at_least(kind, low, strict=False, finite=False):
 COUNT = _at_least(int, 0)
 SIZE = _at_least(int, 1)
 NONNEGATIVE = _at_least(float, 0)
-# Objective weights and data scales: an infinite weight makes the gradient NaN
-# wherever it meets a zero, and an infinite scale makes the data non-finite.
+# Objective weights, data scales and the check suites' tolerance factor: an
+# infinite weight makes the gradient NaN wherever it meets a zero, an infinite
+# scale makes the data non-finite, and an infinite factor passes every suite.
 FINITE = _at_least(float, 0, finite=True)
 POSITIVE_WEIGHT = _at_least(float, 0, strict=True, finite=True)
 
@@ -144,7 +145,7 @@ def build_parser():
     p_check = sub.add_parser("check", help="run the self-verification suites")
     p_check.add_argument("--suite", choices=sorted(SUITES), default=None,
                          help="run a single suite (default: all)")
-    p_check.add_argument("--tol", type=NONNEGATIVE, default=1.0,
+    p_check.add_argument("--tol", type=FINITE, default=1.0,
                          help="scale factor applied to every suite tolerance")
     p_check.set_defaults(func=cmd_check)
 

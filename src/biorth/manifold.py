@@ -502,6 +502,14 @@ def random_tangent(seed, p: BiorthPoint, scale: float) -> TangentPair:
     return TangentPair(s * u, s * v, p)
 
 
+def _require_sized(value, kind, what, n):
+    """TypeError unless `value` is a `kind`, DimensionError unless it has size `n`."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
+    if value.n != n:
+        raise DimensionError(f"{what} has n={value.n}, manifold has n={n}")
+
+
 class BiorthogonalManifold:
     """The solvers' interface to BO(n), the n x n pairs (x, y) with x @ y = I.
 
@@ -526,10 +534,10 @@ class BiorthogonalManifold:
         A BiorthPoint of the right size is feasible by its type and is
         returned as is. Any other flat point (x, y) of that size, such as an
         EuclideanPoint, is certified by building a BiorthPoint from its
-        arrays, so an infeasible one raises OffManifoldError.
+        arrays, so an infeasible one raises OffManifoldError. Anything but a
+        flat point raises TypeError.
         """
-        if p.n != self.n:
-            raise DimensionError(f"point has n={p.n}, manifold has n={self.n}")
+        _require_sized(p, EuclideanPoint, "point", self.n)
         if isinstance(p, BiorthPoint):
             return p
         return BiorthPoint(p.x, p.y)
@@ -569,19 +577,24 @@ class EuclideanManifold:
         return 2 * self.n * self.n
 
     def check_point(self, p):
-        """Return the start point `p` after checking its size."""
-        if p.n != self.n:
-            raise DimensionError(f"point has n={p.n}, manifold has n={self.n}")
+        """Return the start point `p` after checking its type and size."""
+        _require_sized(p, EuclideanPoint, "point", self.n)
         return p
 
     def identity(self) -> EuclideanPoint:
         return EuclideanPoint(np.eye(self.n), np.eye(self.n))
 
     def project(self, p, a) -> AmbientPair:
+        """`a` itself; TypeError unless it is an AmbientPair, DimensionError unless of size n."""
+        _require_sized(a, AmbientPair, "ambient pair", self.n)
         return a
 
     def retract(self, p, t, s=1.0) -> EuclideanPoint:
-        """The point p + s * t; NumericalError if `s` is not finite."""
+        """The point p + s * t; NumericalError if `s` is not finite.
+
+        TypeError unless `t` is an AmbientPair, DimensionError unless it has size n.
+        """
+        _require_sized(t, AmbientPair, "ambient pair", self.n)
         s = _scalar(s)
         return EuclideanPoint._build(p.x + s * t.phi, p.y + s * t.psi)
 

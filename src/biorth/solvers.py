@@ -73,13 +73,14 @@ INITIAL_STEP = 1.0
 MIN_STEP = 1e-16
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     """Iteration budget and stopping tolerance for the first-order solvers.
 
     A run stops after `max_iters` iterations or once the Riemannian
     gradient norm is at most `grad_tol`. `max_iters` must be an integer
     >= 0 (of any integer type), so a NaN or a fraction raises ValueError.
+    The options are frozen once validated.
     """
 
     max_iters: int = 100
@@ -105,16 +106,6 @@ class TraceRecord:
     grad_norm: float
     feas_err: float
     elapsed_ms: float
-
-
-def _gradient_norm_sq(g, k):
-    """g.inner(g) of the gradient at iteration `k`; NumericalError if not finite."""
-    gnorm_sq = g.inner(g)
-    if not math.isfinite(gnorm_sq):
-        raise NumericalError(
-            f"gradient norm is not finite at iteration {k}: g.inner(g) = {gnorm_sq!r}"
-        )
-    return gnorm_sq
 
 
 def riemannian_gradient(problem, manifold, p):
@@ -312,16 +303,14 @@ def _descend(problem, manifold, p0, opts, restart_every):
     """Conjugate gradient restarted along -g at least every `restart_every` iterations.
 
     gradient_descent passes 1: it forms beta and Powell's overlap, then restarts anyway.
+    Every accepted point, the start included, is projected, checked and
+    recorded in one pass, which returns once the budget or the tolerance is met.
     """
     if opts is None:
         opts = SolverOptions()
     p = manifold.check_point(p0)
 
     started = time.perf_counter()
-
-    def elapsed_ms():
-        return (time.perf_counter() - started) * 1e3
-
     # The start point may overflow as a trial point does; a non-finite cost is
     # reported below, and a non-finite gradient fails its AmbientPair constructor.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,61 +320,59 @@ def _descend(problem, manifold, p0, opts, restart_every):
             raise NumericalError("gradient at the starting point is not finite") from exc
     if not math.isfinite(f):
         raise ValueError(f"cost at the starting point is not finite: {f!r}")
-    # egrad stays bound to the Euclidean gradient at p: phi''(0) takes its
-    # product with the ray's acceleration.
-    g = manifold.project(p, egrad)
     curvature = getattr(problem, "curvature", None)  # optional in the problem protocol
-    gnorm_sq = _gradient_norm_sq(g, 0)
-    gnorm = math.sqrt(gnorm_sq)
-    trace = [TraceRecord(0, f, gnorm, p.feasibility_error(), elapsed_ms())]
-
-    # The next search runs along -g when `restart` is set, else along the CG
-    # direction d. The first search, along -g, has slope -gnorm_sq.
-    restart = True
-    last_decrease = -INITIAL_STEP * gnorm_sq
+    trace = []
 
     k = 0
-    while k < opts.max_iters and gnorm > opts.grad_tol:
-        if not restart:
-            d = beta * manifold.project(p, d) - g
-            slope = g.inner(d)
-            restart = not -math.inf < slope < 0  # descent lost, or the slope overflowed
-        if restart:
-            d, since_restart, slope = -g, 0, -gnorm_sq
-        phi2 = _ray_curvature(curvature, manifold, p, d, egrad)
-        try:
-            step, p_new, f_new, egrad_new = armijo_search(
-                problem, manifold, p, d, slope, f0=f,
-                initial_step=_first_step(last_decrease, slope, phi2), curvature_test=restart,
-            )
-        except (LineSearchError, NumericalError) as exc:
-            # A failed CG direction is retried along -g. Along -g, a search with
-            # no sufficient decrease ends the run, one with no finite cost raises.
+    while True:
+        # egrad stays bound to the Euclidean gradient at p: phi''(0) takes its
+        # product with the ray's acceleration.
+        g = manifold.project(p, egrad)
+        gnorm_sq = g.inner(g)
+        if not math.isfinite(gnorm_sq):
+            raise NumericalError(f"gradient norm is not finite at iteration {k}: "
+                                 f"g.inner(g) = {gnorm_sq!r}")
+        # The next search runs along -g when `restart` is set, else along the CG
+        # direction d. The first search, along -g, has slope -gnorm_sq.
+        if k == 0:
+            restart, last_decrease = True, -INITIAL_STEP * gnorm_sq
+        else:
+            since_restart += 1
+            overlap = g.inner(g_prev)
+            beta = max(0.0, (gnorm_sq - overlap) / gnorm_sq_prev)
+            restart = (since_restart >= restart_every or beta == 0.0
+                       or abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq)
+        gnorm = math.sqrt(gnorm_sq)
+        trace.append(TraceRecord(k, f, gnorm, p.feasibility_error(),
+                                 (time.perf_counter() - started) * 1e3))
+        if k >= opts.max_iters or gnorm <= opts.grad_tol:
+            return p, trace
+
+        g_prev, gnorm_sq_prev = g, gnorm_sq
+        while True:
             if not restart:
+                d = beta * manifold.project(p, d) - g
+                slope = g.inner(d)
+                restart = not -math.inf < slope < 0  # descent lost, or the slope overflowed
+            if restart:
+                d, since_restart, slope = -g, 0, -gnorm_sq
+            phi2 = _ray_curvature(curvature, manifold, p, d, egrad)
+            try:
+                step, p, f, egrad = armijo_search(
+                    problem, manifold, p, d, slope, f0=f,
+                    initial_step=_first_step(last_decrease, slope, phi2), curvature_test=restart,
+                )
+                break
+            except (LineSearchError, NumericalError) as exc:
+                # A failed CG direction is retried along -g. Along -g, a search with
+                # no sufficient decrease ends the run, one with no finite cost raises.
+                if restart and isinstance(exc, NumericalError):
+                    raise
+                if restart:
+                    return p, trace
                 restart = True
-                continue
-            if isinstance(exc, NumericalError):
-                raise
-            break
         k += 1
         last_decrease = step * slope
-
-        g_new = manifold.project(p_new, egrad_new)
-        gnorm_sq_new = _gradient_norm_sq(g_new, k)
-        since_restart += 1
-        overlap = g_new.inner(g)
-        beta = max(0.0, (gnorm_sq_new - overlap) / gnorm_sq)
-        restart = (since_restart >= restart_every or beta == 0.0
-                   or abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq_new)
-
-        p, f, g, egrad = p_new, f_new, g_new, egrad_new
-        gnorm_sq = gnorm_sq_new
-        gnorm = math.sqrt(gnorm_sq)
-        trace.append(
-            TraceRecord(k, f, gnorm, p.feasibility_error(), elapsed_ms())
-        )
-
-    return p, trace
 
 
 # Finite-difference gradient check: number of directions and difference step.

@@ -317,12 +317,14 @@ class TestParser:
             ["model-problem", "--n", "3", "--scale", "inf", "--max-iters", "2"],
             ["penalty", "--n", "3", "--scale", "inf", "--max-iters", "2"],
             ["funmap", "--synthetic", "--q", "8", "--k", "4", "--noise", "inf", "--max-iters", "2"],
+            ["check", "--tol", "inf"],
         ],
-        ids=["alpha", "lambda", "model-scale", "penalty-scale", "noise"],
+        ids=["alpha", "lambda", "model-scale", "penalty-scale", "noise", "check-tol"],
     )
     def test_infinite_weight_is_usage_error(self, argv, capsys):
-        # Weights, data scales and noise levels alike: an infinite one is
-        # refused by the parser before any data is drawn.
+        # Weights, data scales, noise levels and the check suites' tolerance
+        # factor alike: an infinite one is refused by the parser before any
+        # data is drawn or any suite passes.
         assert main(argv) == 2
         assert "and finite, got inf" in capsys.readouterr().err
 

@@ -877,6 +877,23 @@ class TestManifoldInterfaces:
         assert a.inner(a) == pytest.approx(a.norm() ** 2, rel=1e-14)
         assert m.dim == 50
 
+    @pytest.mark.parametrize("manifold", [BiorthogonalManifold(3), EuclideanManifold(3)],
+                             ids=["biorth", "flat"])
+    def test_check_point_rejects_a_value_that_is_not_a_point(self, manifold):
+        for value in (np.eye(3), AmbientPair(np.eye(3), np.eye(3)), None):
+            with pytest.raises(TypeError, match="^point must be of type EuclideanPoint, got "):
+                manifold.check_point(value)
+
+    def test_flat_operands_follow_the_rule_of_project_tangent(self):
+        m = EuclideanManifold(3)
+        p = m.identity()
+        for op in (m.project, m.retract):
+            with pytest.raises(TypeError, match="^ambient pair must be of type AmbientPair, "
+                                                "got ndarray$"):
+                op(p, np.eye(3))
+            with pytest.raises(DimensionError, match="^ambient pair has n=4, manifold has n=3$"):
+                op(p, AmbientPair(np.eye(4), np.eye(4)))
+
     def test_euclidean_feasibility_is_diagnostic(self):
         m = EuclideanManifold(3)
         p = m.retract(m.identity(), AmbientPair(np.eye(3), np.zeros((3, 3))))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -86,6 +87,13 @@ class TestSolverOptions:
     def test_max_iters_of_any_integer_type_passes(self):
         SolverOptions(max_iters=np.int64(0))
         SolverOptions(max_iters=np.uint8(3))
+
+    def test_fields_cannot_be_assigned_after_validation(self):
+        opts = SolverOptions()
+        for name, value in (("max_iters", -5), ("grad_tol", -1.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(opts, name, value)
+        assert opts == SolverOptions()
 
 
 NAN = float("nan")
@@ -538,6 +546,15 @@ class TestGradientDescent:
             conjugate_gradient(problem, BiorthogonalManifold(5), identity_point(4), opts)
         with pytest.raises(DimensionError):
             gradient_descent(problem, EuclideanManifold(5), EuclideanManifold(4).identity(), opts)
+
+    @pytest.mark.parametrize("manifold", [BiorthogonalManifold(3), EuclideanManifold(3)],
+                             ids=["biorth", "flat"])
+    def test_rejects_a_start_that_is_not_a_point(self, manifold):
+        problem = random_nearest_pair(1, 3, 1.0)
+        for solve in (conjugate_gradient, gradient_descent):
+            with pytest.raises(TypeError, match="^point must be of type EuclideanPoint, got "
+                                                "ndarray$"):
+                solve(problem, manifold, np.eye(3), SolverOptions(max_iters=2))
 
     def test_feasibility_at_every_iterate(self):
         n = 20
@@ -1119,3 +1136,9 @@ class TestGradientToolsCertifyTheirPoint:
         problem = random_nearest_pair(39, 4, 2.0)
         with pytest.raises(DimensionError, match="^point has n=3, manifold has n=4$"):
             tool(problem, BiorthogonalManifold(4), random_point(40, 3, 0.3))
+
+    @pytest.mark.parametrize("tool", TOOLS, ids=["riemannian_gradient", "fd_gradient_check"])
+    def test_a_value_that_is_not_a_point_is_a_type_error(self, tool):
+        problem = random_nearest_pair(41, 3, 2.0)
+        with pytest.raises(TypeError, match="^point must be of type EuclideanPoint, got ndarray$"):
+            tool(problem, BiorthogonalManifold(3), np.eye(3))

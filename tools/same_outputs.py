@@ -46,7 +46,7 @@ sys.path.append(os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 from biorth.matio import read_matrix  # noqa: E402
 from biorth.problems import synth_funmap  # noqa: E402
-from invocations import _project_items, write_text_matrix  # noqa: E402
+from invocations import build, write_text_matrix  # noqa: E402
 from run import THREAD_PIN  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -113,7 +113,7 @@ def _wide_project(n=150, seed=7):
 
 def write_inputs(inputs):
     """Write every input file the runs of RUNS read into the directory `inputs`."""
-    _project_items(PROJECT, PROJECT_SEED, inputs)
+    build(PROJECT, PROJECT_SEED, inputs)
     problem, _ = synth_funmap(1, 64, 16)
     write_text_matrix(os.path.join(inputs, "a.txt"), problem.a)
     write_text_matrix(os.path.join(inputs, "b.txt"), problem.b)
