@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import fro_norm, mat_exp
+from .linalg import fro_norm, mat_exp, require_scale
 from .manifold import (
     AmbientPair,
     BiorthogonalManifold,
@@ -301,7 +301,12 @@ SUITES = {
 
 
 def run_suites(names=None, tol_scale=1.0):
-    """Run the named suites (all by default), each bound multiplied once by `tol_scale`."""
+    """Run the named suites (all by default), each bound multiplied once by `tol_scale`.
+
+    ValueError unless 0 <= tol_scale < inf: an infinite factor would pass every
+    suite, and NaN or a negative one would fail every suite.
+    """
+    tol_scale = require_scale(tol_scale, "tol_scale")
     if names is None:
         names = list(SUITES)
     results = []

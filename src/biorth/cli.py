@@ -152,15 +152,6 @@ def build_parser():
     return parser
 
 
-def _run_solver(args, problem, manifold, p0):
-    opts = SolverOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
-    solve = conjugate_gradient if args.solver == "cg" else gradient_descent
-    started = time.perf_counter()
-    point, trace = solve(problem, manifold, p0, opts)
-    seconds = time.perf_counter() - started
-    return point, trace, seconds
-
-
 def _write_outputs(args, names, matrices, trace=None):
     """Write `trace`, then each matrix by name, under --out, by default the command name."""
     out = args.out or args.command
@@ -170,31 +161,40 @@ def _write_outputs(args, names, matrices, trace=None):
         write_matrix(f"{out}.{name}.txt", m)
 
 
-def _emit_run(args, point, trace, seconds, names=("X", "Y")):
+def _solve(args, problem, manifold, p0, names=("X", "Y"), truth=None):
+    """Run the chosen solver from `p0`, write its trace and point, print the summary.
+
+    With a `truth` pair, its recovery errors print first.
+    """
+    opts = SolverOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
+    solve = conjugate_gradient if args.solver == "cg" else gradient_descent
+    started = time.perf_counter()
+    point, trace = solve(problem, manifold, p0, opts)
+    seconds = time.perf_counter() - started
+    if truth is not None:
+        print(f"recovery_c1={format_real(fro_norm(point.x - truth.x))} "
+              f"recovery_c2={format_real(fro_norm(point.y - truth.y))}")
     _write_outputs(args, names, (point.x, point.y), trace)
     final = trace[-1]  # the record of `point`, feasibility error included
     print(
         f"final_cost={format_real(final.cost)} feas_err={format_real(final.feas_err)} "
         f"iters={final.iter} seconds={seconds:.3f}"
     )
-
-
-def _solve_from_identity(args, problem, manifold):
-    point, trace, seconds = _run_solver(args, problem, manifold, manifold.identity())
-    _emit_run(args, point, trace, seconds)
     return 0
 
 
 def cmd_model_problem(args):
     problem = random_nearest_pair(args.seed, args.n, args.scale)
-    return _solve_from_identity(args, problem, BiorthogonalManifold(args.n))
+    manifold = BiorthogonalManifold(args.n)
+    return _solve(args, problem, manifold, manifold.identity())
 
 
 def cmd_penalty(args):
     # Same seed gives the same targets as model-problem, so runs compare.
     targets = random_nearest_pair(args.seed, args.n, args.scale)
     problem = PenaltyProblem(targets.phi, targets.psi, args.alpha)
-    return _solve_from_identity(args, problem, EuclideanManifold(args.n))
+    manifold = EuclideanManifold(args.n)
+    return _solve(args, problem, manifold, manifold.identity())
 
 
 def cmd_funmap(args):
@@ -210,15 +210,8 @@ def cmd_funmap(args):
         b = read_matrix(args.b_path)
         w = read_matrix(args.w_path) if args.w_path else funnel_weights(a.shape[1])
         problem = FunmapProblem(a, b, w, lam=args.lam)
-    k = problem.k
-    p0 = random_point(args.seed + START_SEED_OFFSET, k, 0.3)
-    point, trace, seconds = _run_solver(args, problem, BiorthogonalManifold(k), p0)
-    if truth is not None:
-        rec1 = fro_norm(point.x - truth.x)
-        rec2 = fro_norm(point.y - truth.y)
-        print(f"recovery_c1={format_real(rec1)} recovery_c2={format_real(rec2)}")
-    _emit_run(args, point, trace, seconds, ("C1", "C2"))
-    return 0
+    p0 = random_point(args.seed + START_SEED_OFFSET, problem.k, 0.3)
+    return _solve(args, problem, BiorthogonalManifold(problem.k), p0, ("C1", "C2"), truth)
 
 
 def cmd_project(args):

@@ -131,14 +131,8 @@ def svd(m, kappa_floor=0.0) -> SvdResult:
             if d[0] > max(GRAM_RCOND * d[-1], _TINY):
                 s = np.sqrt(d[::-1])
                 v = np.ascontiguousarray(v[:, ::-1])
-                u = m @ v
-                u /= s
-                r = u.T @ u
-                r.reshape(-1)[::m.shape[0] + 1] -= 1.0
-                # g is spent: it takes u r, halved in place.
-                step = np.matmul(u, r, out=g)
-                step *= 0.5
-                u -= step
+                u = m @ v / s
+                u -= 0.5 * (u @ (u.T @ u - np.eye(m.shape[0])))
                 return SvdResult(u=u, s=s, v=v)
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:

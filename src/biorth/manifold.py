@@ -390,24 +390,11 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
             f"ambient pair shape {a.phi.shape} does not match point n={p.n}"
         )
     fu, s, fv, xh, ss, den = p.projector()
-    # Each step overwrites an array this call owns, in the order of
-    # uh = (phih - ss psih) / den, vh = -ss uh, rh = xh vh + uh s,
-    # w = -(s_i rh) / den, uh += ss w, vh += w.
     with np.errstate(over="ignore", invalid="ignore"):
-        uh = fv.T @ a.phi @ fu
-        vh = fu.T @ a.psi @ fv
-        np.subtract(uh, np.multiply(ss, vh, out=vh), out=uh)
-        uh /= den
-        np.negative(np.multiply(ss, uh, out=vh), out=vh)
-        w = xh @ vh
-        w += uh * s
-        np.negative(np.multiply(s[:, None], w, out=w), out=w)
-        w /= den
-        vh += w
-        uh += np.multiply(ss, w, out=w)
-        u = np.matmul(fv, uh, out=w) @ fu.T
-        v = np.matmul(fu, vh, out=uh) @ fv.T
-        return TangentPair._build(u, v, p)
+        uh = (fv.T @ a.phi @ fu - ss * (fu.T @ a.psi @ fv)) / den
+        vh = -(ss * uh)
+        w = -(s[:, None] * (xh @ vh + uh * s)) / den
+        return TangentPair._build(fv @ (uh + ss * w) @ fu.T, fu @ (vh + w) @ fv.T, p)
 
 
 def retract(p: BiorthPoint, t: TangentPair, s=1.0) -> BiorthPoint:

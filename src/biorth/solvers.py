@@ -245,11 +245,17 @@ def conjugate_gradient(problem, manifold, p0, opts=None):
     gradient enters only through its inner product with the new one,
     <g_new, project(p_new, g_old)>. The projection is self-adjoint and fixes
     g_new, so that product is g_new.inner(g_old), the ambient product of the
-    arrays, read without projecting g_old. That one number gives both beta = (|g_new|^2 - <g_new, g_old>) / |g_old|^2 and
-    Powell's test. The direction resets to steepest descent every
-    dim(manifold) iterations, when beta clips to zero, whenever descent is
-    lost, when the search along it fails, or when successive gradients stop
-    being near-orthogonal (Powell's restart criterion), which keeps stale
+    arrays, read without projecting g_old. That one number gives both
+    beta = (|g_new|^2 - <g_new, g_old>) / |g_old|^2 and Powell's test. On
+    BO(n) the projection is exactly self-adjoint only where x y = I; at a
+    stored point that has drifted within its tolerance, its tangency
+    correction is self-adjoint only up to terms in the drift, so beta and
+    Powell's overlap carry an error of order feas_err |g_new| |g_old|.
+
+    The direction resets to steepest descent every dim(manifold)
+    iterations, when beta clips to zero, whenever descent is lost, when the
+    search along it fails, or when successive gradients stop being
+    near-orthogonal (Powell's restart criterion), which keeps stale
     conjugacy information from degrading the iteration below plain
     steepest descent. Only a search along steepest descent applies the
     curvature test and its refine; a search along a conjugate direction
@@ -338,6 +344,7 @@ def _descend(problem, manifold, p0, opts, restart_every):
             restart, last_decrease = True, -INITIAL_STEP * gnorm_sq
         else:
             since_restart += 1
+            # <g, project(p, g_prev)>, exact up to terms in p's drift from x y = I.
             overlap = g.inner(g_prev)
             beta = max(0.0, (gnorm_sq - overlap) / gnorm_sq_prev)
             restart = (since_restart >= restart_every or beta == 0.0

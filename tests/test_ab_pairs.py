@@ -16,10 +16,11 @@ SRC = str(TOOL.parent.parent / "src")
 
 
 @pytest.fixture(autouse=True)
-def model_at_n8(monkeypatch):
-    """model-n100's command lines at matrix size 8, so that one rep runs quickly."""
-    small = dataclasses.replace(ab_pairs.WORKLOADS["model-n100"], size=8)
-    monkeypatch.setitem(ab_pairs.WORKLOADS, "model-n100", small)
+def small_matrices(monkeypatch):
+    """model-n100's and project-io's command lines at matrix size 8, so that one rep runs quickly."""
+    for name in ("model-n100", "project-io"):
+        small = dataclasses.replace(ab_pairs.WORKLOADS[name], size=8)
+        monkeypatch.setitem(ab_pairs.WORKLOADS, name, small)
 
 
 def test_one_rep_at_n8_reports_every_pair(capsys):
@@ -27,6 +28,7 @@ def test_one_rep_at_n8_reports_every_pair(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "model-n100 call time", "model-n100 seconds=",
+        "project-io call time",
         "funmap-k16 call time", "funmap-k16 seconds="]
     for line in lines:
         found = re.search(r"median new/base (\S+) \(quartiles (\S+)-(\S+)\), "

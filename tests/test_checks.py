@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import pytest
 
@@ -23,3 +24,10 @@ def test_run_suites_alone_scales_the_bounds():
 def test_an_unknown_suite_is_named_with_the_choices():
     with pytest.raises(KeyError, match=r"unknown suite 'nope'; choose from \['"):
         run_suites(["nope"])
+
+
+@pytest.mark.parametrize("tol_scale", [math.inf, math.nan, -1.0])
+def test_a_tolerance_factor_outside_its_range_is_rejected(tol_scale):
+    # inf would pass every suite, and NaN or a negative factor fail every one.
+    with pytest.raises(ValueError, match="tol_scale must be >= 0 and finite"):
+        run_suites(["exp-identity"], tol_scale=tol_scale)

@@ -6,17 +6,19 @@ BASE_SRC and NEW_SRC are directories that hold a `biorth` package, such as
 the `src` directory of two checkouts. Each rep starts one interpreter per
 tree at one BLAS thread (perfbench's THREAD_PIN); each answers the command
 lines it is sent with the wall time of `biorth.cli.main(argv)` and the
-`seconds=` the solver printed. Both get the same command lines, those of
-perfbench for benchmark seed 1: the model-n100 list, then the funmap-k16
-list, whose input files are written once per tree. The tree that goes first
+`seconds=` the solver printed, if any. Both get the same command lines,
+those that perfbench's `invocations.build` gives for benchmark seed 1: the
+model-n100 list, the project-io list and the funmap-k16 list, whose input
+files are written once per tree. The tree that goes first
 alternates from rep to rep, so a change of host speed falls on both sides
 of most pairs. A rep starts and warms the two interpreters in its own
 order, one warm-up call each, runs each command line on both trees back
 to back in that order and closes them, so neither tree keeps the
 advantage of the interpreter started second. Prints, for each workload's
 call time and `seconds=`, the median of the per-pair ratios new / base,
-their quartiles and the number of pairs the new tree won. Exits 1 if a
-call fails.
+their quartiles and the number of pairs the new tree won; `project` prints
+no `seconds=`, so project-io reports its call time alone. Exits 1 if a call
+fails.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 # unless one is already on the path.
 sys.path.append(os.path.join(ROOT, "src"))
 
-from invocations import funmap_item, instance_seeds, solver_item  # noqa: E402
+from invocations import build  # noqa: E402
 from run import THREAD_PIN  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -73,7 +75,8 @@ class Tree:
             pass
         line = self.proc.stdout.readline()
         answer = json.loads(line) if line else {"rc": None}
-        if answer["rc"] != 0 or answer["seconds"] is None:
+        # Every solver prints `seconds=`; `project` runs no solver.
+        if answer["rc"] != 0 or (answer["seconds"] is None) != (argv[0] == "project"):
             raise RuntimeError(f"{' '.join(argv)} failed: {answer}")
         return answer
 
@@ -108,17 +111,16 @@ def run_rep(srcs, lines, order, times):
 
 
 def command_lines(workdir):
-    """The command lines of benchmark seed 1 per workload, writing under workdir.
+    """The command lines of benchmark seed 1 per timed workload.
 
-    model-n100, then funmap-k16, whose input files this writes.
+    Each workload's input files and outputs go to its own directory under
+    workdir.
     """
-    model, funmap = WORKLOADS["model-n100"], WORKLOADS["funmap-k16"]
-    return {
-        "model-n100": [solver_item(model, s, 0.0, workdir, i).argv
-                       for i, s in enumerate(instance_seeds(model, 1))],
-        "funmap-k16": [funmap_item(funmap, s, workdir, i).argv
-                       for i, s in enumerate(instance_seeds(funmap, 1))],
-    }
+    lines = {}
+    for name in ("model-n100", "project-io", "funmap-k16"):
+        os.makedirs(os.path.join(workdir, name))
+        lines[name] = [item.argv for item in build(WORKLOADS[name], 1, os.path.join(workdir, name))]
+    return lines
 
 
 def report(name, base, new):
@@ -139,10 +141,7 @@ def main(argv=None):
         parser.error("--reps must be at least 1")
     srcs = {"base": args.base_src, "new": args.new_src}
     with tempfile.TemporaryDirectory() as tmp:
-        lines = {}
-        for label in srcs:
-            os.makedirs(os.path.join(tmp, label))
-            lines[label] = command_lines(os.path.join(tmp, label))
+        lines = {label: command_lines(os.path.join(tmp, label)) for label in srcs}
         times = {label: {name: ([], []) for name in lines[label]} for label in srcs}
         try:
             for rep in range(args.reps):
@@ -154,7 +153,8 @@ def main(argv=None):
     for name in times["base"]:
         base, new = times["base"][name], times["new"][name]
         print(report(f"{name} call time", base[0], new[0]))
-        print(report(f"{name} seconds=", base[1], new[1]))
+        if WORKLOADS[name].command != "project":
+            print(report(f"{name} seconds=", base[1], new[1]))
     return 0
 
 
