@@ -18,7 +18,13 @@ class OffManifoldError(BiorthError, ValueError):
 
 
 class InvalidTangentError(BiorthError, ValueError):
-    """A pair violates the tangent-space constraint at its base point."""
+    """A pair of the right kind and size is not a tangent at the given point.
+
+    Raised for a pair whose residual exceeds the tangency tolerance, an
+    ambient pair where a tangent is required, or a tangent based at another
+    point. A value of the wrong kind raises TypeError and a pair of the
+    wrong size DimensionError instead.
+    """
 
 
 class LineSearchError(BiorthError, RuntimeError):

@@ -15,6 +15,14 @@ immutable. Public constructors check and copy caller data; values the
 package computes itself are finite and of the right shape by construction,
 so the private builder `_Value._build` freezes their fresh arrays in place
 with no scan or copy.
+
+Every value operand passes one rule, `_require_sized` (or its kind check
+`_require_kind` where no size is fixed): a value of the wrong kind raises
+TypeError("{what} must be of type {Kind}, got {Type}"), one of the wrong
+size DimensionError("{what} has n={m}, expected n={n}"), on BO(n) as on
+the flat space. InvalidTangentError is left for a pair of the right kind
+and size that is not a tangent at the point: an ambient pair, or a tangent
+based at another point.
 """
 
 from __future__ import annotations
@@ -64,6 +72,19 @@ def _scalar(s) -> float:
     if not np.isfinite(s):
         raise NumericalError(f"scalar factor is not finite: {s!r}")
     return s
+
+
+def _require_kind(value, kind, what):
+    """TypeError unless `value` is a `kind`."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
+
+
+def _require_sized(value, kind, what, n):
+    """TypeError unless `value` is a `kind`, DimensionError unless it has size `n`."""
+    _require_kind(value, kind, what)
+    if value.n != n:
+        raise DimensionError(f"{what} has n={value.n}, expected n={n}")
 
 
 class _Value:
@@ -192,12 +213,18 @@ def _tangent_residual(base, u, v) -> float:
 
 
 def _require_based_at(p, t):
-    """InvalidTangentError unless `t` is a TangentPair based at the point `p`."""
-    if isinstance(t, TangentPair):
-        b = t.base
-        if b is p or (np.array_equal(b.x, p.x) and np.array_equal(b.y, p.y)):
-            return
-    raise InvalidTangentError("expected a TangentPair based at the given point")
+    """Check that `t` is a TangentPair based at the point `p`.
+
+    TypeError unless `t` is an AmbientPair, DimensionError unless it has
+    size p.n, and InvalidTangentError unless it is a TangentPair whose base
+    is `p` or has equal arrays.
+    """
+    if isinstance(t, TangentPair) and t.base is p:
+        return
+    _require_sized(t, AmbientPair, "tangent", p.n)
+    if not (isinstance(t, TangentPair) and np.array_equal(t.base.x, p.x)
+            and np.array_equal(t.base.y, p.y)):
+        raise InvalidTangentError("expected a TangentPair based at the given point")
 
 
 class AmbientPair(_Value):
@@ -211,7 +238,7 @@ class AmbientPair(_Value):
     and scalar `*` give a tangent at its base; `+` and `-` first pass their
     operand to `_check_operand`, and scalar `*` checks only that the scalar
     is finite. `inner` is the metric of both manifolds; it pairs tangents at
-    any bases, so it passes its operand to the ambient `_check_operand`.
+    any bases, so it checks only its operand's kind and size.
     """
 
     __slots__ = ("phi", "psi")
@@ -230,15 +257,11 @@ class AmbientPair(_Value):
 
     def _check_operand(self, other):
         """TypeError unless `other` is a pair, DimensionError unless it has this size."""
-        if not isinstance(other, AmbientPair):
-            raise TypeError(f"expected a matrix pair operand, got {type(other).__name__}")
-        if other.n != self.n:
-            raise DimensionError(f"cannot combine a pair of size {self.n} with one of size "
-                                 f"{other.n}")
+        _require_sized(other, AmbientPair, "operand", self.n)
 
     def inner(self, other) -> float:
         """Ambient Frobenius inner product with another pair, tangent or not, based anywhere."""
-        AmbientPair._check_operand(self, other)
+        _require_sized(other, AmbientPair, "operand", self.n)
         return float(np.vdot(self.phi, other.phi)) + float(np.vdot(self.psi, other.psi))
 
     def norm(self) -> float:
@@ -270,7 +293,8 @@ class TangentPair(AmbientPair):
 
     The legs are the inherited `phi` and `psi`, read as `u` and `v`. The
     constructor is where caller data enters, so it checks finiteness,
-    raises TypeError unless `base` is a BiorthPoint, and rejects a
+    raises TypeError unless `base` is a BiorthPoint and DimensionError
+    unless it has the size of `u` and `v`, and rejects a
     residual fro_norm(x0 @ v + u @ y0) above default_tan_tol(n).
     Tangents built inside the package go through the unchecked builder:
     project_tangent solves for a tangent pair, and `+`, `-` and scalar `*`
@@ -284,13 +308,8 @@ class TangentPair(AmbientPair):
     __slots__ = ("base", "_w")
 
     def __init__(self, u, v, base: BiorthPoint):
-        if not isinstance(base, BiorthPoint):
-            raise TypeError(f"a tangent's base must be a BiorthPoint, got {type(base).__name__}")
         u, v = square_pair(u, v, ("u", "v"))
-        if u.shape != base.x.shape:
-            raise DimensionError(
-                f"tangent shape {u.shape} does not match base point n={base.n}"
-            )
+        _require_sized(base, BiorthPoint, "base", u.shape[0])
         tan_tol = default_tan_tol(base.n)
         resid = _tangent_residual(base, u, v)
         if not resid <= tan_tol:
@@ -313,7 +332,7 @@ class TangentPair(AmbientPair):
         return TangentPair._build(phi, psi, self.base)
 
     def _check_operand(self, other):
-        """InvalidTangentError unless `other` is a TangentPair at this base."""
+        """Kind, size and base: `other` must be a TangentPair at this base."""
         _require_based_at(self.base, other)
 
     def generator(self) -> np.ndarray:
@@ -330,17 +349,16 @@ def pair_product(a: BiorthPoint, b: BiorthPoint) -> BiorthPoint:
 
     Note the reversed order in the second component. The product of two
     biorthogonal pairs is biorthogonal, so the result is a BiorthPoint.
+    TypeError unless both are BiorthPoints, DimensionError unless of one size.
     """
-    if a.x.shape != b.x.shape:
-        raise DimensionError(
-            f"pair_product operands must share one square shape, got "
-            f"n={a.n} and n={b.n}"
-        )
+    _require_kind(a, BiorthPoint, "point")
+    _require_sized(b, BiorthPoint, "point", a.n)
     return BiorthPoint(a.x @ b.x, b.y @ a.y)
 
 
 def pair_inverse(p: BiorthPoint) -> BiorthPoint:
-    """Group inverse: swap the two legs."""
+    """Group inverse: swap the two legs. TypeError unless `p` is a BiorthPoint."""
+    _require_kind(p, BiorthPoint, "point")
     return BiorthPoint(p.y, p.x)
 
 
@@ -380,15 +398,11 @@ def project_tangent(p: BiorthPoint, a: AmbientPair) -> TangentPair:
     independently. On a base so badly scaled that this arithmetic overflows,
     entries come out infinite or NaN without a warning; the solvers catch
     them through g.inner(g), and the `project` command scans the result.
-    TypeError unless `p` is a BiorthPoint and `a` an AmbientPair.
+    TypeError unless `p` is a BiorthPoint and `a` an AmbientPair,
+    DimensionError unless `a` has size p.n.
     """
-    if not (isinstance(p, BiorthPoint) and isinstance(a, AmbientPair)):
-        raise TypeError(f"expected a BiorthPoint and an AmbientPair, got {type(p).__name__} "
-                        f"and {type(a).__name__}")
-    if a.phi.shape != p.x.shape:
-        raise DimensionError(
-            f"ambient pair shape {a.phi.shape} does not match point n={p.n}"
-        )
+    _require_kind(p, BiorthPoint, "point")
+    _require_sized(a, AmbientPair, "ambient pair", p.n)
     fu, s, fv, xh, ss, den = p.projector()
     with np.errstate(over="ignore", invalid="ignore"):
         uh = (fv.T @ a.phi @ fu - ss * (fu.T @ a.psi @ fv)) / den
@@ -478,8 +492,9 @@ def random_tangent(seed, p: BiorthPoint, scale: float) -> TangentPair:
     Draws Gaussian u by make_rng(seed) and completes it with the unique
     v = -y0 @ u @ y0 satisfying the tangent constraint at a feasible base point.
     u is drawn at every scale; scale 0 gives a tangent equal to zero.
-    ValueError unless 0 <= scale < inf.
+    TypeError unless `p` is a BiorthPoint, and ValueError unless 0 <= scale < inf.
     """
+    _require_kind(p, BiorthPoint, "point")
     scale = require_scale(scale, "scale")
     n = p.n
     u = make_rng(seed).standard_normal((n, n))
@@ -487,14 +502,6 @@ def random_tangent(seed, p: BiorthPoint, scale: float) -> TangentPair:
     nrm = np.sqrt(np.sum(u * u) + np.sum(v * v))
     s = scale / nrm
     return TangentPair(s * u, s * v, p)
-
-
-def _require_sized(value, kind, what, n):
-    """TypeError unless `value` is a `kind`, DimensionError unless it has size `n`."""
-    if not isinstance(value, kind):
-        raise TypeError(f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
-    if value.n != n:
-        raise DimensionError(f"{what} has n={value.n}, manifold has n={n}")
 
 
 class BiorthogonalManifold:
@@ -581,7 +588,7 @@ class EuclideanManifold:
 
         TypeError unless `t` is an AmbientPair, DimensionError unless it has size n.
         """
-        _require_sized(t, AmbientPair, "ambient pair", self.n)
+        _require_sized(t, AmbientPair, "tangent", self.n)
         s = _scalar(s)
         return EuclideanPoint._build(p.x + s * t.phi, p.y + s * t.psi)
 

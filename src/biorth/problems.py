@@ -156,13 +156,11 @@ def synth_funmap(seed, q, k, noise=0.0, lam=0.0):
     Draws truth = (c*, c*^-1) = (e^{0.3 G}, e^{-0.3 G}) by random_point, then
     Gaussian data a, and b = a @ c* plus optional Gaussian noise, all from one
     stream. Returns (problem, truth). Deterministic per seed. DimensionError
-    unless `q` and `k` are integers >= 1, and ValueError if q < k or unless
-    0 <= noise < inf.
+    unless `q` and `k` are integers >= 1, ValueError unless 0 <= noise < inf,
+    and FunmapProblem's ValueError if q < k.
     """
     k = require_size(k, "k")
     q = require_size(q, "q")
-    if q < k:
-        raise ValueError(f"need q >= k, got q={q}, k={k}")
     noise = require_scale(noise, "noise")
     rng = make_rng(seed)
     truth = random_point(rng, k, 0.3)

@@ -139,12 +139,12 @@ class TestTangentPair:
             TangentPair(np.eye(3), np.eye(3), p)  # needs v = -u at identity
 
     def test_rejects_shape_of_another_base(self):
-        with pytest.raises(DimensionError, match=r"shape \(4, 4\) does not match base point n=3"):
+        with pytest.raises(DimensionError, match="^base has n=3, expected n=4$"):
             TangentPair(np.zeros((4, 4)), np.zeros((4, 4)), identity_point(3))
 
     def test_a_flat_base_is_a_type_error(self):
         # A feasible flat point is not certified, so it cannot carry tangents.
-        with pytest.raises(TypeError, match="^a tangent's base must be a BiorthPoint, got "
+        with pytest.raises(TypeError, match="^base must be of type BiorthPoint, got "
                                             "EuclideanPoint$"):
             TangentPair(np.zeros((3, 3)), np.zeros((3, 3)), EuclideanPoint(np.eye(3), np.eye(3)))
 
@@ -208,8 +208,18 @@ class TestPairOps:
         assert fro_norm(out.y - eye) <= 1e-10
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^point has n=3, expected n=2$"):
             pair_product(identity_point(2), identity_point(3))
+
+    def test_a_value_that_is_not_a_point_is_a_type_error(self):
+        # A feasible flat point is not certified, so the group operations take none.
+        p = identity_point(3)
+        for value in (np.eye(3), EuclideanPoint(np.eye(3), np.eye(3))):
+            for call in (lambda: pair_product(p, value), lambda: pair_product(value, p),
+                         lambda: pair_inverse(value), lambda: random_tangent(1, value, 1.0)):
+                with pytest.raises(TypeError, match="^point must be of type BiorthPoint, got "
+                                                    f"{type(value).__name__}$"):
+                    call()
 
 
 class TestIsOnManifold:
@@ -315,12 +325,13 @@ class TestProjectTangent:
 
     def test_a_flat_point_is_a_type_error(self):
         a = AmbientPair(np.eye(3), np.eye(3))
-        with pytest.raises(TypeError, match="^expected a BiorthPoint and an AmbientPair, got "
-                                            "EuclideanPoint and AmbientPair$"):
+        with pytest.raises(TypeError, match="^point must be of type BiorthPoint, got "
+                                            "EuclideanPoint$"):
             project_tangent(EuclideanPoint(np.eye(3), np.eye(3)), a)
 
     def test_an_array_in_place_of_the_pair_is_a_type_error(self):
-        with pytest.raises(TypeError, match="got BiorthPoint and ndarray$"):
+        with pytest.raises(TypeError, match="^ambient pair must be of type AmbientPair, got "
+                                            "ndarray$"):
             project_tangent(identity_point(3), np.eye(3))
 
 
@@ -699,19 +710,29 @@ class TestMetric:
 
     def test_one_base_point_check(self):
         # Every operation that takes a tangent at a given point rejects a
-        # tangent based elsewhere, of another size, or an ambient pair, with
-        # the same error.
+        # tangent based elsewhere, or an ambient pair, with the same error, and
+        # a tangent of another size with the size error of every operand.
         m = BiorthogonalManifold(4)
         p = seeded_point(200, 4)
         t = random_tangent(201, seeded_point(202, 4), 1.0)
         s = random_tangent(203, p, 1.0)
         a = AmbientPair(np.eye(4), np.eye(4))
         r = random_tangent(204, seeded_point(205, 5), 1.0)
-        for call in (lambda: retract(p, t), lambda: m.ray_velocity(p, t),
-                     lambda: m.ray_acceleration(p, t), lambda: s + t, lambda: s - t,
-                     lambda: s + a, lambda: s - a, lambda: s + r, lambda: s - r):
-            with pytest.raises(InvalidTangentError,
-                               match="^expected a TangentPair based at the given point$"):
+        for other in (t, a):
+            for call in (lambda: retract(p, other), lambda: m.ray_velocity(p, other),
+                         lambda: m.ray_acceleration(p, other), lambda: s + other,
+                         lambda: s - other):
+                with pytest.raises(InvalidTangentError,
+                                   match="^expected a TangentPair based at the given point$"):
+                    call()
+        for call in (lambda: retract(p, r), lambda: m.ray_velocity(p, r),
+                     lambda: m.ray_acceleration(p, r), lambda: s + r, lambda: s - r):
+            with pytest.raises(DimensionError, match="^tangent has n=5, expected n=4$"):
+                call()
+        for call in (lambda: retract(p, np.eye(4)), lambda: m.ray_velocity(p, 3),
+                     lambda: m.ray_acceleration(p, None), lambda: s + 3, lambda: s - None):
+            with pytest.raises(TypeError, match="^tangent must be of type AmbientPair, got "
+                                                r"(ndarray|int|NoneType)$"):
                 call()
 
 
@@ -885,14 +906,15 @@ class TestManifoldInterfaces:
                 manifold.check_point(value)
 
     def test_flat_operands_follow_the_rule_of_project_tangent(self):
-        m = EuclideanManifold(3)
-        p = m.identity()
-        for op in (m.project, m.retract):
-            with pytest.raises(TypeError, match="^ambient pair must be of type AmbientPair, "
-                                                "got ndarray$"):
-                op(p, np.eye(3))
-            with pytest.raises(DimensionError, match="^ambient pair has n=4, manifold has n=3$"):
-                op(p, AmbientPair(np.eye(4), np.eye(4)))
+        # Both manifolds raise the same type, with the same message, for the same misuse.
+        for m in (BiorthogonalManifold(3), EuclideanManifold(3)):
+            p = m.identity()
+            for op, what in ((m.project, "ambient pair"), (m.retract, "tangent")):
+                with pytest.raises(TypeError, match=f"^{what} must be of type AmbientPair, "
+                                                    "got ndarray$"):
+                    op(p, np.eye(3))
+                with pytest.raises(DimensionError, match=f"^{what} has n=4, expected n=3$"):
+                    op(p, AmbientPair(np.eye(4), np.eye(4)))
 
     def test_euclidean_feasibility_is_diagnostic(self):
         m = EuclideanManifold(3)
@@ -1031,13 +1053,13 @@ class TestTangentIsAnAmbientPair:
         for call in (lambda: a + b, lambda: a - b, lambda: a + r, lambda: a - r,
                      lambda: a.inner(b), lambda: a.inner(r), lambda: t.inner(b),
                      lambda: t.inner(r)):
-            with pytest.raises(DimensionError,
-                               match="^cannot combine a pair of size 3 with one of size 4$"):
+            with pytest.raises(DimensionError, match="^operand has n=4, expected n=3$"):
                 call()
         for operand in (3, np.eye(3), None):
             for call in (lambda: a + operand, lambda: a - operand, lambda: a.inner(operand),
                          lambda: t.inner(operand)):
-                with pytest.raises(TypeError, match="^expected a matrix pair operand, got "):
+                with pytest.raises(TypeError, match="^operand must be of type AmbientPair, got "
+                                                    r"(int|ndarray|NoneType)$"):
                     call()
 
     def test_repr_names_the_kind_size_and_norm(self):

@@ -198,7 +198,8 @@ class TestSynthFunmap:
         assert not np.array_equal(clean.b, noisy.b)
 
     def test_rejects_wide_request(self):
-        with pytest.raises(ValueError):
+        # FunmapProblem's own check rejects it; synth_funmap keeps no copy.
+        with pytest.raises(ValueError, match=r"^need at least as many rows as columns, got 3 x 9$"):
             synth_funmap(26, q=3, k=9)
 
     def test_rejects_negative_noise(self):

@@ -1134,7 +1134,7 @@ class TestGradientToolsCertifyTheirPoint:
     @pytest.mark.parametrize("tool", TOOLS, ids=["riemannian_gradient", "fd_gradient_check"])
     def test_a_point_of_the_wrong_size_is_a_dimension_error(self, tool):
         problem = random_nearest_pair(39, 4, 2.0)
-        with pytest.raises(DimensionError, match="^point has n=3, manifold has n=4$"):
+        with pytest.raises(DimensionError, match="^point has n=3, expected n=4$"):
             tool(problem, BiorthogonalManifold(4), random_point(40, 3, 0.3))
 
     @pytest.mark.parametrize("tool", TOOLS, ids=["riemannian_gradient", "fd_gradient_check"])
