@@ -20,9 +20,14 @@ Every value operand passes one rule, `_require_sized` (or its kind check
 `_require_kind` where no size is fixed): a value of the wrong kind raises
 TypeError("{what} must be of type {Kind}, got {Type}"), one of the wrong
 size DimensionError("{what} has n={m}, expected n={n}"), on BO(n) as on
-the flat space. InvalidTangentError is left for a pair of the right kind
-and size that is not a tangent at the point: an ambient pair, or a tangent
-based at another point.
+the flat space. The point of every ray operation that reads it (retract,
+ray_velocity and ray_acceleration on BO(n), retract on the flat space)
+passes the kind check, and on the flat space the size check too.
+InvalidTangentError is left for a pair of the right kind and size that is
+not a tangent at the point: an ambient pair, or a tangent based at another
+point. "Based at p" means the tangent's `base` is `p` itself, so a tangent
+at a rebuilt point, even one with equal arrays, must be carried over with
+project_tangent.
 """
 
 from __future__ import annotations
@@ -213,18 +218,18 @@ def _tangent_residual(base, u, v) -> float:
 
 
 def _require_based_at(p, t):
-    """Check that `t` is a TangentPair based at the point `p`.
+    """Check that `t` is a TangentPair based at the point `p`: its `base` is `p` itself.
 
-    TypeError unless `t` is an AmbientPair, DimensionError unless it has
-    size p.n, and InvalidTangentError unless it is a TangentPair whose base
-    is `p` or has equal arrays.
+    TypeError unless `p` is a BiorthPoint and `t` an AmbientPair,
+    DimensionError unless `t` has size p.n, and InvalidTangentError
+    otherwise. A tangent at a rebuilt copy of `p`, even one with equal
+    arrays, is not at `p`; project_tangent carries it over.
     """
     if isinstance(t, TangentPair) and t.base is p:
         return
+    _require_kind(p, BiorthPoint, "point")
     _require_sized(t, AmbientPair, "tangent", p.n)
-    if not (isinstance(t, TangentPair) and np.array_equal(t.base.x, p.x)
-            and np.array_equal(t.base.y, p.y)):
-        raise InvalidTangentError("expected a TangentPair based at the given point")
+    raise InvalidTangentError("expected a TangentPair based at the given point")
 
 
 class AmbientPair(_Value):
@@ -586,8 +591,11 @@ class EuclideanManifold:
     def retract(self, p, t, s=1.0) -> EuclideanPoint:
         """The point p + s * t; NumericalError if `s` is not finite.
 
-        TypeError unless `t` is an AmbientPair, DimensionError unless it has size n.
+        TypeError unless `p` is an EuclideanPoint and `t` an AmbientPair,
+        DimensionError unless both have size n. A flat tangent has no base:
+        it is a tangent at every point, so there is no base to check.
         """
+        _require_sized(p, EuclideanPoint, "point", self.n)
         _require_sized(t, AmbientPair, "tangent", self.n)
         s = _scalar(s)
         return EuclideanPoint._build(p.x + s * t.phi, p.y + s * t.psi)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -30,6 +31,8 @@ from biorth.manifold import (
     project_tangent,
     random_point,
     random_tangent,
+    ray_acceleration,
+    ray_velocity,
     retract,
 )
 from biorth.problems import random_nearest_pair
@@ -712,13 +715,16 @@ class TestMetric:
         # Every operation that takes a tangent at a given point rejects a
         # tangent based elsewhere, or an ambient pair, with the same error, and
         # a tangent of another size with the size error of every operand.
+        # "Based at p" is `base is p`: a tangent at an equal copy of p is
+        # based elsewhere, and project_tangent carries it over.
         m = BiorthogonalManifold(4)
         p = seeded_point(200, 4)
         t = random_tangent(201, seeded_point(202, 4), 1.0)
         s = random_tangent(203, p, 1.0)
         a = AmbientPair(np.eye(4), np.eye(4))
         r = random_tangent(204, seeded_point(205, 5), 1.0)
-        for other in (t, a):
+        c = random_tangent(206, BiorthPoint(p.x, p.y), 1.0)
+        for other in (t, a, c):
             for call in (lambda: retract(p, other), lambda: m.ray_velocity(p, other),
                          lambda: m.ray_acceleration(p, other), lambda: s + other,
                          lambda: s - other):
@@ -734,6 +740,23 @@ class TestMetric:
             with pytest.raises(TypeError, match="^tangent must be of type AmbientPair, got "
                                                 r"(ndarray|int|NoneType)$"):
                 call()
+
+    def test_a_value_in_place_of_the_point_is_a_type_error(self):
+        # Every ray operation checks its point, not only its tangent.
+        m = BiorthogonalManifold(4)
+        s = random_tangent(207, seeded_point(208, 4), 1.0)
+        for bad in (np.eye(4), None, 3):
+            for call in (lambda: retract(bad, s), lambda: m.ray_velocity(bad, s),
+                         lambda: m.ray_acceleration(bad, s)):
+                with pytest.raises(TypeError, match="^point must be of type BiorthPoint, got "
+                                                    r"(ndarray|NoneType|int)$"):
+                    call()
+        flat = EuclideanManifold(4)
+        a = AmbientPair(np.eye(4), np.eye(4))
+        with pytest.raises(TypeError, match="^point must be of type EuclideanPoint, got ndarray$"):
+            flat.retract(np.eye(4), a)
+        with pytest.raises(DimensionError, match="^point has n=5, expected n=4$"):
+            flat.retract(EuclideanPoint(np.eye(5), np.eye(5)), a)
 
 
 class TestInnerTransported:
@@ -1117,3 +1140,66 @@ class TestPackageBuiltValues:
             AmbientPair(np.full((3, 3), np.inf), u)
         with pytest.raises(NumericalError):
             EuclideanPoint(u, np.full((3, 3), np.nan))
+
+
+def _point_operand_cases():
+    """(operation, operand name, call taking the value put in the point's place)."""
+    p, a = identity_point(3), AmbientPair(np.eye(3), np.eye(3))
+    t = random_tangent(1, p, 1.0)
+    m, flat = BiorthogonalManifold(3), EuclideanManifold(3)
+    return [
+        ("project_tangent", "point", lambda bad: project_tangent(bad, a)),
+        ("retract", "point", lambda bad: retract(bad, t)),
+        ("ray_velocity", "point", lambda bad: ray_velocity(bad, t)),
+        ("ray_acceleration", "point", lambda bad: ray_acceleration(bad, t)),
+        ("pair_product", "point", lambda bad: pair_product(bad, p)),
+        ("pair_product", "point", lambda bad: pair_product(p, bad)),
+        ("pair_inverse", "point", pair_inverse),
+        ("random_tangent", "point", lambda bad: random_tangent(1, bad, 1.0)),
+        ("TangentPair.__init__", "base", lambda bad: TangentPair(t.u, t.v, bad)),
+        ("BiorthogonalManifold.check_point", "point", m.check_point),
+        ("BiorthogonalManifold.project", "point", lambda bad: m.project(bad, a)),
+        ("BiorthogonalManifold.retract", "point", lambda bad: m.retract(bad, t)),
+        ("BiorthogonalManifold.ray_velocity", "point", lambda bad: m.ray_velocity(bad, t)),
+        ("BiorthogonalManifold.ray_acceleration", "point",
+         lambda bad: m.ray_acceleration(bad, t)),
+        ("EuclideanManifold.check_point", "point", flat.check_point),
+        ("EuclideanManifold.retract", "point", lambda bad: flat.retract(bad, a)),
+    ]
+
+
+POINT_OPERAND_CASES = _point_operand_cases()
+
+# The flat projection is the identity and the flat ray is a straight line:
+# these members use their tangent alone and never read the point.
+READS_NO_POINT = {"EuclideanManifold.project", "EuclideanManifold.ray_velocity",
+                  "EuclideanManifold.ray_acceleration"}
+
+
+class TestPointOperandRule:
+    """Every public operation of the manifold module that reads a point checks its kind."""
+
+    @pytest.mark.parametrize("name, what, call", POINT_OPERAND_CASES,
+                             ids=[name for name, _, _ in POINT_OPERAND_CASES])
+    def test_an_array_in_place_of_a_point_is_a_type_error(self, name, what, call):
+        with pytest.raises(TypeError, match=rf"^{what} must be of type \w+Point, got ndarray$"):
+            call(np.eye(3))
+
+    def test_every_operation_taking_a_point_is_a_case(self):
+        # An operation has a point operand if a parameter is named `p` or
+        # `base` or is annotated as a point; a new one must join the cases.
+        readers = set()
+        for name, obj in vars(biorth.manifold).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != "biorth.manifold":
+                continue
+            if inspect.isfunction(obj):
+                members = [(name, obj)]
+            else:
+                members = [(f"{name}.{attr}", f) for attr, f in vars(obj).items()
+                           if inspect.isfunction(f) and (attr == "__init__"
+                                                         or not attr.startswith("_"))]
+            for qualname, f in members:
+                if any(q.name in ("p", "base") or "Point" in str(q.annotation)
+                       for q in inspect.signature(f).parameters.values()):
+                    readers.add(qualname)
+        assert readers == {name for name, _, _ in POINT_OPERAND_CASES} | READS_NO_POINT
