@@ -119,9 +119,11 @@ def build_parser():
     )
     p_fun.add_argument("--synthetic", action="store_true",
                        help="generate a seeded instance instead of reading files")
-    p_fun.add_argument("--q", type=SIZE, default=64)
-    p_fun.add_argument("--k", type=SIZE, default=16)
-    p_fun.add_argument("--noise", type=FINITE, default=0.0)
+    # No parser defaults: cmd_funmap applies them in synthetic mode and rejects
+    # these flags in file mode.
+    p_fun.add_argument("--q", type=SIZE, help="rows of the synthetic data (default 64)")
+    p_fun.add_argument("--k", type=SIZE, help="size of the synthetic maps (default 16)")
+    p_fun.add_argument("--noise", type=FINITE, help="synthetic noise level (default 0)")
     p_fun.add_argument("--lambda", dest="lam", type=FINITE, default=0.0,
                        help="weight of the funnel regularizer")
     p_fun.add_argument("--a", dest="a_path", help="coefficient matrix A (q x k)")
@@ -198,11 +200,21 @@ def cmd_penalty(args):
 
 
 def cmd_funmap(args):
+    if args.synthetic:
+        mode, other = "synthetic", (("--a", args.a_path), ("--b", args.b_path),
+                                    ("--w", args.w_path))
+    else:
+        mode, other = "file", (("--q", args.q), ("--k", args.k), ("--noise", args.noise))
+    stray = [flag for flag, value in other if value is not None]
+    if stray:
+        raise UsageError(f"{', '.join(stray)}: not used in {mode} mode")
     truth = None
     if args.synthetic:
-        if args.q < args.k:
-            raise UsageError(f"need --q >= --k, got q={args.q}, k={args.k}")
-        problem, truth = synth_funmap(args.seed, args.q, args.k, args.noise, args.lam)
+        q, k, noise = (default if value is None else value
+                       for value, default in ((args.q, 64), (args.k, 16), (args.noise, 0.0)))
+        if q < k:
+            raise UsageError(f"need --q >= --k, got q={q}, k={k}")
+        problem, truth = synth_funmap(args.seed, q, k, noise, args.lam)
     else:
         if not args.a_path or not args.b_path:
             raise UsageError("file mode needs --a and --b (or pass --synthetic)")

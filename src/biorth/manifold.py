@@ -512,8 +512,8 @@ def random_tangent(seed, p: BiorthPoint, scale: float) -> TangentPair:
 class BiorthogonalManifold:
     """The solvers' interface to BO(n), the n x n pairs (x, y) with x @ y = I.
 
-    Its members are `n`, `identity` and the six the solvers read:
-    `check_point`, `dim`, `project`, `retract`, `ray_velocity` and
+    Its seven members are `n`, `identity` and the five the solvers read:
+    `check_point`, `project`, `retract`, `ray_velocity` and
     `ray_acceleration`, each forwarding to the module function of that
     work. Points and tangents are drawn by the module functions
     `random_point` and `random_tangent`. Feasibility and tangency are
@@ -522,10 +522,6 @@ class BiorthogonalManifold:
 
     def __init__(self, n: int):
         self.n = require_size(n)
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.n
 
     def check_point(self, p) -> BiorthPoint:
         """Return the BiorthPoint a solver iterates from when started at `p`.
@@ -560,7 +556,7 @@ class BiorthogonalManifold:
 class EuclideanManifold:
     """The solvers' interface to the flat product space of n x n matrix pairs.
 
-    Used by the penalty baseline, with the same eight members as
+    Used by the penalty baseline, with the same seven members as
     BiorthogonalManifold. Points are EuclideanPoints, or BiorthPoints, which
     are flat points too. Projection is the identity, so it also carries a
     tangent from one point to another and leaves a Gaussian ambient pair a
@@ -570,10 +566,6 @@ class EuclideanManifold:
 
     def __init__(self, n: int):
         self.n = require_size(n)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n * self.n
 
     def check_point(self, p):
         """Return the start point `p` after checking its type and size."""

@@ -3,11 +3,13 @@
 Gradient descent and Polak-Ribiere conjugate gradient, both with a
 sufficient-decrease line search along the retraction curve, plus a
 finite-difference gradient checker. Both solvers run one loop, in which
-gradient descent is conjugate gradient restarted every iteration. A
-problem is any object with ``cost_grad(x, y) -> (float, AmbientPair)``,
+gradient descent is conjugate gradient restarted every iteration, and
+conjugate gradient restarts only on Powell's test, lost descent or a
+failed search. A problem is any object with
+``cost_grad(x, y) -> (float, AmbientPair)``,
 the cost and the Euclidean gradient from one evaluation, and optionally
 ``curvature(x, y, u, v)``, the Euclidean Hessian form along (u, v); the
-manifold supplies check_point/dim/project/retract/ray_velocity/
+manifold supplies check_point/project/retract/ray_velocity/
 ray_acceleration, the gradient checker included, where retract(p, t, s)
 is the point that the step s * t reaches. Both spaces are embedded in the
 ambient space of matrix pairs, and a tangent is an ambient pair with a
@@ -234,11 +236,11 @@ def armijo_search(problem, manifold, p, direction, slope, f0, initial_step=INITI
 
 def gradient_descent(problem, manifold, p0, opts=None):
     """Steepest descent with Armijo backtracking. Returns (point, trace)."""
-    return _descend(problem, manifold, p0, opts, restart_every=1)
+    return _descend(problem, manifold, p0, opts, conjugate=False)
 
 
 def conjugate_gradient(problem, manifold, p0, opts=None):
-    """Nonlinear conjugate gradient with Polak-Ribiere(+) directions.
+    """Nonlinear conjugate gradient with Polak-Ribière directions, restarted by Powell's test.
 
     The previous direction is carried to the new tangent space by
     `manifold.project`, the orthogonal projection there. The previous
@@ -252,17 +254,17 @@ def conjugate_gradient(problem, manifold, p0, opts=None):
     correction is self-adjoint only up to terms in the drift, so beta and
     Powell's overlap carry an error of order feas_err |g_new| |g_old|.
 
-    The direction resets to steepest descent every dim(manifold)
-    iterations, when beta clips to zero, whenever descent is lost, when the
-    search along it fails, or when successive gradients stop being
-    near-orthogonal (Powell's restart criterion), which keeps stale
+    The direction resets to steepest descent when successive gradients
+    stop being near-orthogonal (Powell's restart criterion), whenever
+    descent is lost, or when the search along it fails, which keeps stale
     conjugacy information from degrading the iteration below plain
-    steepest descent. Only a search along steepest descent applies the
+    steepest descent. Powell's test also keeps beta positive, so beta
+    needs no clip at zero. Only a search along steepest descent applies the
     curvature test and its refine; a search along a conjugate direction
     accepts its first trial with sufficient decrease, and an inexact step
     there shows up in Powell's test, which restarts.
     """
-    return _descend(problem, manifold, p0, opts, restart_every=manifold.dim)
+    return _descend(problem, manifold, p0, opts, conjugate=True)
 
 
 # Restart when |<g_new, g_old>| >= threshold * |g_new|^2 (Powell).
@@ -305,10 +307,12 @@ def _first_step(last_decrease, slope, phi2):
     return min(max(step, MIN_STEP), 4.0 * INITIAL_STEP)
 
 
-def _descend(problem, manifold, p0, opts, restart_every):
-    """Conjugate gradient restarted along -g at least every `restart_every` iterations.
+def _descend(problem, manifold, p0, opts, conjugate):
+    """Conjugate gradient, restarted along -g on every iteration unless `conjugate`.
 
-    gradient_descent passes 1: it forms beta and Powell's overlap, then restarts anyway.
+    A search runs along -g at the start, on every iteration of gradient
+    descent (`conjugate` false), when Powell's test fires, when descent is
+    lost and after a failed search along a conjugate direction.
     Every accepted point, the start included, is projected, checked and
     recorded in one pass, which returns once the budget or the tolerance is met.
     """
@@ -343,12 +347,13 @@ def _descend(problem, manifold, p0, opts, restart_every):
         if k == 0:
             restart, last_decrease = True, -INITIAL_STEP * gnorm_sq
         else:
-            since_restart += 1
             # <g, project(p, g_prev)>, exact up to terms in p's drift from x y = I.
             overlap = g.inner(g_prev)
-            beta = max(0.0, (gnorm_sq - overlap) / gnorm_sq_prev)
-            restart = (since_restart >= restart_every or beta == 0.0
-                       or abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq)
+            # Powell's threshold is below 1, so a step that passes his test has
+            # gnorm_sq - overlap > 0 and beta > 0 with no clip; a beta that
+            # underflows to 0 still gives the direction -g exactly.
+            beta = (gnorm_sq - overlap) / gnorm_sq_prev
+            restart = not conjugate or abs(overlap) >= POWELL_RESTART_THRESHOLD * gnorm_sq
         gnorm = math.sqrt(gnorm_sq)
         trace.append(TraceRecord(k, f, gnorm, p.feasibility_error(),
                                  (time.perf_counter() - started) * 1e3))
@@ -362,7 +367,7 @@ def _descend(problem, manifold, p0, opts, restart_every):
                 slope = g.inner(d)
                 restart = not -math.inf < slope < 0  # descent lost, or the slope overflowed
             if restart:
-                d, since_restart, slope = -g, 0, -gnorm_sq
+                d, slope = -g, -gnorm_sq
             phi2 = _ray_curvature(curvature, manifold, p, d, egrad)
             try:
                 step, p, f, egrad = armijo_search(

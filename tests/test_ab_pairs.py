@@ -16,10 +16,10 @@ SRC = str(TOOL.parent.parent / "src")
 
 
 @pytest.fixture(autouse=True)
-def small_matrices(monkeypatch):
-    """model-n100's and project-io's command lines at matrix size 8, so that one rep runs quickly."""
-    for name in ("model-n100", "project-io"):
-        small = dataclasses.replace(ab_pairs.WORKLOADS[name], size=8)
+def small_workloads(monkeypatch):
+    """Every workload's command lines at matrix size 8 and two items, so one rep runs quickly."""
+    for name in ("model-n100", "project-io", "funmap-k16"):
+        small = dataclasses.replace(ab_pairs.WORKLOADS[name], size=8, items=2)
         monkeypatch.setitem(ab_pairs.WORKLOADS, name, small)
 
 

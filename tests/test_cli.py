@@ -226,6 +226,24 @@ class TestFunmap:
     def test_missing_file_is_data_error(self):
         assert main(["funmap", "--a", "no.txt", "--b", "b.txt"]) == 1
 
+    @pytest.mark.parametrize("synthetic, flag, value", [
+        (True, "--a", "a.txt"), (True, "--b", "b.txt"), (True, "--w", "w.txt"),
+        (False, "--q", "10"), (False, "--k", "4"), (False, "--noise", "5"),
+    ])
+    def test_a_flag_of_the_other_mode_is_usage_error(self, synthetic, flag, value, capsys):
+        # Neither mode reads the other's flags, so setting one is a usage error
+        # and not a run that silently ignores it.
+        a = make_rng(5).standard_normal((12, 4))
+        for name, m in (("a.txt", a), ("b.txt", a), ("w.txt", np.ones((4, 4)))):
+            write_matrix(name, m)
+        if synthetic:
+            mode, flags = "synthetic", ["--synthetic", "--q", "8", "--k", "4"]
+        else:
+            mode, flags = "file", ["--a", "a.txt", "--b", "b.txt"]
+        assert main(["funmap", *flags, flag, value, "--max-iters", "2", "--out", "mixed"]) == 2
+        assert capsys.readouterr().err == f"usage error: {flag}: not used in {mode} mode\n"
+        assert not os.path.exists("mixed.trace.csv")
+
 
 class TestProject:
     def write_inputs(self, n=3):

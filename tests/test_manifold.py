@@ -896,7 +896,6 @@ class TestManifoldInterfaces:
         q = m.retract(p, t * 0.01)
         assert q.feasibility_error() <= default_feas_tol(6)
         assert t.inner(t) == pytest.approx(t.norm() ** 2, rel=1e-12)
-        assert m.dim == 36
 
     def test_check_point_returns_a_biorth_point_as_is(self):
         m = BiorthogonalManifold(4)
@@ -919,7 +918,6 @@ class TestManifoldInterfaces:
         assert np.allclose(q.x, p.x + a.phi)
         assert np.allclose(q.y, p.y + a.psi)
         assert a.inner(a) == pytest.approx(a.norm() ** 2, rel=1e-14)
-        assert m.dim == 50
 
     @pytest.mark.parametrize("manifold", [BiorthogonalManifold(3), EuclideanManifold(3)],
                              ids=["biorth", "flat"])
@@ -953,7 +951,7 @@ class TestManifoldInterfaces:
                 build(n)
 
     def test_members_are_the_solver_interface_and_identity(self):
-        members = {"n", "dim", "check_point", "identity", "project", "retract",
+        members = {"n", "check_point", "identity", "project", "retract",
                    "ray_velocity", "ray_acceleration"}
         for m in (BiorthogonalManifold(3), EuclideanManifold(3)):
             assert {name for name in dir(m) if not name.startswith("_")} == members
@@ -973,7 +971,7 @@ class TestManifoldInterfaces:
 
     def test_integer_sizes_of_any_integer_type_are_python_ints(self):
         for m in (BiorthogonalManifold(np.int64(3)), EuclideanManifold(np.int32(3))):
-            assert type(m.n) is int and type(m.dim) is int
+            assert type(m.n) is int
         assert random_point(1, np.int64(3), 0.3).n == 3
 
 

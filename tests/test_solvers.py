@@ -637,18 +637,16 @@ class TestConjugateGradient:
         hit = next(k for k, c in enumerate(costs) if c <= threshold)
         assert hit <= 25
 
-    def test_restarted_every_iteration_is_gradient_descent(self):
-        # Gradient descent is this loop with restart_every = 1; a manifold of
-        # dim 1 restarts conjugate gradient just as often.
-        class OneDimensional(BiorthogonalManifold):
-            dim = 1
-
+    def test_restarted_every_iteration_is_gradient_descent(self, monkeypatch):
+        # Gradient descent is this loop restarted on every iteration; at a Powell
+        # threshold of 0, Powell's test restarts conjugate gradient just as often.
         n = 12
+        manifold = BiorthogonalManifold(n)
         problem = random_nearest_pair(41, n, 4.0)
         opts = SolverOptions(max_iters=30)
+        monkeypatch.setattr(biorth.solvers, "POWELL_RESTART_THRESHOLD", 0.0)
         runs = []
-        for solve, manifold in ((gradient_descent, BiorthogonalManifold(n)),
-                                (conjugate_gradient, OneDimensional(n))):
+        for solve in (gradient_descent, conjugate_gradient):
             p, trace = solve(problem, manifold, identity_point(n), opts)
             runs.append((p, [(r.iter, r.cost, r.grad_norm, r.feas_err) for r in trace]))
         (p_gd, gd), (p_cg, cg) = runs
@@ -993,8 +991,7 @@ def test_solvers_read_only_the_manifold_interface():
             _, trace = solve(problem, proxy, p0, SolverOptions(max_iters=10))
             assert len(trace) == 11
         fd_gradient_check(problem, proxy, p0)
-    assert reads == {"check_point", "dim", "project", "retract", "ray_velocity",
-                     "ray_acceleration"}
+    assert reads == {"check_point", "project", "retract", "ray_velocity", "ray_acceleration"}
 
 
 class TestSearchFallback:
@@ -1082,6 +1079,53 @@ class TestCurvatureTestOnRestartsOnly:
         assert all(along_gradient is tested for along_gradient, tested in calls)
         restarts = {along_gradient for along_gradient, _ in calls}
         assert restarts == ({True, False} if solve is conjugate_gradient else {True})
+
+
+class GradientRecorder:
+    """Forwards to `manifold`; keeps the result of the first `project` at each new point."""
+
+    def __init__(self, manifold, gradients):
+        self._manifold = manifold
+        self._gradients = gradients
+        self._last = None
+
+    def __getattr__(self, name):
+        return getattr(self._manifold, name)
+
+    def project(self, p, a):
+        t = self._manifold.project(p, a)
+        if p is not self._last:
+            self._last = p
+            self._gradients.append(t)
+        return t
+
+
+@pytest.mark.parametrize("kind, seed", [("biorth", 3), ("biorth", 41), ("penalty", 1)])
+def test_conjugate_gradient_restarts_on_powells_test_alone(monkeypatch, kind, seed):
+    # Over 40 iterations no search fails and descent is never lost, so a search
+    # runs along -g exactly at k = 0 and where |<g_k, g_(k-1)>| >= 0.1 |g_k|^2.
+    if kind == "biorth":
+        manifold, problem = BiorthogonalManifold(3), random_nearest_pair(seed, 3, 4.0)
+    else:
+        targets = random_nearest_pair(seed, 2, 4.0)
+        manifold, problem = EuclideanManifold(2), PenaltyProblem(targets.phi, targets.psi, 10.0)
+    restarts, gradients = [], []
+    search = biorth.solvers.armijo_search
+
+    def patched(*args, **kwargs):
+        restarts.append(kwargs["curvature_test"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(biorth.solvers, "armijo_search", patched)
+    iters = 40
+    opts = SolverOptions(max_iters=iters, grad_tol=0.0)
+    _, trace = conjugate_gradient(problem, GradientRecorder(manifold, gradients),
+                                  manifold.identity(), opts)
+    assert len(trace) == len(gradients) == iters + 1 and len(restarts) == iters
+    powell = [k == 0 or abs(g.inner(gradients[k - 1])) >= 0.1 * g.inner(g)
+              for k, g in enumerate(gradients[:iters])]
+    assert restarts == powell
+    assert False in restarts
 
 
 class TestFdGradientCheck:
