@@ -3,14 +3,17 @@
 Each suite measures worst-case errors of one subsystem against an
 independent route (vectorized minimum-norm solve, finite differences,
 Taylor ratios, algebraic identities) and compares them to fixed bounds.
-Each suite is a function of no arguments that returns its `Check`s with
-their unscaled bounds, and suites are deterministic. `run_suites` alone
+Each suite is a generator of (label, bound, value) samples wrapped by
+`_worst_of_samples` into a function of no arguments that returns one
+`Check` per label: the worst of its values against its unscaled bound, with
+a NaN sample failing. Suites are deterministic. `run_suites` alone
 names the suites, by their `SUITES` key, and multiplies every bound by its
 `tol_scale`, so a deliberately corrupted run (tol_scale = 0) must fail.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +81,29 @@ def min_norm_tangent_oracle(p, a):
     return a.phi + xt, a.psi + yt
 
 
+def _worst_of_samples(samples):
+    """Make a suite from a generator of (label, bound, value) samples.
+
+    The suite returns one Check per label, in first-seen order, holding the
+    largest of that label's values and the bound of its first sample. The
+    largest is taken by np.max, so a NaN sample makes its Check NaN and
+    failing.
+    """
+
+    @functools.wraps(samples)
+    def suite():
+        worst = {}
+        for label, bound, value in samples():
+            worst.setdefault(label, (bound, []))[1].append(value)
+        return [Check(label, float(np.max(values)), bound)
+                for label, (bound, values) in worst.items()]
+
+    return suite
+
+
+@_worst_of_samples
 def projection_oracle_suite():
     """Projection agrees with the vectorized minimum-norm oracle."""
-    worst = 0.0
     for n in range(2, 9):
         for trial in range(100):
             rng = make_rng(90_000 + 101 * n + trial)
@@ -91,15 +114,12 @@ def projection_oracle_suite():
             rel = (fro_norm(t.u - u_ref) + fro_norm(t.v - v_ref)) / max(
                 fro_norm(u_ref) + fro_norm(v_ref), 1e-30
             )
-            worst = max(worst, rel)
-    return [Check("worst rel err vs vectorized solve", worst, 1e-8)]
+            yield "worst rel err vs vectorized solve", 1e-8, rel
 
 
+@_worst_of_samples
 def tangency_suite():
     """Projected pairs are tangent, projection is idempotent, residual is normal."""
-    worst_resid = 0.0  # scaled by 1/n to compare against a per-dim bound
-    worst_idem = 0.0
-    worst_orth = 0.0
     for n in range(2, 21):
         for trial in range(20):
             rng = make_rng(91_000 + 97 * n + trial)
@@ -107,29 +127,22 @@ def tangency_suite():
             a = AmbientPair(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
             a_norm = a.norm()
             t = project_tangent(p, a)
-            worst_resid = max(worst_resid, fro_norm(p.x @ t.v + t.u @ p.y) / n)
+            # Scaled by 1/n to compare against a per-dim bound.
+            yield "worst tangent residual / n", 1e-10, fro_norm(p.x @ t.v + t.u @ p.y) / n
             t2 = project_tangent(p, t)
-            worst_idem = max(
-                worst_idem,
-                (fro_norm(t2.u - t.u) + fro_norm(t2.v - t.v)) / a_norm,
-            )
+            yield ("worst idempotence err / |input|", 1e-10,
+                   (fro_norm(t2.u - t.u) + fro_norm(t2.v - t.v)) / a_norm)
             ru = a.phi - t.u
             rv = a.psi - t.v
             for j in range(20):
                 w = random_tangent(rng, p, 1.0)
                 ip = abs(float(np.vdot(ru, w.u) + np.vdot(rv, w.v)))
-                worst_orth = max(worst_orth, ip / a_norm)
-    return [
-        Check("worst tangent residual / n", worst_resid, 1e-10),
-        Check("worst idempotence err / |input|", worst_idem, 1e-10),
-        Check("worst residual-tangent inner / |input|", worst_orth, 1e-8),
-    ]
+                yield "worst residual-tangent inner / |input|", 1e-8, ip / a_norm
 
 
+@_worst_of_samples
 def retraction_suite():
     """Retraction stays feasible and matches the tangent line to first order."""
-    worst_feas = 0.0  # scaled by 1/n
-    worst_ratio_dev = 0.0
     for trial in range(50):
         rng = make_rng(92_000 + trial)
         n = int(rng.integers(2, 21))
@@ -137,16 +150,12 @@ def retraction_suite():
         scale = float(rng.uniform(0.1, 5.0))
         t = random_tangent(rng, p, scale)
         q = retract(p, t)
-        worst_feas = max(worst_feas, q.feasibility_error() / n)
+        yield "worst feasibility err / n", 1e-11, q.feasibility_error() / n
 
         unit = (1.0 / scale) * t
         e1 = _linearization_error(p, unit, 0.1)
         e2 = _linearization_error(p, unit, 0.05)
-        worst_ratio_dev = max(worst_ratio_dev, abs(e1 / e2 - 4.0))
-    return [
-        Check("worst feasibility err / n", worst_feas, 1e-11),
-        Check("worst |step-halving ratio - 4|", worst_ratio_dev, 0.5),
-    ]
+        yield "worst |step-halving ratio - 4|", 0.5, abs(e1 / e2 - 4.0)
 
 
 def _linearization_error(p, t, s):
@@ -156,6 +165,7 @@ def _linearization_error(p, t, s):
     return float(np.sqrt(fro_norm(du) ** 2 + fro_norm(dv) ** 2))
 
 
+@_worst_of_samples
 def exp_identity_suite():
     """e^G e^-G recovers the identity for Gaussian G with fro norm capped at 10.
 
@@ -163,7 +173,6 @@ def exp_identity_suite():
     mat_exp(-G), so the suite tests the exponential itself and not the
     correction that makes each call's second leg the inverse of its first.
     """
-    worst = 0.0  # scaled by 1/n
     for n in (2, 3, 5, 10, 20, 50, 100):
         for trial in range(5):
             rng = make_rng(93_000 + 7 * n + trial)
@@ -172,15 +181,12 @@ def exp_identity_suite():
             if nrm > 10.0:
                 g *= 10.0 / nrm
             err = fro_norm(mat_exp(g)[0] @ mat_exp(-g)[0] - np.eye(n))
-            worst = max(worst, err / n)
-    return [Check("worst identity err / n", worst, 1e-11)]
+            yield "worst identity err / n", 1e-11, err / n
 
 
+@_worst_of_samples
 def gradient_fd_suite():
     """All three objective gradients agree with central finite differences."""
-    worst_nearest = 0.0
-    worst_penalty = 0.0
-    worst_funmap = 0.0
     n = 10
     bo = BiorthogonalManifold(n)
     bo_k = BiorthogonalManifold(16)
@@ -191,20 +197,16 @@ def gradient_fd_suite():
         psi = rng.standard_normal((n, n))
         p = random_point(rng, n, 0.4)
         nearest = NearestPairProblem(phi, psi)
-        worst_nearest = max(worst_nearest, fd_gradient_check(nearest, bo, p, seed=7 * trial))
+        yield ("nearest-pair worst rel err", 1e-5,
+               fd_gradient_check(nearest, bo, p, seed=7 * trial))
         penalty = PenaltyProblem(phi, psi, alpha=100.0)
         legs = np.eye(n) + 0.4 * make_rng(94_500 + trial).standard_normal((2, n, n))
         q = EuclideanPoint(*legs)
-        worst_penalty = max(worst_penalty, fd_gradient_check(penalty, flat, q, seed=11 * trial))
+        yield ("penalty worst rel err", 1e-5,
+               fd_gradient_check(penalty, flat, q, seed=11 * trial))
         fun, _ = synth_funmap(94_900 + trial, q=64, k=16, noise=0.1, lam=0.1)
         pk = random_point(95_300 + trial, 16, 0.3)
-        worst_funmap = max(worst_funmap, fd_gradient_check(fun, bo_k, pk, seed=13 * trial))
-    bound = 1e-5
-    return [
-        Check("nearest-pair worst rel err", worst_nearest, bound),
-        Check("penalty worst rel err", worst_penalty, bound),
-        Check("funmap worst rel err", worst_funmap, bound),
-    ]
+        yield "funmap worst rel err", 1e-5, fd_gradient_check(fun, bo_k, pk, seed=13 * trial)
 
 
 def _curvature_error(problem, x, y, u, v, h):
@@ -219,6 +221,7 @@ def _curvature_error(problem, x, y, u, v, h):
     return abs(exact - fd) / max(abs(exact), abs(fd), 1e-30)
 
 
+@_worst_of_samples
 def curvature_suite():
     """Hessian forms and the retraction's acceleration agree with central differences.
 
@@ -227,21 +230,17 @@ def curvature_suite():
     acceleration c''(0) of the curve c(s) = retract(p, s t) is compared with
     (c(h) - 2 c(0) + c(-h)) / h^2.
     """
-    worst_nearest = 0.0
-    worst_penalty = 0.0
-    worst_funmap = 0.0
-    worst_accel = 0.0
     n = 10
     for trial in range(20):
         rng = make_rng(97_000 + trial)
         phi, psi, x, y, u, v = rng.standard_normal((6, n, n))
         nearest = NearestPairProblem(phi, psi)
-        worst_nearest = max(worst_nearest, _curvature_error(nearest, x, y, u, v, 1e-5))
+        yield "nearest-pair worst rel err", 1e-8, _curvature_error(nearest, x, y, u, v, 1e-5)
         penalty = PenaltyProblem(phi, psi, alpha=100.0)
-        worst_penalty = max(worst_penalty, _curvature_error(penalty, x, y, u, v, 1e-5))
+        yield "penalty worst rel err", 1e-8, _curvature_error(penalty, x, y, u, v, 1e-5)
         fun, _ = synth_funmap(97_500 + trial, q=64, k=16, noise=0.1, lam=0.1)
         c1, c2, w1, w2 = rng.standard_normal((4, 16, 16))
-        worst_funmap = max(worst_funmap, _curvature_error(fun, c1, c2, w1, w2, 1e-5))
+        yield "funmap worst rel err", 1e-8, _curvature_error(fun, c1, c2, w1, w2, 1e-5)
 
         p = random_point(rng, n, 0.4)
         t = random_tangent(rng, p, 1.0)
@@ -250,43 +249,23 @@ def curvature_suite():
         acc = ray_acceleration(p, t)
         err = (fro_norm((plus.x - 2.0 * p.x + minus.x) / h**2 - acc.phi)
                + fro_norm((plus.y - 2.0 * p.y + minus.y) / h**2 - acc.psi))
-        worst_accel = max(worst_accel, err / acc.norm())
-    return [
-        Check("nearest-pair worst rel err", worst_nearest, 1e-8),
-        Check("penalty worst rel err", worst_penalty, 1e-8),
-        Check("funmap worst rel err", worst_funmap, 1e-8),
-        Check("retraction acceleration worst rel err", worst_accel, 1e-6),
-    ]
+        yield "retraction acceleration worst rel err", 1e-6, err / acc.norm()
 
 
+@_worst_of_samples
 def lie_closure_suite():
     """Group structure: closure, inverses, identity element of the pair product."""
-    worst_closure = 0.0
-    worst_inverse = 0.0
-    worst_identity = 0.0
     for trial in range(100):
         rng = make_rng(96_000 + trial)
         n = int(rng.integers(2, 21))
         p = random_point(rng, n, 0.4)
         q = random_point(rng, n, 0.4)
-        prod = pair_product(p, q)
-        worst_closure = max(worst_closure, prod.feasibility_error())
-        inv_p = pair_inverse(p)
-        ip = pair_product(inv_p, p)
+        yield "worst product feasibility err", 1e-10, pair_product(p, q).feasibility_error()
+        ip = pair_product(pair_inverse(p), p)
         eye = np.eye(n)
-        worst_inverse = max(
-            worst_inverse, fro_norm(ip.x - eye) + fro_norm(ip.y - eye)
-        )
+        yield "worst inverse-product err", 1e-10, fro_norm(ip.x - eye) + fro_norm(ip.y - eye)
         ep = pair_product(identity_point(n), p)
-        worst_identity = max(
-            worst_identity, fro_norm(ep.x - p.x) + fro_norm(ep.y - p.y)
-        )
-    bound = 1e-10
-    return [
-        Check("worst product feasibility err", worst_closure, bound),
-        Check("worst inverse-product err", worst_inverse, bound),
-        Check("worst identity-product err", worst_identity, bound),
-    ]
+        yield "worst identity-product err", 1e-10, fro_norm(ep.x - p.x) + fro_norm(ep.y - p.y)
 
 
 SUITES = {

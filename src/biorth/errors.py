@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BiorthError",
+    "DimensionError",
+    "InvalidTangentError",
+    "LineSearchError",
+    "MatrixFormatError",
+    "NumericalError",
+    "OffManifoldError",
+]
+
 
 class BiorthError(Exception):
     """Base class for all package-specific errors."""

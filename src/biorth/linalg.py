@@ -21,6 +21,14 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 
+__all__ = [
+    "SvdResult",
+    "as_matrix",
+    "fro_norm",
+    "mat_exp",
+    "svd",
+]
+
 
 def as_matrix(a, name="matrix") -> np.ndarray:
     """Validate `a` as a 2-d float64 array with positive dims and finite entries."""

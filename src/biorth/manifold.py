@@ -38,6 +38,26 @@ from .errors import DimensionError, InvalidTangentError, OffManifoldError, Numer
 from .linalg import fro_norm, mat_exp, require_scale, require_size, square_pair, svd
 from .rng import make_rng
 
+__all__ = [
+    "AmbientPair",
+    "BiorthPoint",
+    "BiorthogonalManifold",
+    "EuclideanManifold",
+    "EuclideanPoint",
+    "TangentPair",
+    "default_feas_tol",
+    "default_tan_tol",
+    "identity_point",
+    "pair_inverse",
+    "pair_product",
+    "project_tangent",
+    "random_point",
+    "random_tangent",
+    "ray_acceleration",
+    "ray_velocity",
+    "retract",
+]
+
 # Rounding in n x n products accumulates roughly linearly in n.
 FEAS_TOL_PER_DIM = 1e-9
 TAN_TOL_PER_DIM = 1e-9

@@ -33,6 +33,13 @@ from .errors import MatrixFormatError
 from .linalg import as_matrix
 from .solvers import TraceRecord
 
+__all__ = [
+    "read_matrix",
+    "read_trace",
+    "write_matrix",
+    "write_trace",
+]
+
 # A trace's columns are TraceRecord's fields, in order: the integer iteration, then reals.
 TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRecord))
 TRACE_HEADER = ",".join(TRACE_FIELDS)

@@ -19,6 +19,15 @@ from .linalg import as_matrix, require_same_shape, require_scale, require_size, 
 from .manifold import AmbientPair, random_point
 from .rng import make_rng
 
+__all__ = [
+    "FunmapProblem",
+    "NearestPairProblem",
+    "PenaltyProblem",
+    "funnel_weights",
+    "random_nearest_pair",
+    "synth_funmap",
+]
+
 
 class NearestPairProblem:
     """Squared Frobenius distance from (x, y) to a fixed target pair (phi, psi)."""

@@ -56,6 +56,16 @@ from .errors import LineSearchError, NumericalError, OffManifoldError
 from .manifold import AmbientPair
 from .rng import make_rng
 
+__all__ = [
+    "SolverOptions",
+    "TraceRecord",
+    "armijo_search",
+    "conjugate_gradient",
+    "fd_gradient_check",
+    "gradient_descent",
+    "riemannian_gradient",
+]
+
 
 # Line-search constants: sufficient-decrease coefficient, curvature
 # coefficient of the strong Wolfe test, backtracking factor, first trial
@@ -399,10 +409,12 @@ def fd_gradient_check(problem, manifold, p, seed=0):
     FD_STEP, along FD_DIRECTIONS unit tangents t at `p`: direction i is the
     `manifold.project` of a Gaussian ambient pair drawn by make_rng(seed + i),
     scaled to unit norm. `p` is certified by `manifold.check_point` first.
+    A NaN error along any direction makes the result NaN, so it fails every
+    bound.
     """
     p = manifold.check_point(p)
     g = riemannian_gradient(problem, manifold, p)
-    worst = 0.0
+    errors = []
     for i in range(FD_DIRECTIONS):
         t = manifold.project(p, AmbientPair(*make_rng(seed + i).standard_normal((2, p.n, p.n))))
         t = (1.0 / t.norm()) * t
@@ -412,6 +424,5 @@ def fd_gradient_check(problem, manifold, p, seed=0):
         q = manifold.retract(p, (-FD_STEP) * t)
         fm = problem.cost_grad(q.x, q.y)[0]
         fd = (fp - fm) / (2.0 * FD_STEP)
-        denom = max(abs(analytic), abs(fd), 1e-12)
-        worst = max(worst, abs(analytic - fd) / denom)
-    return worst
+        errors.append(abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-12))
+    return float(np.max(errors))

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import biorth.checks
 from biorth.cli import PARSER, main
 from biorth.matio import format_real, read_matrix, read_trace, write_matrix
 from biorth.problems import synth_funmap
@@ -308,6 +310,31 @@ class TestCheck:
 
     def test_negative_tolerance_is_usage_error(self):
         assert main(["check", "--tol", "-1"]) == 2
+
+    @staticmethod
+    def cheap_suite(value):
+        @biorth.checks._worst_of_samples
+        def suite():
+            yield "worst err", 1.0, 0.5
+            yield "worst err", 1.0, value
+
+        return suite
+
+    def test_without_a_suite_every_suite_runs_in_order(self, capsys, monkeypatch):
+        monkeypatch.setattr(biorth.checks, "SUITES",
+                            {"second": self.cheap_suite(0.25), "first": self.cheap_suite(0.75)})
+        assert main(["check"]) == 0
+        assert capsys.readouterr().out == (
+            "second: PASS (worst err 5.000e-01 <= 1.000e+00)\n"
+            "first: PASS (worst err 7.500e-01 <= 1.000e+00)\n")
+
+    def test_without_a_suite_a_nan_sample_fails_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(biorth.checks, "SUITES",
+                            {"second": self.cheap_suite(math.nan), "first": self.cheap_suite(0.75)})
+        assert main(["check"]) == 1
+        assert capsys.readouterr().out == (
+            "second: FAIL (worst err nan <= 1.000e+00)\n"
+            "first: PASS (worst err 7.500e-01 <= 1.000e+00)\n")
 
 
 class TestParser:

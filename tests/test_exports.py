@@ -1,6 +1,14 @@
 import biorth
+import biorth.errors
+import biorth.linalg
 import biorth.manifold
+import biorth.matio
 import biorth.problems
+import biorth.solvers
+
+# The modules whose public names the package re-exports, in __all__ order.
+EXPORTING = (biorth.errors, biorth.linalg, biorth.manifold, biorth.matio, biorth.problems,
+             biorth.solvers)
 
 # Names deleted from the package: nothing inside it calls them any more.
 DELETED = (
@@ -51,3 +59,17 @@ def test_problems_expose_only_cost_grad():
         assert hasattr(cls, "cost_grad")
         assert not hasattr(cls, "cost")
         assert not hasattr(cls, "euclidean_gradient")
+
+
+def test_each_module_defines_the_names_it_declares():
+    for module in EXPORTING:
+        for name in module.__all__:
+            value = vars(module).get(name)
+            assert value is not None, f"{module.__name__}.{name}"
+            assert getattr(value, "__module__", module.__name__) == module.__name__, name
+            assert getattr(biorth, name) is value
+
+
+def test_the_package_exports_the_concatenation_of_its_modules_names():
+    assert biorth.__all__ == [name for module in EXPORTING for name in module.__all__]
+    assert len(biorth.__all__) == len(set(biorth.__all__)) == 46

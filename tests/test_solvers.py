@@ -1149,6 +1149,19 @@ class TestFdGradientCheck:
         p = random_point(35, 5, 0.3)
         assert fd_gradient_check(ConstantProblem(), manifold, p) == 0.0
 
+    def test_a_nan_difference_quotient_gives_nan(self):
+        # The cost is 0 with a zero gradient at p and NaN everywhere else, so
+        # every difference quotient is NaN: the check must not score that as 0.
+        manifold = BiorthogonalManifold(5)
+        p = random_point(35, 5, 0.3)
+
+        class NanOffStart:
+            def cost_grad(self, x, y):
+                cost = 0.0 if np.array_equal(x, p.x) else math.nan
+                return cost, AmbientPair(np.zeros_like(x), np.zeros_like(y))
+
+        assert math.isnan(fd_gradient_check(NanOffStart(), manifold, p))
+
 
 def gradient_legs(problem, manifold, p):
     g = riemannian_gradient(problem, manifold, p)
