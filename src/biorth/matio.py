@@ -6,12 +6,21 @@ field names, one row per iterate. Reals are written with 17 significant
 digits, which pins every finite 64-bit value exactly; parsing always uses
 '.' as the decimal separator regardless of locale.
 
-Both readers reject a byte outside ASCII at its line. The data lines of a
-matrix file are parsed by one np.loadtxt call, whose C reader rounds each
-token as float() does. A file whose parse fails, or gives the wrong shape
-or a non-finite entry, is parsed again token by token by _parse_rows, and
-that reference loop raises the error, so its line number and message do
-not depend on which path found the fault.
+Both readers reject a byte outside ASCII at its line, and a matrix header
+or row count is checked before any row is parsed. The data rows are then
+parsed _CHUNK at a time by orjson, whose compiled number parser rounds
+each token exactly as float() does: a chunk becomes a JSON array of
+arrays, spaces turned into ',' and line ends into '],['. A chunk is
+declined wherever JSON might read it other than float() reads its tokens:
+- a byte other than a digit, '+', '-', '.', 'e', 'E', space or line end,
+  which excludes JSON's ',', '[', ']', '"', true, false and null, and tabs;
+- a parse error, which is also how JSON rejects '+1', '.5', '1.', '02',
+  runs of spaces and integers that overflow a double;
+- the wrong shape, or a non-finite entry;
+- a '-0' token, which JSON reads as the integer 0 and so loses its sign.
+One declined chunk sends every row to _parse_rows, the reference loop of
+float() per token, which raises the first error in file order: its line
+number and message do not depend on which path met the fault.
 
 write_matrix formats _BLOCK entries per pass of numpy arithmetic, and each
 token is the text format_real gives. The 17 digits are the rounded product
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
+import re
 
 import numpy as np
 
@@ -125,19 +134,44 @@ def read_matrix(path) -> np.ndarray:
         raise MatrixFormatError(
             f"unexpected content after {rows} data rows", line=rows + 2
         )
-    try:
-        # comments=None keeps '#' a bad token, not a comment. A file whose data
-        # rows are all blank makes loadtxt warn; it fails the shape test below
-        # and the fallback raises the usual error.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            out = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2)
-        if out.shape == (rows, cols) and np.isfinite(out).all():
-            return out
-    except ValueError:
-        pass
-    # The fast parse failed somewhere; the reference loop finds the first fault.
-    return _parse_rows(lines, rows, cols)
+    # The chunk parse declines odd text; the reference loop finds the first fault.
+    out = _parse_chunks(lines, rows, cols)
+    return _parse_rows(lines, rows, cols) if out is None else out
+
+
+# Data rows per orjson parse. In a prototype, a whole-file parse held about
+# 2.9 MB of transient text and Python floats per 150 x 150 file, and raised
+# the project-io benchmark's peak_rss_mb from 68.5 to 70.9.
+_CHUNK = 16
+_NUMBER_BYTES = b"0123456789+-.eE \n"
+# A '-0' token ends at ',' or ']' in the JSON text. The pattern also
+# matches an exponent 'e-0' at the end of a token, which only costs the
+# fallback.
+_NEGATIVE_ZERO = re.compile(rb"-0[],]")
+
+
+def _parse_chunks(lines, rows, cols):
+    """The data rows `lines[1:rows + 1]` parsed by orjson, or None where
+    a chunk might not read as _parse_rows reads it."""
+    import orjson  # here, so that commands which read no matrix do not load it
+
+    out = np.empty((rows, cols), dtype=np.float64)
+    for top in range(0, rows, _CHUNK):
+        chunk = "\n".join(lines[top + 1:top + 1 + _CHUNK]).encode("ascii")
+        if chunk.translate(None, _NUMBER_BYTES):
+            return None
+        text = b"[[" + chunk.replace(b" ", b",").replace(b"\n", b"],[") + b"]]"
+        try:
+            values = np.array(orjson.loads(text), dtype=np.float64)
+        except (ValueError, TypeError, OverflowError):  # JSONDecodeError is a ValueError
+            return None
+        # Test the shape before assigning: numpy would broadcast a single column.
+        if values.shape != (min(_CHUNK, rows - top), cols) or not np.isfinite(values).all():
+            return None
+        if not values.all() and _NEGATIVE_ZERO.search(text):  # a zero may have lost its sign
+            return None
+        out[top:top + _CHUNK] = values
+    return out
 
 
 def _parse_rows(lines, rows, cols):

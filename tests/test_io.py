@@ -396,8 +396,8 @@ class TestRowFastPath:
             assert not path.exists()
 
     def test_underscore_digits_are_rejected(self, tmp_path):
-        # loadtxt rejects "1_0"; the per-token loop, where float() would read
-        # it as 10.0, must reject it too, at its line.
+        # The chunk parser declines "1_0"; the per-token loop, where float()
+        # would read it as 10.0, must reject it, at its line.
         path = tmp_path / "m.txt"
         path.write_text("2 2\n1 2\n1_0 2\n")
         with pytest.raises(MatrixFormatError, match="cannot parse entry '1_0'") as err:
@@ -515,10 +515,60 @@ def outcome(read, *args):
         return err.line, str(err)
 
 
-class TestTwoParsers:
-    """read_matrix parses rows with np.loadtxt and falls back to _parse_rows.
+def rows_with_bad_token(rows, bad_row, token="x"):
+    """A `rows` x 3 matrix file whose data row `bad_row` (from 1) holds `token`."""
+    lines = per_entry_text(make_rng(rows).standard_normal((rows, 3))).split("\n")
+    lines[bad_row] = f"{token} " + lines[bad_row].split(" ", 1)[1]
+    return "\n".join(lines)
 
-    The per-token fallback is the independent check of the numpy reader:
+
+# Text that JSON reads other than float() reads its tokens, text that the
+# per-token loop reads but JSON rejects, and faults in later chunks.
+ODD_INPUTS = {
+    "vt-ff": "1 3\n1\x0b2\x0c3\n",
+    "fs": "2 2\n1\x1c2\n3 4\n",
+    "blank-row": "2 2\n1 2\n  \t \n",
+    "all-empty": "2 1\n\n\n",
+    "all-blank": "2 2\n \n\t\n",
+    "overflow": "2 2\n1 2\n1e400 4\n",
+    "hash": "2 2\n1 2 # note\n3 4\n",
+    "comma": "1 2\n1,5\n",
+    "bracket": "1 2\n[1] 2\n",
+    "split-row": "2 2\n1 2] [3 4\n",
+    "split-row-one-header": "1 4\n1 2] [3 4\n",
+    "quoted": '1 1\n"1"\n',
+    "true": "1 1\ntrue\n",
+    "false": "1 2\nfalse 1\n",
+    "null": "1 1\nnull\n",
+    "minus-zero": "1 1\n-0\n",
+    "minus-zero-mid-row": "1 3\n1 -0 2\n",
+    "minus-zero-beside-zero": "1 2\n0 -0\n",
+    "minus-zero-point": "1 2\n-0.0 0\n",
+    "exponent-minus-zero": "1 2\n1e-0 0\n",
+    "2**53+1": "1 1\n9007199254740993\n",
+    "2**64-1": "1 1\n18446744073709551615\n",
+    "30-digits": "1 1\n" + "123456789" * 3 + "123\n",
+    "400-digits": "1 1\n" + "7" * 400 + "\n",
+    "underflow": "1 1\n1e-400\n",
+    "negative-underflow": "1 1\n-1e-400\n",
+    "plus": "1 1\n+1\n",
+    "no-whole": "1 1\n.5\n",
+    "no-fraction": "1 1\n1.\n",
+    "leading-zero": "1 1\n02\n",
+    "infinity": "1 1\nInfinity\n",
+    "lone-cr": "1 2\n1\r2\n",
+    "tab": "1 2\n1\t2\n",
+    "second-chunk": rows_with_bad_token(33, 17),
+    "last-chunk": rows_with_bad_token(33, 33),
+    "second-chunk-minus-zero": rows_with_bad_token(33, 17, "-0"),
+    "empty": "",
+}
+
+
+class TestTwoParsers:
+    """read_matrix parses rows in chunks with orjson and falls back to _parse_rows.
+
+    The per-token fallback is the independent check of the chunk parser:
     on text it accepts, both give the same bits.
     """
 
@@ -549,28 +599,30 @@ class TestTwoParsers:
         assert bitwise_equal(read_without_warnings(path), m)
         assert row_fallbacks == []
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "1 3\n1\x0b2\x0c3\n",
-            "2 2\n1\x1c2\n3 4\n",
-            "2 2\n1 2\n  \t \n",
-            "2 1\n\n\n",
-            "2 2\n \n\t\n",
-            "2 2\n1 2\n1e400 4\n",
-            "2 2\n1 2 # note\n3 4\n",
-        ],
-        ids=["vt-ff", "fs", "blank-row", "all-empty", "all-blank", "overflow", "hash"],
-    )
-    def test_odd_input_reads_as_the_per_token_loop_does(self, tmp_path, text):
-        # "1_0", which loadtxt rejects, is test_underscore_digits_are_rejected.
+    @pytest.mark.parametrize("text", list(ODD_INPUTS.values()), ids=list(ODD_INPUTS))
+    def test_odd_input_reads_as_the_per_token_loop_does(self, tmp_path, monkeypatch, text):
+        # "1_0", which the chunk parser declines, is test_underscore_digits_are_rejected.
         path = tmp_path / "m.txt"
-        path.write_text(text)
-        expected = per_token_error(path)
-        if expected is None:
-            values = [[float(t) for t in line.split()] for line in text.split("\n")[1:-1]]
-            assert read_without_warnings(path).tolist() == values
-        else:
-            with pytest.raises(MatrixFormatError) as err:
-                read_without_warnings(path)
-            assert (err.value.line, str(err.value)) == expected
+        path.write_bytes(text.encode("ascii"))
+        read = outcome(read_without_warnings, path)
+        monkeypatch.setattr(biorth.matio, "_parse_chunks", lambda lines, rows, cols: None)
+        assert read == outcome(read_matrix, path)
+
+    def test_float_bits_for_every_token(self, tmp_path, row_fallbacks):
+        # Catches an orjson build whose number parser does not round as float() does.
+        bits = make_rng(16).integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+        subnormals = make_rng(17).integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+        extremes = [5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0]
+        values = np.concatenate([bits[np.isfinite(bits)], subnormals, -subnormals, extremes])
+        # '%.17g' writes -0.0 as "-0", which its chunk declines: zeros take their repr.
+        forms = {"17g": lambda v: format(v, ".17g") if v else repr(v), "repr": repr}
+        for name, form in forms.items():
+            tokens = [form(float(v)) for v in values]
+            tokens += ["1"] * (-len(tokens) % 100)
+            rows = [" ".join(tokens[i:i + 100]) + "\n" for i in range(0, len(tokens), 100)]
+            path = tmp_path / f"{name}.txt"
+            path.write_text(f"{len(rows)} 100\n" + "".join(rows))
+            expected = np.array([float(t) for t in tokens]).reshape(-1, 100)
+            assert bitwise_equal(read_matrix(path), expected), name
+        assert row_fallbacks == []
