@@ -50,7 +50,7 @@ class TestMatrixRoundtrip:
     def test_write_format(self, tmp_path):
         path = tmp_path / "m.txt"
         write_matrix(path, np.eye(2))
-        assert path.read_text() == "2 2\n1 0\n0 1\n"
+        assert path.read_text() == "2 2\n1.0 0.0\n0.0 1.0\n"
 
     def test_row_vector_layout(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -202,7 +202,7 @@ class TestTraceRoundtrip:
         rows = [",".join([str(r.iter)] + [format_real(v) for v in (r.cost, r.grad_norm,
                                                                   r.feas_err, r.elapsed_ms)])
                 for r in records]
-        assert rows[1] == "7,-1.0000000000000001e+300,0.33333333333333331,0,2.25"
+        assert rows[1] == "7,-1e300,0.3333333333333333,0.0,2.25"
         assert path.read_bytes() == "\n".join([TRACE_HEADER, *rows, ""]).encode("ascii")
 
     def test_roundtrip_bitwise(self, tmp_path):
@@ -293,6 +293,10 @@ class TestFormatReal:
         for v in values:
             assert float(format_real(v)) == v or (np.isnan(v))
 
+    def test_non_finite_values_are_spelled_as_repr(self):
+        # orjson alone would print null for each.
+        assert [format_real(v) for v in (np.inf, -np.inf, np.nan)] == ["inf", "-inf", "nan"]
+
 
 # Arbitrary finite doubles: hypothesis draws signed zeros, subnormals and the
 # extremes often; the explicit examples pin them.
@@ -306,8 +310,8 @@ finite_matrices = hnp.arrays(
 def per_entry_text(m):
     """The reference text of a matrix file: format_real of each entry.
 
-    write_matrix formats whole blocks of entries in numpy and must give
-    these bytes exactly.
+    write_matrix serializes the whole matrix in one orjson call and must
+    give these bytes exactly.
     """
     rows, cols = m.shape
     return f"{rows} {cols}\n" + "".join(
@@ -413,10 +417,15 @@ class TestRowFastPath:
         assert err.value.line == 3
 
 
-def assert_writes_per_entry_text(tmp_path, m):
+def assert_written_exactly(tmp_path, row_fallbacks, m):
+    """write_matrix gives per_entry_text, and both read_matrix, without its
+    fallback, and np.loadtxt read back the bits of `m`."""
     path = tmp_path / "m.txt"
     write_matrix(path, m)
     assert path.read_bytes() == per_entry_text(m).encode("ascii")
+    assert bitwise_equal(read_matrix(path), m)
+    assert row_fallbacks == []
+    assert bitwise_equal(np.loadtxt(path, skiprows=1, dtype=np.float64, ndmin=2), m)
 
 
 def as_rows(values, cols=7):
@@ -425,31 +434,30 @@ def as_rows(values, cols=7):
     return np.concatenate([values, np.ones(-values.size % cols)]).reshape(-1, cols)
 
 
-class TestBlockWriter:
-    """write_matrix against per_entry_text, on the cases its digit arithmetic
-    must get right, and on shapes whose entries span several blocks."""
+class TestWriter:
+    """write_matrix against per_entry_text and two independent readers, on
+    the shapes and values that a decimal writer must get right."""
 
     @pytest.mark.parametrize("shape", [(97, 130), (1, 7000), (7000, 1)])
-    def test_shapes_across_blocks(self, tmp_path, shape):
+    def test_large_and_thin_shapes(self, tmp_path, row_fallbacks, shape):
         rng = make_rng(11)
         m = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
-        assert m.size > biorth.matio._BLOCK
-        assert_writes_per_entry_text(tmp_path, m)
+        assert_written_exactly(tmp_path, row_fallbacks, m)
 
-    def test_transposed_view(self, tmp_path):
+    def test_transposed_view(self, tmp_path, row_fallbacks):
         m = make_rng(12).standard_normal((130, 97)).T
         assert not m.flags.c_contiguous
-        assert_writes_per_entry_text(tmp_path, m)
+        assert_written_exactly(tmp_path, row_fallbacks, m)
 
-    def test_exact_ties(self, tmp_path):
-        # odd / 8 in [1e14, 1e15) has 18 significant digits ending in 5:
-        # '%.17g' rounds it half to even.
+    def test_exact_ties(self, tmp_path, row_fallbacks):
+        # odd / 8 in [1e14, 1e15) has 18 significant digits ending in 5: its
+        # two nearest 17-digit texts are equally close, and both read back.
         odd = 2 * make_rng(13).integers(4 * 10**14, 4 * 10**15, 3000) + 1
         m = as_rows(odd / 8.0)
         assert np.all(m[:-1] * 8 % 2 == 1)
-        assert_writes_per_entry_text(tmp_path, np.vstack([m, -m]))
+        assert_written_exactly(tmp_path, row_fallbacks, np.vstack([m, -m]))
 
-    def test_neighbours_of_decade_and_notation_bounds(self, tmp_path):
+    def test_neighbours_of_decade_and_notation_bounds(self, tmp_path, row_fallbacks):
         values = []
         for v in (1e-5, 1e-4, 1e16, 1e17):
             down = up = v
@@ -458,30 +466,29 @@ class TestBlockWriter:
                 down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
                 values += [down, up]
         m = as_rows(values)
-        assert_writes_per_entry_text(tmp_path, np.vstack([m, -m]))
+        assert_written_exactly(tmp_path, row_fallbacks, np.vstack([m, -m]))
 
-    def test_doubles_nearest_powers_of_ten(self, tmp_path):
-        # A few lie within 5e-18 below their power, such as 1e-14, and print
-        # as that power only if rounding to 17 digits carries into the
-        # exponent.
+    def test_doubles_nearest_powers_of_ten(self, tmp_path, row_fallbacks):
+        # A few lie within 5e-18 below their power, such as 1e-14; the text
+        # of each must still tell it from its neighbours one ulp away.
         powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
         m = as_rows([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
-        assert_writes_per_entry_text(tmp_path, np.vstack([m, -m]))
+        assert_written_exactly(tmp_path, row_fallbacks, np.vstack([m, -m]))
 
-    def test_signed_zero_and_extremes(self, tmp_path):
+    def test_signed_zero_and_extremes(self, tmp_path, row_fallbacks):
         values = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
-        assert_writes_per_entry_text(tmp_path, np.array([values, [-v for v in values]]))
+        assert_written_exactly(tmp_path, row_fallbacks, np.array([values, [-v for v in values]]))
 
-    def test_integers_up_to_2_to_53(self, tmp_path):
+    def test_integers_up_to_2_to_53(self, tmp_path, row_fallbacks):
         ints = make_rng(14).integers(0, 2**53, 3000).astype(np.float64)
         powers = [10.0**k for k in range(16)]
         edges = [2.0**53, 2.0**53 - 1, 2.0**52 + 1]
-        assert_writes_per_entry_text(tmp_path, as_rows([*ints, *powers, *edges]))
+        assert_written_exactly(tmp_path, row_fallbacks, as_rows([*ints, *powers, *edges]))
 
-    def test_random_bit_patterns(self, tmp_path):
+    def test_random_bit_patterns(self, tmp_path, row_fallbacks):
         bits = make_rng(15).integers(0, 2**64, 20000, dtype=np.uint64)
         values = bits.view(np.float64)
-        assert_writes_per_entry_text(tmp_path, as_rows(values[np.isfinite(values)]))
+        assert_written_exactly(tmp_path, row_fallbacks, as_rows(values[np.isfinite(values)]))
 
 
 # Finite doubles whose exponents span +-300, for both parsers' rounding.
@@ -623,13 +630,13 @@ class TestTwoParsers:
         assert read == outcome(read_matrix, path)
 
     def test_written_negative_zero_skips_the_fallback(self, tmp_path, row_fallbacks):
-        # write_matrix writes -0.0 as the token "-0", which JSON reads as 0.
+        # write_matrix writes -0.0 as "-0.0", which JSON reads with its sign.
         m = make_rng(6).standard_normal((40, 3))
         m[[0, 17, 39], [0, 1, 2]] = -0.0
         m[5, 1] = 0.0
         path = tmp_path / "m.txt"
         write_matrix(path, m)
-        assert b" -0 " in path.read_bytes()
+        assert b" -0.0 " in path.read_bytes()
         assert bitwise_equal(read_matrix(path), m)
         assert row_fallbacks == []
 

@@ -83,3 +83,19 @@ def test_summary_says_how_far_a_run_moved(tmp_path):
         "max_rel_diff=1.0e-01 final_cost=1 -> 0.99 feas_err=1e-16 -> 1e-16")
     assert same_outputs.summary(a, b, "project-0") == (
         "max_rel_diff=0.0e+00 final_cost=- -> - feas_err=- -> -")
+
+
+@pytest.mark.parametrize(
+    "matrix, note",
+    [
+        ("2 2\n1 0\n-0.25 1\n", ""),
+        ("2 2\n1.0 0.0\n-0.25 1.0\n", "matrix_bits=identical"),
+        ("2 2\n1 0\n-0.25 1.0000000000000002\n", "matrix_bits=differ"),
+        ("2 2\n1 -0.0\n-0.25 1\n", "matrix_bits=differ"),
+    ],
+    ids=["same-bytes", "text-only", "one-ulp", "signed-zero"],
+)
+def test_matrix_bits_tell_a_text_change_from_a_value_change(tmp_path, matrix, note):
+    a = write_run(tmp_path / "a", matrix="2 2\n1 0\n-0.25 1\n")
+    b = write_run(tmp_path / "b", matrix=matrix)
+    assert same_outputs.matrix_bits(a, b, "model-cg-1") == note

@@ -24,7 +24,11 @@ code) without its `seconds=` field. Prints
 outputs differ and exits 1. That line names the run's first differing
 file, the largest relative difference max|new - base| / max|base| over
 its matrix files, and its base and new `final_cost` and `feas_err`, so a
-change at the rounding level reads apart from a change in behaviour.
+change at the rounding level reads apart from a change in behaviour. Where
+the bytes of any of the run's matrix files differ, the line ends with
+`matrix_bits=identical` when every matrix file still reads back with the
+same bits, signed zeros included, so a change of text alone reads apart
+from a change of value; otherwise with `matrix_bits=differ`.
 """
 
 from __future__ import annotations
@@ -198,15 +202,39 @@ def _console_values(path):
     return [m.group(1) if m else "-" for m in found]
 
 
-def summary(base_dir, new_dir, run):
-    """How far the outputs of `run` moved: matrix difference, final_cost and feas_err."""
+def _matrix_pairs(base_dir, new_dir, run):
+    """(base path, new path) of every matrix file of `run` in either tree."""
     base, new = os.path.join(base_dir, run), os.path.join(new_dir, run)
     matrices = {rel for rel in _files(base) + _files(new) if rel.endswith(".txt")} - {CONSOLE}
-    worst = max((_max_rel_diff(os.path.join(base, rel), os.path.join(new, rel))
-                 for rel in matrices), default=None)
+    return [(os.path.join(base, rel), os.path.join(new, rel)) for rel in sorted(matrices)]
+
+
+def _same_bits(a_path, b_path):
+    """Whether two matrix files read back with the same shape and bits."""
+    try:
+        a, b = read_matrix(a_path), read_matrix(b_path)
+    except OSError:
+        return False
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def matrix_bits(base_dir, new_dir, run):
+    """Whether every matrix file of `run` reads back with the same bits in
+    both trees, as a note for its line; empty where their bytes all match."""
+    pairs = _matrix_pairs(base_dir, new_dir, run)
+    if all(os.path.isfile(a) and os.path.isfile(b) and _normalized(a) == _normalized(b)
+           for a, b in pairs):
+        return ""
+    return "matrix_bits=" + ("identical" if all(_same_bits(*p) for p in pairs) else "differ")
+
+
+def summary(base_dir, new_dir, run):
+    """How far the outputs of `run` moved: matrix difference, final_cost and feas_err."""
+    worst = max((_max_rel_diff(*pair) for pair in _matrix_pairs(base_dir, new_dir, run)),
+                default=None)
     moved = "no matrix files" if worst is None else f"max_rel_diff={worst:.1e}"
     values = zip(("final_cost", "feas_err"),
-                 *(_console_values(os.path.join(d, CONSOLE)) for d in (base, new)))
+                 *(_console_values(os.path.join(d, run, CONSOLE)) for d in (base_dir, new_dir)))
     return " ".join([moved] + [f"{key}={a} -> {b}" for key, a, b in values])
 
 
@@ -222,10 +250,14 @@ def main(argv=None):
         outs = [os.path.join(tmp, label) for label in ("base", "new")]
         for src, out in zip(argv, outs):
             run_all(src, out, inputs)
-        diffs = [(diff, summary(*outs, diff.split(os.sep)[0])) for diff in differences(*outs)]
-    for diff, moved in diffs:
-        print(f"outputs differ: {diff}: {moved}")
-    if diffs:
+        lines = []
+        for diff in differences(*outs):
+            run = diff.split(os.sep)[0]
+            notes = filter(None, [summary(*outs, run), matrix_bits(*outs, run)])
+            lines.append(f"outputs differ: {diff}: {' '.join(notes)}")
+    for line in lines:
+        print(line)
+    if lines:
         return 1
     print(f"identical outputs: {len(RUNS)} runs")
     return 0
