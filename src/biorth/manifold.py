@@ -22,7 +22,10 @@ TypeError("{what} must be of type {Kind}, got {Type}"), one of the wrong
 size DimensionError("{what} has n={m}, expected n={n}"), on BO(n) as on
 the flat space. The point of every ray operation that reads it (retract,
 ray_velocity and ray_acceleration on BO(n), retract on the flat space)
-passes the kind check, and on the flat space the size check too.
+passes the kind check. Where a manifold's n fixes its size, the point of
+each member that reads it passes the size check too: `project`,
+`retract`, `ray_velocity` and `ray_acceleration` of BiorthogonalManifold,
+`retract` of EuclideanManifold.
 InvalidTangentError is left for a pair of the right kind and size that is
 not a tangent at the point: an ambient pair, or a tangent based at another
 point. "Based at p" means the tangent's `base` is `p` itself, so a tangent
@@ -535,7 +538,8 @@ class BiorthogonalManifold:
     Its seven members are `n`, `identity` and the five the solvers read:
     `check_point`, `project`, `retract`, `ray_velocity` and
     `ray_acceleration`, each forwarding to the module function of that
-    work. Points and tangents are drawn by the module functions
+    work; the four that take a point first check that it is a BiorthPoint
+    of size n. Points and tangents are drawn by the module functions
     `random_point` and `random_tangent`. Feasibility and tangency are
     checked against default_feas_tol(n) and default_tan_tol(n).
     """
@@ -561,15 +565,19 @@ class BiorthogonalManifold:
         return identity_point(self.n)
 
     def project(self, p, a) -> TangentPair:
+        _require_sized(p, BiorthPoint, "point", self.n)
         return project_tangent(p, a)
 
     def retract(self, p, t, s=1.0) -> BiorthPoint:
+        _require_sized(p, BiorthPoint, "point", self.n)
         return retract(p, t, s)
 
     def ray_velocity(self, p, t):
+        _require_sized(p, BiorthPoint, "point", self.n)
         return ray_velocity(p, t)
 
     def ray_acceleration(self, p, t) -> AmbientPair:
+        _require_sized(p, BiorthPoint, "point", self.n)
         return ray_acceleration(p, t)
 
 

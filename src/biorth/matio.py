@@ -20,25 +20,30 @@ declined wherever JSON might read it other than float() reads its tokens:
 - the wrong shape, or a non-finite entry.
 A '-0' token, which JSON reads as the integer 0 and so without its sign,
 is rewritten as '-0.0' in a chunk that reads a zero, which is parsed again.
-One declined chunk sends every row to _parse_rows, the reference loop of
-float() per token, which raises the first error in file order: its line
-number and message do not depend on which path met the fault.
+A declined chunk is read alone by _parse_rows, the reference loop of
+float() per token, and the chunks after it by orjson again. orjson accepts
+a chunk only where float() reads every token in it to the same finite
+value, so no chunk before the one that raises holds a fault: the first
+error in file order is raised, and its line number and message do not
+depend on which path met the fault.
 
 write_matrix serializes the whole matrix with one orjson call, which
 gives the JSON array of arrays that a chunk is read as, and turns it back
-into rows.
+into rows. write_trace checks every record before it opens the file, so
+that it writes nothing read_trace would refuse.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import re
 
 import numpy as np
 import orjson
 
-from .errors import MatrixFormatError
+from .errors import MatrixFormatError, NumericalError
 from .linalg import as_matrix
 from .solvers import TraceRecord
 
@@ -113,17 +118,11 @@ def read_matrix(path) -> np.ndarray:
     lines = _read_lines(path)
     if not lines:
         raise MatrixFormatError("empty file, expected a 'rows cols' header", line=1)
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MatrixFormatError(
-            f"header must be 'rows cols', got {lines[0]!r}", line=1
-        )
-    try:
-        rows, cols = _number(int, header[0]), _number(int, header[1])
+    try:  # so is a header of more or fewer than two tokens
+        rows, cols = (_number(int, token) for token in lines[0].split())
     except ValueError:
-        raise MatrixFormatError(
-            f"header dimensions must be integers, got {lines[0]!r}", line=1
-        ) from None
+        raise MatrixFormatError(f"header 'rows cols' must be integers, got {lines[0]!r}",
+                                line=1) from None
     if rows < 1 or cols < 1:
         raise MatrixFormatError(
             f"dimensions must be positive, got {rows} x {cols}", line=1
@@ -137,9 +136,10 @@ def read_matrix(path) -> np.ndarray:
         raise MatrixFormatError(
             f"unexpected content after {rows} data rows", line=rows + 2
         )
-    # The chunk parse declines odd text; the reference loop finds the first fault.
-    out = _parse_chunks(lines, rows, cols)
-    return _parse_rows(lines, rows, cols) if out is None else out
+    out = np.empty((rows, cols), dtype=np.float64)
+    for top in range(0, rows, _CHUNK):
+        out[top:top + _CHUNK] = _parse_chunk(lines[top + 1:top + 1 + _CHUNK], top + 2, cols)
+    return out
 
 
 # Data rows per orjson parse. In a prototype, a whole-file parse held about
@@ -154,43 +154,38 @@ _NUMBER_BYTES = b"0123456789+-.eE \n"
 _NEGATIVE_ZERO = re.compile(rb"-0(?=[\],])(?<=[\[,]-0)")
 
 
-def _parse_chunks(lines, rows, cols):
-    """The data rows `lines[1:rows + 1]` parsed by orjson, or None where
-    a chunk might not read as _parse_rows reads it."""
-    out = np.empty((rows, cols), dtype=np.float64)
-    for top in range(0, rows, _CHUNK):
-        chunk = "\n".join(lines[top + 1:top + 1 + _CHUNK]).encode("ascii")
-        if chunk.translate(None, _NUMBER_BYTES):
-            return None
+def _parse_chunk(block, first_line, cols):
+    """The data rows `block`, the first of which is line `first_line`,
+    parsed by orjson, or by _parse_rows where orjson might read them
+    other than it does."""
+    chunk = "\n".join(block).encode("ascii")
+    if not chunk.translate(None, _NUMBER_BYTES):
         text = b"[[" + chunk.replace(b" ", b",").replace(b"\n", b"],[") + b"]]"
         try:
             values = np.array(orjson.loads(text), dtype=np.float64)
             if not values.all():  # a zero may have lost its sign: parse again
                 values = np.array(orjson.loads(_NEGATIVE_ZERO.sub(b"-0.0", text)), np.float64)
+            # Test the shape before it is assigned: numpy would broadcast a single column.
+            if values.shape == (len(block), cols) and np.isfinite(values).all():
+                return values
         except (ValueError, TypeError, OverflowError):  # JSONDecodeError is a ValueError
-            return None
-        # Test the shape before assigning: numpy would broadcast a single column.
-        if values.shape != (min(_CHUNK, rows - top), cols) or not np.isfinite(values).all():
-            return None
-        out[top:top + _CHUNK] = values
-    return out
+            pass
+    return _parse_rows(block, first_line, cols)
 
 
-def _parse_rows(lines, rows, cols):
-    """Reference per-token parse of the data rows `lines[1:rows + 1]`.
+def _parse_rows(block, first_line, cols):
+    """Reference per-token parse of the data rows `block`, the first of
+    which is line `first_line`.
 
     Raises MatrixFormatError at the first bad row or token in file order.
     """
-    out = np.empty((rows, cols), dtype=np.float64)
-    for i in range(rows):
-        line_no = i + 2
-        tokens = lines[i + 1].split()
+    values = []
+    for line_no, line in enumerate(block, first_line):
+        tokens = line.split()
         if len(tokens) != cols:
-            raise MatrixFormatError(
-                f"expected {cols} values, got {len(tokens)}", line=line_no
-            )
-        out[i] = [_parse_real(tok, line_no, "entry") for tok in tokens]
-    return out
+            raise MatrixFormatError(f"expected {cols} values, got {len(tokens)}", line=line_no)
+        values.append([_parse_real(tok, line_no, "entry") for tok in tokens])
+    return np.array(values, dtype=np.float64)
 
 
 def write_matrix(path, m) -> None:
@@ -203,11 +198,25 @@ def write_matrix(path, m) -> None:
 
 
 def write_trace(path, trace) -> None:
+    """Write `trace` in the trace format. Every record is checked before
+    the file is opened, so that read_trace reads back what is written:
+    ValueError for an iteration that is not an integer or not above the one
+    before, NumericalError for a non-finite real, as write_matrix raises."""
+    lines, prev_iter = [TRACE_HEADER], -math.inf
+    for it, *reals in map(dataclasses.astuple, trace):
+        if not isinstance(it, numbers.Integral):
+            raise ValueError(f"iteration index must be an integer, got {it!r}")
+        if it <= prev_iter:
+            raise ValueError(
+                f"iteration indices must be strictly increasing, got {it} after {prev_iter}"
+            )
+        for name, v in zip(TRACE_FIELDS[1:], reals):
+            if not math.isfinite(v):
+                raise NumericalError(f"non-finite {name} {v!r} at iteration {it}")
+        prev_iter = it
+        lines.append(",".join((str(int(it)), *map(format_real, reals))))
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(TRACE_HEADER + "\n")
-        for rec in trace:
-            reals = (format_real(getattr(rec, name)) for name in TRACE_FIELDS[1:])
-            f.write(",".join((str(rec.iter), *reals)) + "\n")
+        f.write("\n".join(lines) + "\n")
 
 
 def read_trace(path) -> list[TraceRecord]:
@@ -216,10 +225,8 @@ def read_trace(path) -> list[TraceRecord]:
         raise MatrixFormatError(
             f"trace header must be {TRACE_HEADER!r}", line=1
         )
-    records = []
-    prev_iter = None
-    for idx, line in enumerate(lines[1:]):
-        line_no = idx + 2
+    records, prev_iter = [], -math.inf
+    for line_no, line in enumerate(lines[1:], 2):
         fields = line.split(",")
         if len(fields) != len(TRACE_FIELDS):
             raise MatrixFormatError(f"expected {len(TRACE_FIELDS)} comma-separated fields, "
@@ -230,7 +237,7 @@ def read_trace(path) -> list[TraceRecord]:
             raise MatrixFormatError(
                 f"iteration index must be an integer, got {fields[0]!r}", line=line_no
             ) from None
-        if prev_iter is not None and it <= prev_iter:
+        if it <= prev_iter:
             raise MatrixFormatError(
                 f"iteration indices must be strictly increasing, got {it} after {prev_iter}",
                 line=line_no,

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -270,6 +271,29 @@ class TestTraceRoundtrip:
         assert err.value.line == 3
 
     @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("cost", np.inf, NumericalError, "^non-finite cost inf at iteration 1$"),
+            ("grad_norm", np.nan, NumericalError, "^non-finite grad_norm nan at iteration 1$"),
+            ("feas_err", -np.inf, NumericalError, "^non-finite feas_err -inf at iteration 1$"),
+            ("elapsed_ms", np.nan, NumericalError, "^non-finite elapsed_ms nan at iteration 1$"),
+            ("iter", 1.5, ValueError, "^iteration index must be an integer, got 1.5$"),
+            ("iter", 0, ValueError, "^iteration indices must be strictly increasing, got 0 after 0$"),
+        ],
+        ids=["cost", "grad_norm", "feas_err", "elapsed_ms", "non-integer-iter",
+             "non-increasing-iter"],
+    )
+    def test_a_record_read_trace_would_refuse_writes_no_file(self, tmp_path, field, value,
+                                                             error, message):
+        # The faulty record comes second: the first is checked, not yet written.
+        good = TraceRecord(0, 1.0, 1.0, 0.0, 0.0)
+        bad = dataclasses.replace(TraceRecord(1, 1.0, 1.0, 0.0, 0.0), **{field: value})
+        path = tmp_path / "t.csv"
+        with pytest.raises(error, match=message):
+            write_trace(path, [good, bad])
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "data, line",
         [
             (b"\xef\xbb\xbf" + TRACE_HEADER.encode() + b"\n0,1,1,1,1\n", 1),
@@ -505,12 +529,12 @@ wide_exponent_matrices = hnp.arrays(
 
 @pytest.fixture
 def row_fallbacks(monkeypatch):
-    """Count the calls of the per-token fallback parser."""
+    """The (first line, row count) of each block the per-token fallback parser reads."""
     calls = []
 
-    def counted(lines, rows, cols):
-        calls.append(rows)
-        return _parse_rows(lines, rows, cols)
+    def counted(block, first_line, cols):
+        calls.append((first_line, len(block)))
+        return _parse_rows(block, first_line, cols)
 
     monkeypatch.setattr(biorth.matio, "_parse_rows", counted)
     return calls
@@ -535,6 +559,13 @@ def rows_with_bad_token(rows, bad_row, token="x"):
     """A `rows` x 3 matrix file whose data row `bad_row` (from 1) holds `token`."""
     lines = per_entry_text(make_rng(rows).standard_normal((rows, 3))).split("\n")
     lines[bad_row] = f"{token} " + lines[bad_row].split(" ", 1)[1]
+    return "\n".join(lines)
+
+
+def with_tab(text, row):
+    """`text` with the first space of its data row `row` (from 1) turned into a tab."""
+    lines = text.split("\n")
+    lines[row] = lines[row].replace(" ", "\t", 1)
     return "\n".join(lines)
 
 
@@ -585,7 +616,7 @@ ODD_INPUTS = {
 
 
 class TestTwoParsers:
-    """read_matrix parses rows in chunks with orjson and falls back to _parse_rows.
+    """read_matrix parses rows in chunks with orjson; a declined chunk goes to _parse_rows.
 
     The per-token fallback is the independent check of the chunk parser:
     on text it accepts, both give the same bits.
@@ -607,8 +638,8 @@ class TestTwoParsers:
         )
         path = tmp_path_factory.mktemp("parsers") / "m.txt"
         path.write_text(text)
-        lines = text.split("\n")[:-1]
-        assert outcome(read_without_warnings, path) == outcome(_parse_rows, lines, rows, cols)
+        data_rows = text.split("\n")[1:-1]
+        assert outcome(read_without_warnings, path) == outcome(_parse_rows, data_rows, 2, cols)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_well_formed_files_skip_the_fallback(self, tmp_path, row_fallbacks, newline):
@@ -618,6 +649,22 @@ class TestTwoParsers:
         assert bitwise_equal(read_without_warnings(path), m)
         assert row_fallbacks == []
 
+    def test_a_declined_chunk_is_read_alone(self, tmp_path, row_fallbacks):
+        # Row 20 is in the second chunk, data rows 17 to 32 on lines 18 to 33.
+        path = tmp_path / "m.txt"
+        path.write_text(with_tab(per_entry_text(make_rng(8).standard_normal((40, 3))), 20))
+        assert bitwise_equal(read_without_warnings(path), per_token_read(path))
+        assert row_fallbacks == [(18, 16)]
+
+    def test_a_fault_after_a_declined_chunk_is_raised_at_its_line(self, tmp_path, row_fallbacks):
+        # The first chunk is read by the fallback and holds no fault; data row 36,
+        # on line 37, is in the third chunk, the last 8 rows.
+        path = tmp_path / "m.txt"
+        path.write_text(with_tab(rows_with_bad_token(40, 36), 3))
+        with pytest.raises(MatrixFormatError, match="^line 37: cannot parse entry 'x'$"):
+            read_matrix(path)
+        assert row_fallbacks == [(2, 16), (34, 8)]
+
     @pytest.mark.parametrize("text", list(ODD_INPUTS.values()), ids=list(ODD_INPUTS))
     def test_odd_input_reads_as_the_per_token_loop_does(self, tmp_path, monkeypatch, text):
         # "1_0", which the chunk parser declines, is test_underscore_digits_are_rejected.
@@ -626,7 +673,7 @@ class TestTwoParsers:
         read = outcome(read_without_warnings, path)
         assert read == outcome(per_token_read, path)
         # The fallback alone reads the file as both paths together do.
-        monkeypatch.setattr(biorth.matio, "_parse_chunks", lambda lines, rows, cols: None)
+        monkeypatch.setattr(biorth.matio, "_parse_chunk", _parse_rows)
         assert read == outcome(read_matrix, path)
 
     def test_written_negative_zero_skips_the_fallback(self, tmp_path, row_fallbacks):

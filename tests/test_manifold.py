@@ -755,8 +755,13 @@ class TestMetric:
         a = AmbientPair(np.eye(4), np.eye(4))
         with pytest.raises(TypeError, match="^point must be of type EuclideanPoint, got ndarray$"):
             flat.retract(np.eye(4), a)
-        with pytest.raises(DimensionError, match="^point has n=5, expected n=4$"):
-            flat.retract(EuclideanPoint(np.eye(5), np.eye(5)), a)
+        # A point of another size is a size error on both manifolds, before its tangent is read.
+        big = identity_point(5)
+        for call in (lambda: m.project(big, s), lambda: m.retract(big, s),
+                     lambda: m.ray_velocity(big, s), lambda: m.ray_acceleration(big, s),
+                     lambda: flat.retract(EuclideanPoint(np.eye(5), np.eye(5)), a)):
+            with pytest.raises(DimensionError, match="^point has n=5, expected n=4$"):
+                call()
 
 
 class TestInnerTransported:

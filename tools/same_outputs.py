@@ -16,7 +16,10 @@ outside the `check` suites too. Two more runs read files that this
 tool writes with 17 significant digits: `funmap --a --b` on the data of
 synth_funmap(1, 64, 16), and `project` on a base pair and an ambient pair
 whose entries' decimal exponents reach down to -300 (see _wide_project).
-The two output trees are then compared
+One more `project` run reads n = 40 files that reach matio's decline
+path: identity legs, whose every chunk holds an exact zero, a phi with
+`-0` tokens and one tab-separated row, and a Gaussian psi (see
+_write_declined_project). The two output trees are then compared
 file by file: matrix files byte for byte, trace CSVs without their
 `elapsed_ms` column, and each run's console record (stdout, stderr and exit
 code) without its `seconds=` field. Prints
@@ -89,6 +92,7 @@ def _runs():
     runs.append(("funmap-files", ["funmap", "--a", os.path.join("{inputs}", "a.txt"),
                                   "--b", os.path.join("{inputs}", "b.txt"), "--seed", "1"]))
     runs.append(("project-wide", project("wide")))
+    runs.append(("project-declined", project("declined")))
     runs.append(("check", ["check"]))
     runs.append(("check-tol0", ["check", "--tol", "0"]))
     # At --tol 1 and 0 a bound scaled twice prints as one scaled once; at 0.5 it does not.
@@ -115,6 +119,26 @@ def _wide_project(n=150, seed=7):
     return dict(zip(PROJECT_KEYS, (q * d, (q / d).T, *wide)))
 
 
+def _write_declined_project(inputs, n=40, seed=8):
+    """Write n = 40 project inputs whose files reach matio's decline path.
+
+    x0 = y0 = I, so every chunk holds the token `0`; phi is Gaussian with
+    `-0` entries in its first, second and third chunks, and data row 20,
+    in the second chunk, separated by tabs; psi is Gaussian.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    phi, psi = rng.standard_normal((2, n, n))
+    phi[[3, 19, 37], [5, 11, 0]] = -0.0
+    for key, m in zip(PROJECT_KEYS, (np.eye(n), np.eye(n), phi, psi)):
+        write_text_matrix(os.path.join(inputs, f"{key}declined.txt"), m)
+    path = os.path.join(inputs, "phideclined.txt")
+    with open(path, encoding="ascii") as f:
+        lines = f.read().split("\n")
+    lines[20] = lines[20].replace(" ", "\t")
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write("\n".join(lines))
+
+
 def write_inputs(inputs):
     """Write every input file the runs of RUNS read into the directory `inputs`."""
     build(PROJECT, PROJECT_SEED, inputs)
@@ -123,6 +147,7 @@ def write_inputs(inputs):
     write_text_matrix(os.path.join(inputs, "b.txt"), problem.b)
     for key, m in _wide_project().items():
         write_text_matrix(os.path.join(inputs, f"{key}wide.txt"), m)
+    _write_declined_project(inputs)
 
 
 def run_all(src, out_root, inputs):
